@@ -16,6 +16,15 @@ from repro.experiments.common import (
     build_cubetree_engine,
     build_warehouse,
 )
+from repro.rtree.node import pinned_leaf_format
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _paper_leaf_format():
+    """The paper's figures describe row leaves: pin them for the session
+    (``test_ablation_compression`` sets the columnar variant itself)."""
+    with pinned_leaf_format("row"):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -58,8 +58,14 @@ def main() -> None:
         print(f"  {node_label(node):<26} cubetrees "
               f"{fmt_duration(cube_ms):>10}   conventional "
               f"{fmt_duration(conv_ms):>10}")
-    ratio = total["conventional"] / total["cubetrees"]
-    print(f"  overall: cubetrees {ratio:.1f}x faster")
+    if total["cubetrees"]:
+        ratio = total["conventional"] / total["cubetrees"]
+        print(f"  overall: cubetrees {ratio:.1f}x faster")
+    else:
+        # Columnar leaves can put the whole forest inside the buffer
+        # pool at small scales: no simulated I/O left to compare.
+        print("  overall: the Cubetree forest fits the buffer pool "
+              "(0 simulated ms); raise the scale to compare")
 
     print("\n-- answers agree --")
     probe = qgen.generate_for_node(("partkey", "custkey"), 3)

@@ -47,13 +47,13 @@ from repro.rtree.node import (
     MAX_LEAF_ENTRIES,
     RInteriorNode,
     RLeafNode,
-    columnar_entry_cost,
     columnar_leaf_size,
     leaf_capacity,
     node_type_of,
 )
 from repro.rtree.packing import sort_key
 from repro.rtree.tree import EMPTY_EXTENT, RTree
+from repro.storage.codec import delta_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.cubetree import Cubetree
@@ -638,8 +638,9 @@ class _TreeChecker:
             if not prev.points or not successor.points:
                 return
             size = columnar_leaf_size(prev.points, prev.arity, prev.n_aggs)
-            next_cost = columnar_entry_cost(
-                prev.points[-1], successor.points[0], prev.n_aggs
+            next_cost = 8 * prev.n_aggs + sum(
+                len(delta_tokens([coord], before)[0])
+                for before, coord in zip(prev.points[-1], successor.points[0])
             )
             if (
                 next_cost > 0

@@ -269,11 +269,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "baseline": baseline_onthefly,
         "ablations": ablations,
     }
-    if args.name == "all":
-        for module in modules.values():
+    from repro.rtree.node import pinned_leaf_format
+
+    chosen = modules.values() if args.name == "all" else [modules[args.name]]
+    # The paper's figures (and EXPERIMENTS.md) describe row leaves.
+    with pinned_leaf_format("row"):
+        for module in chosen:
             module.run(config)
-    else:
-        modules[args.name].run(config)
     return 0
 
 

@@ -509,10 +509,10 @@ class Cubetree:
         return self.tree.leaf_utilization()
 
     def view_sizes(self) -> Dict[str, int]:
-        """Tuple count per view (one leaf-chain pass)."""
+        """Tuple count per view (one leaf-chain pass over page headers)."""
         counts = {view.name: 0 for view in self.views}
-        for leaf in self.tree.scan_leaf_chain():
-            view = self._by_arity.get(leaf.view_id)
+        for view_id, count in self.tree.leaf_headers():
+            view = self._by_arity.get(view_id)
             if view is not None:
-                counts[view.name] += len(leaf)
+                counts[view.name] += count
         return counts

@@ -34,7 +34,7 @@ from repro.experiments.common import (
     print_table,
 )
 from repro.query.generator import RandomQueryGenerator
-from repro.rtree.node import set_leaf_format
+from repro.rtree.node import pinned_leaf_format
 from repro.rtree.packing import PackedRun, hilbert_sort_key, pack_rtree, sort_key
 from repro.rtree.tree import RTree
 from repro.storage.buffer import BufferPool
@@ -97,36 +97,24 @@ def run_compression(verbose: bool = True) -> Dict:
     one_d, two_d = _two_view_points()
     dims = 3
 
-    _d1, pool1 = _pool()
-    compressed = pack_rtree(pool1, dims, [
-        PackedRun(1, 1, 1, sorted(one_d, key=lambda e: sort_key(e[0], dims))),
-        PackedRun(2, 2, 1, sorted(two_d, key=lambda e: sort_key(e[0], dims))),
-    ])
+    def packed(fmt: str, arity_of=lambda arity: arity, **kwargs):
+        """Both views packed in ``fmt`` leaves, ``arity_of`` coords wide."""
+        with pinned_leaf_format(fmt):
+            return pack_rtree(_pool()[1], dims, [
+                PackedRun(
+                    view, arity_of(view), 1,
+                    sorted(
+                        [(tuple(p) + (0,) * (arity_of(view) - view), v)
+                         for p, v in entries],
+                        key=lambda e: sort_key(e[0], dims),
+                    ),
+                )
+                for view, entries in ((1, one_d), (2, two_d))
+            ], **kwargs)
 
-    _d3, pool3 = _pool()
-    set_leaf_format("columnar")
-    try:
-        columnar = pack_rtree(pool3, dims, [
-            PackedRun(1, 1, 1,
-                      sorted(one_d, key=lambda e: sort_key(e[0], dims))),
-            PackedRun(2, 2, 1,
-                      sorted(two_d, key=lambda e: sort_key(e[0], dims))),
-        ])
-    finally:
-        set_leaf_format(None)
-
-    def pad(entries, arity):
-        return [
-            (tuple(p) + (0,) * (dims - len(p)), v) for p, v in entries
-        ]
-
-    _d2, pool2 = _pool()
-    uncompressed = pack_rtree(pool2, dims, [
-        PackedRun(1, dims, 1,
-                  sorted(pad(one_d, 1), key=lambda e: sort_key(e[0], dims))),
-        PackedRun(2, dims, 1,
-                  sorted(pad(two_d, 2), key=lambda e: sort_key(e[0], dims))),
-    ], validate=False)
+    compressed = packed("row")
+    columnar = packed("columnar")
+    uncompressed = packed("row", lambda _arity: dims, validate=False)
 
     saving = 1.0 - compressed.num_pages / uncompressed.num_pages
     columnar_ratio = uncompressed.num_pages / columnar.num_pages

@@ -22,6 +22,7 @@ from repro.experiments import (
     table7_updates,
 )
 from repro.experiments.common import ExperimentConfig
+from repro.rtree.node import pinned_leaf_format
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -33,15 +34,17 @@ def main(argv: list[str] | None = None) -> None:
 
     print(f"Running all experiments at scale factor {config.scale_factor} "
           f"({config.queries_per_node} queries/view)")
-    table5_mapping.run(config)
-    table6_loading.run(config)
-    fig12_queries.run(config)
-    fig13_throughput.run(config)
-    fig14_scalability.run(config)
-    table7_updates.run(config)
-    storage_breakdown.run(config)
-    baseline_onthefly.run(config)
-    ablations.run(config)
+    # The paper's figures (and EXPERIMENTS.md) describe row leaves.
+    with pinned_leaf_format("row"):
+        table5_mapping.run(config)
+        table6_loading.run(config)
+        fig12_queries.run(config)
+        fig13_throughput.run(config)
+        fig14_scalability.run(config)
+        table7_updates.run(config)
+        storage_breakdown.run(config)
+        baseline_onthefly.run(config)
+        ablations.run(config)
 
 
 if __name__ == "__main__":

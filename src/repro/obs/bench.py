@@ -168,13 +168,18 @@ def run_suite(
     if queries_per_node is None:
         queries_per_node = _DEFAULT_QUERIES[suite]
 
+    from repro.rtree.node import pinned_leaf_format
+
     registry = get_registry()
     registry.reset()
     forced_before = tracing_override()
     set_tracing(True)
     try:
         runner = globals()[f"_suite_{suite}"]
-        return runner(scale, seed, queries_per_node)
+        # The committed baselines price row pages, whatever the shipped
+        # default is (``columnar`` sets both formats itself, inside).
+        with pinned_leaf_format("row"):
+            return runner(scale, seed, queries_per_node)
     finally:
         set_tracing(forced_before)
 
@@ -1066,8 +1071,7 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             },
         }
         return result
-    finally:
-        set_leaf_format(None)
+    finally:  # (run_suite's pin restores the leaf format)
         set_build_memory(None)
         set_vector_kernels(None)
 

@@ -1,8 +1,7 @@
 """Vectorized query kernels over columnar (type 3) leaves.
 
-The v3 leaf format already decodes each page column-at-a-time
-(:meth:`RLeafNode._from_bytes_columnar`); these kernels keep those
-decoded columns — coordinates as ``array('q')``, measures as
+Leaves decode column-at-a-time (:meth:`RLeafNode.from_bytes`); these
+kernels keep those decoded columns — coordinates as ``array('q')``, measures as
 ``array('d')`` — and evaluate slice rectangles against whole columns
 instead of building one reversed-key tuple and one ``contains_point``
 call per entry:
@@ -85,26 +84,15 @@ class LeafColumns:
 
 
 def leaf_columns(leaf) -> LeafColumns:
-    """Column buffers for a leaf, built lazily and stashed on the node.
+    """Column view of a leaf for the kernels.
 
-    Leaves decoded from columnar pages already carry their columns
-    (:meth:`RLeafNode._from_bytes_columnar` stashes them at decode
-    time); packer-built in-memory leaves materialize them on first use.
+    Decoded and packed leaves already carry their columns; a hand-built
+    leaf gets them from its tuple lists on first use, stashed on the
+    node (whoever mutates the lists afterwards nulls the stash).
     """
-    coords = leaf.coord_cols
-    if coords is None:
-        coords = tuple(
-            array("q", [point[c] for point in leaf.points])
-            for c in range(leaf.arity)
-        )
-        measures = tuple(
-            array("d", [values[m] for values in leaf.values])
-            for m in range(leaf.n_aggs)
-        )
-        leaf.coord_cols = coords
-        leaf.measure_cols = measures
+    leaf.coord_cols, leaf.measure_cols = leaf.columns()
     return LeafColumns(
-        len(leaf.points), leaf.arity, coords, leaf.measure_cols
+        len(leaf), leaf.arity, leaf.coord_cols, leaf.measure_cols
     )
 
 

@@ -13,11 +13,21 @@ maintenance of relational summary tables.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
+from typing import Callable, Deque, List, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.obs import get_registry, trace
-from repro.rtree.packing import PackedRun, free_tree, pack_rtree, sort_key
+from repro.rtree.node import RLeafNode
+from repro.rtree.packing import (
+    Chunk,
+    PackedRun,
+    column_chunks,
+    free_tree,
+    write_chunks,
+)
 from repro.rtree.tree import EMPTY_EXTENT, RTree
 from repro.storage.buffer import BufferPool
 
@@ -27,8 +37,6 @@ _OBS_MERGED_ENTRIES = _REG.counter("rtree.merge_pack.entries")
 
 Point = Tuple[int, ...]
 Values = Tuple[float, ...]
-#: (view_id, arity, n_aggs, point, values) — the merge stream element.
-StreamEntry = Tuple[int, int, int, Point, Values]
 
 #: Combines the aggregate vectors of an existing point and a delta point of
 #: the same view: ``combine(view_id, old_values, delta_values) -> values``.
@@ -40,61 +48,99 @@ def add_combiner(_view_id: int, old: Values, delta: Values) -> Values:
     return tuple(a + b for a, b in zip(old, delta))
 
 
-def tree_stream(tree: RTree) -> Iterator[StreamEntry]:
-    """Stream a packed tree's points in global sort order (sequential read)."""
-    for leaf in tree.scan_leaf_chain():
-        for point, values in zip(leaf.points, leaf.values):
-            yield leaf.view_id, leaf.arity, leaf.n_aggs, point, values
+def _locate(
+    keycols: Sequence[array], key: Point, lo: int, hi: int
+) -> Tuple[int, int]:
+    """``[lo, hi)`` of the entries equal to ``key`` among sorted entries
+    given as run-order key columns (last coordinate first): a ``bisect``
+    pair per column, each inside the range the previous column left.
+    An empty range sits at the key's insertion point."""
+    for col, part in zip(keycols, key):
+        if lo == hi:
+            break
+        lo, hi = bisect_left(col, part, lo, hi), bisect_right(col, part, lo, hi)
+    return lo, hi
 
 
-def runs_stream(runs: Sequence[PackedRun]) -> Iterator[StreamEntry]:
-    """Stream delta runs (already sorted, ordered by ascending arity)."""
-    for run in runs:
-        for point, values in run.entries:
-            yield run.view_id, run.arity, run.n_aggs, point, values
+def _splice(col: array, hits: Sequence[Tuple[int, int]], inserted) -> array:
+    """``col`` with ``inserted[j]`` placed at ``hits[j] = (position,
+    entries it replaces)`` — slice-extends between the insertion points."""
+    out = array(col.typecode)
+    prev = 0
+    for (at, replaced), value in zip(hits, inserted):
+        out.extend(col[prev:at])
+        out.append(value)
+        prev = at + replaced
+    out.extend(col[prev:])
+    return out
 
 
-def merge_streams(
-    dims: int,
-    old: Iterator[StreamEntry],
-    delta: Iterator[StreamEntry],
-    combine: Combiner = add_combiner,
-) -> Iterator[StreamEntry]:
-    """Two-way merge of sorted point streams, combining equal points.
+class _Delta:
+    """One (validated) delta run as columns, consumed front to back."""
 
-    Equal sort keys imply the same view: within one Cubetree there is at
-    most one view per arity, and the sort key encodes the zero padding and
-    hence the arity.  A view-id mismatch on equal keys means the delta was
-    built for a different tree and raises :class:`MappingError`.
-    """
-    old_entry = next(old, None)
-    delta_entry = next(delta, None)
-    while old_entry is not None and delta_entry is not None:
-        old_key = sort_key(old_entry[3], dims)
-        delta_key = sort_key(delta_entry[3], dims)
-        if old_key < delta_key:
-            yield old_entry
-            old_entry = next(old, None)
-        elif delta_key < old_key:
-            yield delta_entry
-            delta_entry = next(delta, None)
-        else:
-            view_id, arity, n_aggs, point, old_values = old_entry
-            if delta_entry[0] != view_id:
-                raise MappingError(
-                    f"delta view {delta_entry[0]} collides with stored view "
-                    f"{view_id} at point {point}"
+    def __init__(self, run: PackedRun, dims: int) -> None:
+        self.run = run
+        self.pos = self.count = 0
+        self.coords = [array("q") for _ in range(run.arity)]
+        self.measures = [array("d") for _ in range(run.n_aggs)]
+        for *_view, coords, measures, count in column_chunks([run], dims, True):
+            for mine, col in zip(self.coords + self.measures, coords + measures):
+                mine.extend(col)
+            self.count += count
+
+    def rest(self) -> Chunk:
+        """Everything not merged yet."""
+        pos, run, self.pos = self.pos, self.run, self.count
+        return (
+            run.view_id, run.arity, run.n_aggs,
+            [col[pos:] for col in self.coords],
+            [col[pos:] for col in self.measures],
+            self.count - pos,
+        )
+
+    def merge_into(self, leaf: RLeafNode, combine: Combiner) -> Chunk:
+        """The leaf's entries merged with every delta entry up to the
+        leaf's last key (later ones wait for the next leaf)."""
+        if self.run.view_id != leaf.view_id:
+            raise MappingError(
+                f"delta view {self.run.view_id} collides with stored view "
+                f"{leaf.view_id} (same arity {leaf.arity})"
+            )
+        coords, measures = leaf.columns()
+        count = len(leaf)
+        keycols, delta_keys = coords[::-1], self.coords[::-1]
+        start = self.pos
+        if count:
+            self.pos = _locate(
+                delta_keys, leaf.key_at(count - 1), start, self.count
+            )[1]
+        hits: List[Tuple[int, int]] = []
+        values: List[Values] = []
+        at = 0
+        for i in range(start, self.pos):
+            key = tuple(col[i] for col in delta_keys)
+            at, end = _locate(keycols, key, at, count)
+            delta_values = self.run.entries[i][1]
+            if end > at:  # the point exists: combine its aggregates
+                delta_values = combine(
+                    leaf.view_id,
+                    tuple(col[at] for col in measures),
+                    delta_values,
                 )
-            merged = combine(view_id, old_values, delta_entry[4])
-            yield view_id, arity, n_aggs, point, merged
-            old_entry = next(old, None)
-            delta_entry = next(delta, None)
-    while old_entry is not None:
-        yield old_entry
-        old_entry = next(old, None)
-    while delta_entry is not None:
-        yield delta_entry
-        delta_entry = next(delta, None)
+            hits.append((at, int(end > at)))
+            values.append(delta_values)
+            at = min(end, at + 1)
+        if hits:  # (no hits: the leaf's own buffers pass through)
+            coords = [
+                _splice(col, hits, mine[start : self.pos])
+                for col, mine in zip(coords, self.coords)
+            ]
+            measures = [
+                _splice(col, hits, column)
+                for col, column in zip(measures, zip(*values))
+            ]
+            count += sum(1 - replaced for _at, replaced in hits)
+        return leaf.view_id, leaf.arity, leaf.n_aggs, coords, measures, count
 
 
 def merge_pack(
@@ -136,35 +182,30 @@ def _merge_pack(
     retire_old: bool,
 ) -> RTree:
     _OBS_MERGES.value += 1
-    for run in delta_runs:
-        run.validate(dims)
-    merged = merge_streams(
-        dims, tree_stream(old_tree), runs_stream(delta_runs), combine
-    )
-
-    # Group the merged stream back into per-view runs for the packer.
-    runs: List[PackedRun] = []
-    current: List[Tuple[Point, Values]] = []
-    current_meta: Tuple[int, int, int] | None = None
-    for view_id, arity, n_aggs, point, values in merged:
-        meta = (view_id, arity, n_aggs)
-        if meta != current_meta:
-            if current_meta is not None:
-                runs.append(PackedRun(*current_meta, current))
-            current_meta = meta
-            current = []
-        current.append((point, values))
-    if current_meta is not None:
-        runs.append(PackedRun(*current_meta, current))
-
-    new_tree = pack_rtree(pool, dims, runs, validate=False)
+    pending: Deque[_Delta] = deque(_Delta(run, dims) for run in delta_runs)
+    # Pass 1 reads the old chain leaf by leaf, splicing the delta into
+    # its columns; pass 2 hands the chunks to the leaf writer.  Reading
+    # the old tree to the end before the first new page is allocated is
+    # the pool-call order every simulated-I/O baseline was recorded with.
+    chunks: List[Chunk] = []
+    for leaf in old_tree.scan_leaf_chain():
+        # Delta views of lower arity sort wholly before this leaf.
+        while pending and pending[0].run.arity < leaf.arity:
+            chunks.append(pending.popleft().rest())
+        if pending and pending[0].run.arity == leaf.arity:
+            chunks.append(pending[0].merge_into(leaf, combine))
+            if pending[0].pos == pending[0].count:
+                pending.popleft()
+        else:
+            view = (leaf.view_id, leaf.arity, leaf.n_aggs)
+            chunks.append((*view, *leaf.columns(), len(leaf)))
+    chunks.extend(delta.rest() for delta in pending)
+    new_tree = write_chunks(pool, dims, chunks)
     # A view that is still empty after the merge produces no stream
     # entries and hence no run above; carry its explicit empty extent
     # forward so the zero-row view keeps an (empty) run on the new tree.
     for view_id in old_tree.view_extents:
         new_tree.view_extents.setdefault(view_id, EMPTY_EXTENT)
-    for run in delta_runs:
-        new_tree.view_extents.setdefault(run.view_id, EMPTY_EXTENT)
     _OBS_MERGED_ENTRIES.value += new_tree.count
     # Debug post-condition: merge-pack must hand back a freshly packed
     # tree (full leaves, contiguous sorted view runs).  Checked before

@@ -30,10 +30,10 @@ Columnar leaf page layout (type 3, format v3) shares the 17-byte header
     ...        n_aggs columns each: count * float64, packed
 
 Packed runs are sorted, so coordinate deltas are tiny and most varints
-take one byte — the source of the beyond-2:1 storage ratio.  Which
-format the packer writes is selected by :func:`set_leaf_format` /
-``REPRO_LEAF_FORMAT=columnar``; row-major (type 1) remains the default
-and both decode transparently.
+take one byte — the source of the beyond-2:1 storage ratio.  Columnar
+is what the packer writes; :func:`set_leaf_format` /
+``REPRO_LEAF_FORMAT=row`` pins row-major (type 1), and both decode
+transparently.
 
 Interior page layout::
 
@@ -47,8 +47,11 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from itertools import repeat
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.constants import PAGE_SIZE
 from repro.errors import InvalidRecordError, StorageError
@@ -57,8 +60,6 @@ from repro.storage.codec import (
     decode_delta_column,
     encode_delta_column,
     entry_codec,
-    varint_size,
-    zigzag_encode,
 )
 
 LEAF_TYPE = 1
@@ -90,17 +91,26 @@ def set_leaf_format(fmt: Optional[str]) -> None:
     _LEAF_FORMAT = fmt
 
 
+@contextmanager
+def pinned_leaf_format(fmt: str) -> Iterator[None]:
+    """Pin the packer's leaf format for a ``with`` block (benches and
+    paper-figure experiments recorded over row pages pin ``"row"``)."""
+    global _LEAF_FORMAT
+    before = _LEAF_FORMAT
+    set_leaf_format(fmt)
+    try:
+        yield
+    finally:
+        _LEAF_FORMAT = before
+
+
 def leaf_format() -> str:
-    """The leaf format newly packed trees use (``"row"`` unless gated)."""
+    """The leaf format newly packed trees use (``"columnar"`` unless
+    pinned to ``"row"``)."""
     if _LEAF_FORMAT is not None:
         return _LEAF_FORMAT
     env = os.environ.get("REPRO_LEAF_FORMAT", "").strip().lower()
-    return "columnar" if env == "columnar" else "row"
-
-
-def columnar_enabled() -> bool:
-    """True when the packer should emit type-3 columnar leaves."""
-    return leaf_format() == "columnar"
+    return "row" if env == "row" else "columnar"
 
 
 def leaf_capacity(arity: int, n_aggs: int) -> int:
@@ -116,34 +126,12 @@ def columnar_header_size(arity: int) -> int:
     return _LEAF_HEADER.size + 2 * arity
 
 
-def columnar_entry_cost(
-    prev_point: Optional[Point], point: Point, n_aggs: int
-) -> int:
-    """Encoded bytes one entry adds to a columnar leaf.
-
-    ``prev_point`` is the preceding entry in the same leaf (``None`` for
-    the first entry, whose coordinates are delta-coded against 0).
-    """
-    cost = 8 * n_aggs
-    if prev_point is None:
-        for coord in point:
-            cost += varint_size(zigzag_encode(coord))
-    else:
-        for coord, prev in zip(point, prev_point):
-            cost += varint_size(zigzag_encode(coord - prev))
-    return cost
-
-
 def columnar_leaf_size(
     points: Sequence[Point], arity: int, n_aggs: int
 ) -> int:
     """Total encoded byte size of a columnar leaf holding ``points``."""
-    size = columnar_header_size(arity)
-    prev: Optional[Point] = None
-    for point in points:
-        size += columnar_entry_cost(prev, point, n_aggs)
-        prev = point
-    return size
+    streams = sum(len(encode_delta_column(col)) for col in zip(*points))
+    return columnar_header_size(arity) + streams + 8 * n_aggs * len(points)
 
 
 def interior_capacity(dims: int) -> int:
@@ -152,182 +140,239 @@ def interior_capacity(dims: int) -> int:
     return (PAGE_SIZE - _INTERIOR_HEADER.size) // entry
 
 
+def _native(column: array) -> array:
+    """Pages are little-endian: a swapped copy on big-endian hosts."""
+    if sys.byteorder != "little":
+        column = column[:]
+        column.byteswap()
+    return column
+
+
 class RLeafNode:
-    """A deserialized leaf: points of one view plus aggregate vectors.
+    """A deserialized leaf: one view's entries plus aggregate vectors.
 
     ``columnar`` selects the on-page encoding (type 1 row-major vs type 3
-    delta-varint columns); the in-memory representation is identical, so
-    every traversal works on both formats unchanged.
-
-    ``coord_cols``/``measure_cols`` stash the decoded column buffers
-    (``array('q')`` per coordinate, ``array('d')`` per measure) for the
-    vectorized kernels (:mod:`repro.rtree.kernels`).  They describe the
-    same entries as ``points``/``values``; any code that mutates those
-    lists in place must null the stash (see ``RTree._insert``).
+    delta-varint columns); in memory both are column buffers —
+    ``coord_cols`` (an ``array('q')`` per coordinate) and
+    ``measure_cols`` (an ``array('d')`` per aggregate value) — which is
+    all that decoding and packing ever build.  ``points``/``values``
+    hand out per-entry tuple lists on demand; callers may edit those in
+    place, so from then on the lists are the leaf's content and the
+    buffers are dropped (:meth:`columns` rebuilds them when asked).
+    Hand-built leaves (dynamic inserts, tests) start from empty lists;
+    whoever edits the lists of a leaf the kernels have stashed columns
+    on nulls the stash (see ``RTree._insert``).
     """
 
     __slots__ = (
-        "view_id", "arity", "n_aggs", "points", "values", "next_leaf",
-        "columnar", "coord_cols", "measure_cols",
+        "view_id", "arity", "n_aggs", "next_leaf", "columnar",
+        "coord_cols", "measure_cols", "_count", "_points", "_values",
     )
 
     def __init__(
-        self, view_id: int, arity: int, n_aggs: int, columnar: bool = False
+        self,
+        view_id: int,
+        arity: int,
+        n_aggs: int,
+        columnar: bool = False,
+        columns: Optional[Tuple[Sequence[array], Sequence[array], int]] = None,
     ) -> None:
         self.view_id = view_id
         self.arity = arity
         self.n_aggs = n_aggs
-        self.points: List[Point] = []
-        self.values: List[Values] = []
         self.next_leaf = -1
         self.columnar = columnar
         self.coord_cols: Optional[Tuple[array, ...]] = None
         self.measure_cols: Optional[Tuple[array, ...]] = None
+        self._count = 0
+        self._points: Optional[List[Point]] = []
+        self._values: Optional[List[Values]] = []
+        if columns is not None:  # (coord columns, measure columns, count)
+            self.coord_cols, self.measure_cols = map(tuple, columns[:2])
+            self._count = columns[2]
+            self._points = self._values = None
+
+    def _tuples(self) -> None:
+        if self._points is None:
+            count = self._count
+            self._points = (
+                list(zip(*self.coord_cols)) if self.arity else [()] * count
+            )
+            self._values = (
+                list(zip(*self.measure_cols)) if self.n_aggs else [()] * count
+            )
+            self.coord_cols = self.measure_cols = None
+
+    @property
+    def points(self) -> List[Point]:
+        """Per-entry coordinate tuples."""
+        self._tuples()
+        return self._points
+
+    @points.setter
+    def points(self, points: List[Point]) -> None:
+        self._tuples()
+        self._points = points
+
+    @property
+    def values(self) -> List[Values]:
+        """Per-entry aggregate tuples."""
+        self._tuples()
+        return self._values
+
+    @values.setter
+    def values(self, values: List[Values]) -> None:
+        self._tuples()
+        self._values = values
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._count if self._points is None else len(self._points)
+
+    def columns(self) -> Tuple[Tuple[array, ...], Tuple[array, ...]]:
+        """``(coord_cols, measure_cols)``; built from the tuple lists
+        (and not kept: the lists may still change) once those exist."""
+        if self.coord_cols is not None:
+            return self.coord_cols, self.measure_cols
+        return (
+            tuple(
+                array("q", [point[c] for point in self._points])
+                for c in range(self.arity)
+            ),
+            tuple(
+                array("d", [vals[m] for vals in self._values])
+                for m in range(self.n_aggs)
+            ),
+        )
+
+    def key_at(self, index: int) -> Point:
+        """Reversed-coordinate (packing order) key of one entry."""
+        if self.coord_cols is None:
+            return tuple(reversed(self._points[index]))
+        return tuple(col[index] for col in reversed(self.coord_cols))
+
+    def matches(
+        self, sel: "range | List[int]", dims: int
+    ) -> Iterator[Tuple[int, Point, Values]]:
+        """``(view id, padded point, values)`` of the selected entries,
+        zipped straight from the columns."""
+        coords, measures = self.columns()
+        if isinstance(sel, range):
+            coords = [col[sel.start : sel.stop] for col in coords]
+            measures = [col[sel.start : sel.stop] for col in measures]
+        else:
+            coords = [[col[i] for i in sel] for col in coords]
+            measures = [[col[i] for i in sel] for col in measures]
+        # bytes(n) is n zeros: the valid mapping's padding coordinates.
+        pad = [bytes(len(sel))] * (dims - self.arity)
+        return zip(
+            repeat(self.view_id),
+            zip(*coords, *pad),
+            zip(*measures) if measures else repeat((), len(sel)),
+        )
 
     def mbr(self, dims: int) -> Rect:
         """Full-dimensional MBR of this leaf's (padded) points."""
-        padded = [self.padded_point(p, dims) for p in self.points]
-        return Rect.cover_points(padded)
+        if not len(self):
+            raise ValueError("cover of no points")
+        coords, _measures = self.columns()
+        pad = (0,) * (dims - self.arity)
+        return Rect(
+            tuple(map(min, coords)) + pad, tuple(map(max, coords)) + pad
+        )
 
     def padded_point(self, point: Point, dims: int) -> Point:
         """Re-apply the valid mapping's zero padding up to ``dims``."""
         return tuple(point) + (0,) * (dims - len(point))
 
-    def to_bytes(self) -> bytes:
-        """Serialize into a full page buffer (row or columnar layout)."""
-        if self.columnar:
-            return self._to_bytes_columnar()
-        codec = entry_codec(f"{self.arity}q{self.n_aggs}d")
-        count = len(self.points)
-        out = bytearray(PAGE_SIZE)
-        _LEAF_HEADER.pack_into(
-            out, 0, LEAF_TYPE, count, self.view_id,
-            self.arity, self.n_aggs, self.next_leaf,
-        )
-        if _LEAF_HEADER.size + count * codec.item_size > PAGE_SIZE:
-            raise StorageError("R-tree leaf overflow")
-        flat: List[object] = []
-        for point, values in zip(self.points, self.values):
-            flat.extend(point)
-            flat.extend(values)
-        codec.pack_into(out, _LEAF_HEADER.size, flat, count)
-        return bytes(out)
-
-    def _to_bytes_columnar(self) -> bytes:
-        count = len(self.points)
-        if count > MAX_LEAF_ENTRIES:
-            raise StorageError("R-tree columnar leaf entry count overflow")
-        columns = [
-            encode_delta_column([point[c] for point in self.points])
-            for c in range(self.arity)
-        ]
-        total = (
-            columnar_header_size(self.arity)
-            + sum(len(col) for col in columns)
-            + count * 8 * self.n_aggs
-        )
-        if total > PAGE_SIZE:
-            raise StorageError("R-tree columnar leaf overflow")
-        out = bytearray(PAGE_SIZE)
-        _LEAF_HEADER.pack_into(
-            out, 0, LEAF_COLUMNAR_TYPE, count, self.view_id,
-            self.arity, self.n_aggs, self.next_leaf,
-        )
-        struct.pack_into(
-            f"<{self.arity}H", out, _LEAF_HEADER.size,
-            *[len(col) for col in columns],
-        )
-        offset = columnar_header_size(self.arity)
-        for col in columns:
-            out[offset : offset + len(col)] = col
-            offset += len(col)
-        if self.n_aggs:
-            measure = struct.Struct(f"<{count}d")
-            for m in range(self.n_aggs):
-                # One batched pack per measure *column*, not per record.
-                measure.pack_into(  # lint: ignore[struct-in-loop]
-                    out, offset, *[vals[m] for vals in self.values]
+    def to_bytes(self, streams: Optional[Sequence[bytes]] = None) -> bytes:
+        """Serialize into a full page buffer (row or columnar layout);
+        ``streams``: the coordinate columns, if already delta-encoded."""
+        count = len(self)
+        coords, measures = self.columns()
+        if not self.columnar:
+            width = self.arity + self.n_aggs
+            # Interleave the columns as int64 lanes (a float64 column
+            # travels as its bit pattern), one strided store per column.
+            flat = array("q", bytes(count * width * 8))
+            for c, col in enumerate(coords):
+                flat[c::width] = col
+            for m, col in enumerate(measures, self.arity):
+                flat[m::width] = array("q", col.tobytes())
+            body = _native(flat).tobytes()
+        else:
+            if count > MAX_LEAF_ENTRIES:
+                raise StorageError(
+                    "R-tree columnar leaf entry count overflow"
                 )
-                offset += measure.size
+            if streams is None:
+                streams = [encode_delta_column(col) for col in coords]
+            body = b"".join(
+                (
+                    struct.pack(f"<{self.arity}H", *map(len, streams)),
+                    *streams,
+                    *(_native(col).tobytes() for col in measures),
+                )
+            )
+        if _LEAF_HEADER.size + len(body) > PAGE_SIZE:
+            raise StorageError("R-tree leaf overflow")
+        out = bytearray(PAGE_SIZE)
+        _LEAF_HEADER.pack_into(
+            out, 0, LEAF_COLUMNAR_TYPE if self.columnar else LEAF_TYPE,
+            count, self.view_id, self.arity, self.n_aggs, self.next_leaf,
+        )
+        out[_LEAF_HEADER.size : _LEAF_HEADER.size + len(body)] = body
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RLeafNode":
-        """Deserialize from a page buffer (either leaf layout)."""
+        """Deserialize from a page buffer (either leaf layout) straight
+        into column buffers: no per-entry tuple is built."""
         node_type, count, view_id, arity, n_aggs, next_leaf = (
             _LEAF_HEADER.unpack_from(raw, 0)
         )
-        if node_type == LEAF_COLUMNAR_TYPE:
-            return cls._from_bytes_columnar(
-                raw, count, view_id, arity, n_aggs, next_leaf
-            )
-        if node_type != LEAF_TYPE:
+        if node_type not in LEAF_TYPES:
             raise StorageError(f"expected R-tree leaf, found type {node_type}")
-        node = cls(view_id, arity, n_aggs)
-        node.next_leaf = next_leaf
-        codec = entry_codec(f"{arity}q{n_aggs}d")
-        points = node.points
-        values = node.values
-        for fields in codec.iter_unpack_from(raw, _LEAF_HEADER.size, count):
-            points.append(fields[:arity])
-            values.append(fields[arity:])
-        return node
-
-    @classmethod
-    def _from_bytes_columnar(
-        cls,
-        raw: bytes,
-        count: int,
-        view_id: int,
-        arity: int,
-        n_aggs: int,
-        next_leaf: int,
-    ) -> "RLeafNode":
-        header = columnar_header_size(arity)
-        if header > len(raw):
-            raise InvalidRecordError(
-                f"columnar leaf column table overruns the page "
-                f"(arity {arity})"
-            )
-        lengths = struct.unpack_from(f"<{arity}H", raw, _LEAF_HEADER.size)
-        measures_size = count * 8 * n_aggs
-        if header + sum(lengths) + measures_size > len(raw):
-            raise InvalidRecordError(
-                f"columnar leaf columns overrun the page "
-                f"(count {count}, column bytes {sum(lengths)})"
-            )
-        node = cls(view_id, arity, n_aggs, columnar=True)
-        node.next_leaf = next_leaf
-        offset = header
-        coord_cols = []
-        for length in lengths:
-            coord_cols.append(decode_delta_column(raw, offset, length, count))
-            offset += length
-        if arity:
-            node.points = list(zip(*coord_cols))
-        else:
-            node.points = [()] * count
-        if n_aggs:
-            measure = struct.Struct(f"<{count}d")
-            measure_cols = []
-            for _ in range(n_aggs):
-                # One batched unpack per measure *column*, not per record.
-                measure_cols.append(
-                    measure.unpack_from(raw, offset)  # lint: ignore[struct-in-loop]
+        width, start = arity + n_aggs, _LEAF_HEADER.size
+        if node_type == LEAF_TYPE:
+            # The entry region read once as int64 and once as float64
+            # lanes; a stride slice of either is one column.
+            end = start + count * width * 8
+            if end > len(raw):
+                raise InvalidRecordError(
+                    f"{count} row entries of {width * 8} bytes overrun "
+                    f"the {len(raw)}-byte page"
                 )
-                offset += measure.size
-            node.values = list(zip(*measure_cols))
+            ints = array("q", raw[start:end] if arity else b"")
+            floats = array("d", raw[start:end] if n_aggs else b"")
+            coords = [_native(ints[c::width]) for c in range(arity)]
+            measures = [_native(floats[m::width]) for m in range(arity, width)]
         else:
-            node.values = [()] * count
-        # Stash the already-decoded columns as buffers for the
-        # vectorized kernels — the columns exist right here anyway.
-        node.coord_cols = tuple(array("q", col) for col in coord_cols)
-        node.measure_cols = tuple(
-            array("d", col) for col in measure_cols
-        ) if n_aggs else ()
+            start += 2 * arity
+            if start > len(raw):
+                raise InvalidRecordError(
+                    f"columnar leaf column table overruns the page "
+                    f"(arity {arity})"
+                )
+            lengths = struct.unpack_from(f"<{arity}H", raw, _LEAF_HEADER.size)
+            if start + sum(lengths) + count * 8 * n_aggs > len(raw):
+                raise InvalidRecordError(
+                    f"columnar leaf columns overrun the page "
+                    f"(count {count}, column bytes {sum(lengths)})"
+                )
+            coords = []
+            for length in lengths:
+                coords.append(decode_delta_column(raw, start, length, count))
+                start += length
+            size = count * 8
+            measures = [
+                _native(array("d", raw[start + m * size : start + (m + 1) * size]))
+                for m in range(n_aggs)
+            ]
+        node = cls(
+            view_id, arity, n_aggs, node_type == LEAF_COLUMNAR_TYPE,
+            (coords, measures, count),
+        )
+        node.next_leaf = next_leaf
         return node
 
 
@@ -382,6 +427,11 @@ class RInteriorNode:
             children.append(fields[0])
             mbrs.append(Rect(fields[1 : 1 + dims], fields[1 + dims :]))
         return node
+
+
+def leaf_header(raw: "bytes | bytearray") -> Tuple[int, int, int, int, int, int]:
+    """``(type, count, view id, arity, n_aggs, next leaf)`` of a leaf page."""
+    return _LEAF_HEADER.unpack_from(raw, 0)
 
 
 def node_type_of(raw: bytes) -> int:

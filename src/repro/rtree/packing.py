@@ -16,8 +16,12 @@ the ablation bench that demonstrates this.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, islice
+from operator import le
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.constants import PAGE_SIZE
 from repro.errors import InvalidCoordinateError, MappingError
@@ -27,14 +31,14 @@ from repro.rtree.node import (
     MAX_LEAF_ENTRIES,
     RInteriorNode,
     RLeafNode,
-    columnar_enabled,
-    columnar_entry_cost,
     columnar_header_size,
     interior_capacity,
     leaf_capacity,
+    leaf_format,
 )
 from repro.rtree.tree import EMPTY_EXTENT, RTree
 from repro.storage.buffer import BufferPool
+from repro.storage.codec import delta_tokens
 
 Point = Tuple[int, ...]
 Values = Tuple[float, ...]
@@ -42,6 +46,14 @@ Entry = Tuple[Point, Values]
 #: A run heading into :func:`pack_rtree_stream`: view id, arity, number
 #: of aggregate values, and the (lazily consumed) sorted entry stream.
 RunStream = Tuple[int, int, int, Iterable[Entry]]
+#: Sorted entries of one view as column buffers: view id, arity, number
+#: of aggregate values, one ``array('q')`` per coordinate, one
+#: ``array('d')`` per aggregate value, and the entry count.
+Chunk = Tuple[int, int, int, Sequence[array], Sequence[array], int]
+
+#: Entries converted to columns (and validated) at a time, which bounds
+#: what a streaming bulk load holds beyond its sort buffer.
+_BLOCK = 8192
 
 _REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
 _OBS_PACK_ENTRIES = _REG.counter("rtree.pack.entries")
@@ -83,37 +95,82 @@ class PackedRun:
     n_aggs: int
     entries: Sequence[Tuple[Point, Values]]
 
-    def validate(self, dims: int) -> None:
-        """Check arity, coordinate positivity, and sort order."""
-        if not 0 <= self.arity <= dims:
+    def __iter__(self) -> Iterator[object]:
+        """Unpacks like a :data:`RunStream`."""
+        return iter((self.view_id, self.arity, self.n_aggs, self.entries))
+
+
+def column_chunks(
+    runs: Iterable["PackedRun | RunStream"], dims: int, validate: bool
+) -> Iterator[Chunk]:
+    """The runs' entries as column chunks of at most ``_BLOCK`` entries
+    (an empty run yields one empty chunk), converted as the streams
+    drain.
+
+    With ``validate`` every chunk is checked on the way — arity, value
+    width, coordinate positivity, packing sort order within and across
+    the runs — one column pass per check, not a comparison per entry.
+    """
+    last_key: Optional[Tuple[int, ...]] = None
+    seen_arity = set()
+    for view_id, arity, n_aggs, entries in runs:
+        if validate and not 0 <= arity <= dims:
             raise MappingError(
-                f"view {self.view_id}: arity {self.arity} does not fit in "
+                f"view {view_id}: arity {arity} does not fit in "
                 f"a {dims}-dimensional Cubetree"
             )
-        prev = None
-        for point, values in self.entries:
-            if len(point) != self.arity:
+        pad = (0,) * (dims - arity)
+        entries = iter(entries)
+        block = list(islice(entries, _BLOCK))
+        first = True
+        while block or first:
+            # Not zip(*block): an iterator per entry means thousands of
+            # live containers per block, which sets the cyclic GC off.
+            points = [entry[0] for entry in block]
+            values = [entry[1] for entry in block]
+            if validate and block and (
+                set(map(len, points)) != {arity}
+                or set(map(len, values)) != {n_aggs}
+            ):
                 raise MappingError(
-                    f"view {self.view_id}: point {point} has "
-                    f"{len(point)} coords, expected {self.arity}"
+                    f"view {view_id}: every entry must carry {arity} "
+                    f"coords and {n_aggs} aggregate values"
                 )
-            if any(c <= 0 for c in point):
-                raise InvalidCoordinateError(
-                    f"view {self.view_id}: non-positive coordinate in "
-                    f"{point}; the valid mapping requires coordinates > 0"
-                )
-            if len(values) != self.n_aggs:
-                raise MappingError(
-                    f"view {self.view_id}: expected {self.n_aggs} "
-                    f"aggregate values, got {len(values)}"
-                )
-            key = sort_key(point, dims)
-            if prev is not None and key < prev:
-                raise MappingError(
-                    f"view {self.view_id}: entries are not in packing "
-                    f"sort order"
-                )
-            prev = key
+            flat = array("q", list(chain.from_iterable(points)))
+            coords = [flat[c::arity] for c in range(arity)]
+            flat = array("d", list(chain.from_iterable(values)))
+            measures = [flat[m::n_aggs] for m in range(n_aggs)]
+            if validate and block:
+                if coords and min(map(min, coords)) <= 0:
+                    raise InvalidCoordinateError(
+                        f"view {view_id}: non-positive coordinate; the "
+                        f"valid mapping requires coordinates > 0"
+                    )
+                # Packing order is reversed-coordinate order; keys are
+                # zipped lazily so no tuple outlives its comparison.
+                order = coords[::-1]
+                head = pad + tuple(col[0] for col in order)
+                after = last_key is None or last_key <= head
+                if first and not after:
+                    raise MappingError(
+                        "runs are not ordered by the global packing order"
+                    )
+                if not after or not all(
+                    map(le, zip(*order), islice(zip(*order), 1, None))
+                ):
+                    raise MappingError(
+                        f"view {view_id}: entries are not in packing "
+                        f"sort order"
+                    )
+                if first and arity in seen_arity:
+                    raise MappingError(
+                        f"two views of arity {arity} in one Cubetree"
+                    )
+                seen_arity.add(arity)
+                last_key = pad + tuple(col[-1] for col in order)
+            yield view_id, arity, n_aggs, coords, measures, len(block)
+            first = False
+            block = list(islice(entries, _BLOCK))
 
 
 def pack_rtree(
@@ -129,30 +186,14 @@ def pack_rtree(
     globally sorted.  Leaves are filled to capacity, never mix views, and
     are written in strictly increasing page order — i.e. sequentially.
     A run with no entries records the :data:`EMPTY_EXTENT` sentinel so the
-    zero-row view still has an explicit (empty) run.
+    zero-row view still has an explicit (empty) run.  The runs are
+    converted (and with ``validate`` checked) in full before the first
+    page is allocated: invalid input leaves the pool untouched.
     """
     with trace("rtree.pack", runs=len(runs)):
-        if validate:
-            seen_arity = set()
-            prev_last = None
-            for run in runs:
-                run.validate(dims)
-                if run.entries:
-                    if run.arity in seen_arity:
-                        raise MappingError(
-                            f"two views of arity {run.arity} in one Cubetree"
-                        )
-                    seen_arity.add(run.arity)
-                    first = sort_key(run.entries[0][0], dims)
-                    if prev_last is not None and first < prev_last:
-                        raise MappingError(
-                            "runs are not ordered by the global packing order"
-                        )
-                    prev_last = sort_key(run.entries[-1][0], dims)
-        streams: List[RunStream] = [
-            (run.view_id, run.arity, run.n_aggs, run.entries) for run in runs
-        ]
-        return _pack_streams(pool, dims, streams, validate=False)
+        return write_chunks(
+            pool, dims, list(column_chunks(runs, dims, validate))
+        )
 
 
 def pack_rtree_stream(
@@ -164,136 +205,166 @@ def pack_rtree_stream(
     """Build a packed R-tree from per-view sorted entry *iterators*.
 
     The out-of-core twin of :func:`pack_rtree`: each run's entries are
-    consumed lazily (one entry buffered beyond the open leaf), so the
-    peak memory of a bulk load is bounded by whatever produces the
-    streams — e.g. :class:`repro.core.extsort.ExternalRunSorter` — not by
-    the dataset.  With ``validate`` the same arity / coordinate / sort
-    order invariants as :func:`pack_rtree` are enforced inline as the
-    streams drain.
+    consumed lazily (one chunk of ``_BLOCK`` entries buffered beyond the
+    open leaf), so the peak memory of a bulk load is bounded by whatever
+    produces the streams — e.g.
+    :class:`repro.core.extsort.ExternalRunSorter` — not by the dataset.
+    With ``validate`` the same arity / coordinate / sort order
+    invariants as :func:`pack_rtree` are enforced inline as the streams
+    drain.
     """
     with trace("rtree.pack_stream", runs=len(run_streams)):
-        return _pack_streams(pool, dims, run_streams, validate)
+        return write_chunks(
+            pool, dims, column_chunks(run_streams, dims, validate)
+        )
 
 
-def _pack_streams(
-    pool: BufferPool,
-    dims: int,
-    streams: Sequence[RunStream],
-    validate: bool,
-) -> RTree:
-    columnar = columnar_enabled()
-    tree = RTree(pool, dims)
-    level: List[Tuple[Rect, int]] = []  # (mbr, page id) per node
-    open_leaf: Optional[RLeafNode] = None
-    open_page = None
-    open_bytes = 0
-    count = 0
-    seen_arity = set()
-    prev_key: Optional[Tuple[int, ...]] = None
+def write_chunks(pool: BufferPool, dims: int, chunks: Iterable[Chunk]) -> RTree:
+    """Pack sorted column chunks (views in ascending arity) into a tree."""
+    writer = LeafWriter(pool, dims)
+    for chunk in chunks:
+        writer.add(chunk)
+    return writer.finish()
 
-    for view_id, arity, n_aggs, entries in streams:
-        if validate and not 0 <= arity <= dims:
-            raise MappingError(
-                f"view {view_id}: arity {arity} does not fit in "
-                f"a {dims}-dimensional Cubetree"
-            )
-        cap = leaf_capacity(arity, n_aggs)
-        run_first: Optional[int] = None
-        run_count = 0
-        for point, values in entries:
-            if validate:
-                if len(point) != arity:
-                    raise MappingError(
-                        f"view {view_id}: point {point} has "
-                        f"{len(point)} coords, expected {arity}"
-                    )
-                if any(c <= 0 for c in point):
-                    raise InvalidCoordinateError(
-                        f"view {view_id}: non-positive coordinate in "
-                        f"{point}; the valid mapping requires "
-                        f"coordinates > 0"
-                    )
-                if len(values) != n_aggs:
-                    raise MappingError(
-                        f"view {view_id}: expected {n_aggs} "
-                        f"aggregate values, got {len(values)}"
-                    )
-                key = sort_key(point, dims)
-                if prev_key is not None and key < prev_key:
-                    if run_count:
-                        raise MappingError(
-                            f"view {view_id}: entries are not in packing "
-                            f"sort order"
-                        )
-                    raise MappingError(
-                        "runs are not ordered by the global packing order"
-                    )
-                prev_key = key
-                if run_count == 0:
-                    if arity in seen_arity:
-                        raise MappingError(
-                            f"two views of arity {arity} in one Cubetree"
-                        )
-                    seen_arity.add(arity)
-            inc = 0
-            if open_leaf is not None and open_leaf.view_id == view_id:
-                if columnar:
-                    inc = columnar_entry_cost(
-                        open_leaf.points[-1] if open_leaf.points else None,
-                        point,
-                        n_aggs,
-                    )
-                    fits = (
-                        inc > 0
-                        and open_bytes + inc <= PAGE_SIZE
-                        and len(open_leaf.points) < MAX_LEAF_ENTRIES
-                    )
-                else:
-                    fits = len(open_leaf.points) < cap
-            else:
-                fits = False
-            if not fits:
-                page = pool.new_page()
-                if open_leaf is not None:
-                    open_leaf.next_leaf = page.page_id
-                    level.append((open_leaf.mbr(dims), open_page.page_id))
-                    tree._flush_node(open_leaf, open_page)
-                open_leaf = RLeafNode(
-                    view_id, arity, n_aggs, columnar=columnar
+
+class LeafWriter:
+    """The one leaf writer behind bulk load and merge-pack.
+
+    :meth:`add` cuts sorted column chunks into leaves filled to capacity:
+    row leaves by slot count, columnar leaves by encoded size (a chunk's
+    coordinates are delta-encoded once; the token lengths price the
+    entries and the tokens become the page, so one ``bisect`` over the
+    running cost places each cut).  A leaf's page is allocated when its
+    first entry arrives and written when the next leaf's first entry
+    arrives — the pool-call order of packing entry by entry.
+    """
+
+    def __init__(self, pool: BufferPool, dims: int) -> None:
+        self.tree = RTree(pool, dims)
+        self._columnar = leaf_format() == "columnar"
+        self._level: List[Tuple[Rect, int]] = []  # (mbr, page id) per leaf
+        self._total = 0
+        # The open leaf: its pinned page, (view id, arity, n_aggs), the
+        # columns so far, their encoded streams (columnar only), and the
+        # capacity used: bytes of a columnar page, slots of a row page.
+        self._page = None
+        self._view: Tuple[int, int, int] = (-1, 0, 0)
+        self._coords: List[array] = []
+        self._measures: List[array] = []
+        self._streams: List[bytearray] = []
+        self._count = self._used = 0
+
+    def add(self, chunk: Chunk) -> None:
+        """Append the sorted entries of one view."""
+        view_id, arity, n_aggs, coords, measures, count = chunk
+        # (a view that never gets a leaf keeps the empty-run sentinel)
+        self.tree.view_extents.setdefault(view_id, EMPTY_EXTENT)
+        self._total += count
+        _OBS_PACK_ENTRIES.value += count
+        continues = self._page is not None and self._view[0] == view_id
+        tokens: List[List[bytes]] = []
+        capacity, cost_through = leaf_capacity(arity, n_aggs), lambda i: i + 1
+        if self._columnar:
+            # Entry i's token is its delta against entry i-1 (entry 0's
+            # against the open leaf's last entry, when it continues it).
+            last = [col[-1] for col in self._coords] if continues else [0] * arity
+            tokens = [delta_tokens(col, prev) for col, prev in zip(coords, last)]
+            ends = [list(accumulate(map(len, toks))) for toks in tokens]
+            capacity = PAGE_SIZE
+
+            def cost_through(i: int) -> int:  # bytes of chunk entries 0..i
+                return (i + 1) * 8 * n_aggs + sum(end[i] for end in ends)
+
+        pos = 0
+        while pos < count:
+            before = cost_through(pos - 1) if pos else 0
+            room = 0
+            if continues:
+                room = min(
+                    bisect_right(
+                        range(count), capacity - self._used + before,
+                        pos, key=cost_through,
+                    ) - pos,
+                    MAX_LEAF_ENTRIES - self._count,
                 )
-                open_page = page
-                open_bytes = columnar_header_size(arity)
-                tree.leaf_page_ids.append(page.page_id)
-                tree.owned_page_ids.append(page.page_id)
-                _OBS_PACK_LEAVES.value += 1
-                if run_first is None:
-                    run_first = page.page_id
-                if columnar:
-                    inc = columnar_entry_cost(None, point, n_aggs)
-            open_leaf.points.append(point)
-            open_leaf.values.append(values)
-            open_bytes += inc
-            run_count += 1
-        count += run_count
-        _OBS_PACK_ENTRIES.value += run_count
-        if run_first is None:
-            # Zero-row view: record the explicit empty-run sentinel so
-            # fsck and run seeks see "no leaves" instead of a degenerate
-            # (first, last) pair.
-            tree.view_extents[view_id] = EMPTY_EXTENT
-        else:
-            tree.view_extents[view_id] = (
-                run_first,
-                tree.leaf_page_ids[-1],
-            )
+            if room and arity + n_aggs:  # (zero-width entries never share)
+                stop = pos + room
+                pieces = [b"".join(toks[pos:stop]) for toks in tokens]
+                cost = cost_through(stop - 1) - before
+            else:
+                # Entry ``pos`` opens a leaf: page first, then close the old.
+                self._open(view_id, arity, n_aggs)
+                continues = True
+                stop, cost, pieces = pos + 1, 1, []
+                if self._columnar:  # a first entry is coded against 0
+                    pieces = [delta_tokens(col[pos:stop])[0] for col in coords]
+                    cost = (
+                        columnar_header_size(arity) + 8 * n_aggs
+                        + sum(map(len, pieces))
+                    )
+            for mine, col in zip(self._coords + self._measures, (*coords, *measures)):
+                mine.extend(col[pos:stop])
+            for mine, piece in zip(self._streams, pieces):
+                mine += piece
+            self._used += cost
+            self._count += stop - pos
+            pos = stop
 
-    if open_leaf is None:
-        return tree  # no data: empty tree (extents may hold sentinels)
-    open_leaf.next_leaf = -1
-    level.append((open_leaf.mbr(dims), open_page.page_id))
-    tree._flush_node(open_leaf, open_page)
+    def _open(self, view_id: int, arity: int, n_aggs: int) -> None:
+        tree = self.tree
+        page = tree.pool.new_page()
+        closing = self._page
+        self._page = page
+        self._close(closing, page.page_id)
+        self._view = (view_id, arity, n_aggs)
+        self._coords = [array("q") for _ in range(arity)]
+        self._measures = [array("d") for _ in range(n_aggs)]
+        self._streams = [bytearray() for _ in range(arity * self._columnar)]
+        self._count = self._used = 0
+        tree.leaf_page_ids.append(page.page_id)
+        tree.owned_page_ids.append(page.page_id)
+        first = tree.view_extents[view_id][0]  # EMPTY_EXTENT: its first leaf
+        tree.view_extents[view_id] = (
+            page.page_id if first == -1 else first, page.page_id
+        )
+        _OBS_PACK_LEAVES.value += 1
 
-    cap = interior_capacity(dims)
+    def _close(self, page, next_leaf: int) -> None:
+        """Write the open leaf (if any) into its page."""
+        if page is None:
+            return
+        node = RLeafNode(
+            *self._view, self._columnar,
+            (self._coords, self._measures, self._count),
+        )
+        node.next_leaf = next_leaf
+        # MBR from column extremes; the leading sort column (the last
+        # coordinate) is non-decreasing, so its ends are its extremes.
+        inner, lead = self._coords[:-1], self._coords[-1:]
+        pad = (0,) * (self.tree.dims - len(self._coords))
+        mbr = Rect(
+            (*map(min, inner), *(col[0] for col in lead), *pad),
+            (*map(max, inner), *(col[-1] for col in lead), *pad),
+        )
+        self._level.append((mbr, page.page_id))
+        raw = node.to_bytes(self._streams if self._columnar else None)
+        self.tree._flush_node(node, page, raw)
+
+    def finish(self) -> RTree:
+        """Write the last leaf and the interior levels; return the tree."""
+        tree = self.tree
+        if self._page is not None:
+            self._close(self._page, -1)
+            self._page = None
+            build_interior_levels(tree, self._level)
+            tree.count = self._total
+        return tree  # (no data: an empty tree; extents may hold sentinels)
+
+
+def build_interior_levels(tree: RTree, level: List[Tuple[Rect, int]]) -> None:
+    """Write the interior levels over packed leaves (``level``: their
+    ``(mbr, page id)`` in chain order); sets the tree's root and height."""
+    cap = interior_capacity(tree.dims)
     height = 1
     while len(level) > 1:
         next_level: List[Tuple[Rect, int]] = []
@@ -304,21 +375,18 @@ def _pack_streams(
             if 0 < remaining < 2 and take > 2:
                 take -= 2 - remaining
             group = level[i : i + take]
-            node = RInteriorNode(dims)
+            node = RInteriorNode(tree.dims)
             node.mbrs = [mbr for mbr, _ in group]
             node.children = [pid for _, pid in group]
-            page = pool.new_page()
+            page = tree.pool.new_page()
             tree.owned_page_ids.append(page.page_id)
             tree._flush_node(node, page)
             next_level.append((node.mbr(), page.page_id))
             i += take
         level = next_level
         height += 1
-
     tree.root_page_id = level[0][1]
     tree.height = height
-    tree.count = count
-    return tree
 
 
 def free_tree(pool: BufferPool, tree: RTree) -> int:

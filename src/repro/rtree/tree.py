@@ -32,6 +32,7 @@ from repro.rtree.node import (
     columnar_leaf_size,
     interior_capacity,
     leaf_capacity,
+    leaf_header,
     node_type_of,
 )
 from repro.storage.buffer import BufferPool
@@ -158,16 +159,27 @@ class RTree:
                 self._release(page)
             page_id = next_id
 
+    def leaf_headers(self) -> Iterator[Tuple[int, int]]:
+        """``(view_id, entry count)`` of every leaf in chain order: the
+        pool traffic of :meth:`scan_leaf_chain`, reading only headers."""
+        page_id = self.leaf_page_ids[0] if self.leaf_page_ids else -1
+        while page_id != -1:
+            page = self.pool.fetch_page(page_id)
+            try:
+                kind, count, view_id, _arity, _n_aggs, page_id = (
+                    leaf_header(page.data)
+                )
+            finally:
+                self._release(page)
+            if kind not in LEAF_TYPES:
+                raise StorageError("leaf chain points at a non-leaf page")
+            yield view_id, count
+
     def scan_points(self) -> Iterator[Match]:
         """Yield every stored point in leaf-chain order."""
         with closing(self.scan_leaf_chain()) as leaves:
             for leaf in leaves:
-                for point, values in zip(leaf.points, leaf.values):
-                    yield (
-                        leaf.view_id,
-                        leaf.padded_point(point, self.dims),
-                        values,
-                    )
+                yield from leaf.matches(range(len(leaf)), self.dims)
 
     # ------------------------------------------------------------------
     # packed-run fast paths
@@ -260,38 +272,32 @@ class RTree:
             self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
         ) as leaves:
             for leaf in leaves:
-                points = leaf.points
-                if not points:
+                if not len(leaf):
                     continue
-                if hi and tuple(reversed(points[0]))[: len(hi)] > hi:
+                if hi and leaf.key_at(0)[: len(hi)] > hi:
                     break
                 if use_kernel and leaf.columnar:
                     sel = select_rows(leaf_columns(leaf), rect, self.dims)
-                    if sel is None:
-                        continue
-                    pad = (0,) * (self.dims - leaf.arity)
-                    values = leaf.values
-                    vid = leaf.view_id
-                    for i in sel:
-                        yield vid, points[i] + pad, values[i]
-                elif lo or hi:
-                    keys = [tuple(reversed(pt)) for pt in points]
-                    for point, key, values in zip(
-                        points, keys, leaf.values
-                    ):
-                        if key[: len(lo)] < lo:
-                            continue
-                        if hi and key[: len(hi)] > hi:
-                            break
-                        padded = leaf.padded_point(point, self.dims)
-                        if rect.contains_point(padded):
-                            yield leaf.view_id, padded, values
-                else:
-                    # Unbounded scan: no run keys to build or compare.
-                    for point, values in zip(points, leaf.values):
-                        padded = leaf.padded_point(point, self.dims)
-                        if rect.contains_point(padded):
-                            yield leaf.view_id, padded, values
+                    if sel is not None:
+                        yield from leaf.matches(sel, self.dims)
+                    continue
+                yield from self._scalar_matches(leaf, rect, lo, hi)
+
+    def _scalar_matches(
+        self, leaf: RLeafNode, rect: Rect, lo: RunKey = (), hi: RunKey = ()
+    ) -> Iterator[Match]:
+        """Entry-at-a-time fallback (row leaves, dynamic leaves, kernels
+        off): the run-key prefix bounds, then the full rectangle."""
+        for point, values in zip(leaf.points, leaf.values):
+            if lo or hi:
+                key = tuple(reversed(point))
+                if key[: len(lo)] < lo:
+                    continue
+                if hi and key[: len(hi)] > hi:
+                    break
+            padded = leaf.padded_point(point, self.dims)
+            if rect.contains_point(padded):
+                yield leaf.view_id, padded, values
 
     def search_run_fold(
         self,
@@ -331,33 +337,20 @@ class RTree:
             self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
         ) as leaves:
             for leaf in leaves:
-                points = leaf.points
-                if not points:
+                if not len(leaf):
                     continue
-                if hi and tuple(reversed(points[0]))[: len(hi)] > hi:
+                if hi and leaf.key_at(0)[: len(hi)] > hi:
                     break
                 if use_kernel and leaf.columnar:
                     cols = leaf_columns(leaf)
                     sel = select_rows(cols, rect, self.dims)
                     if sel is not None:
                         acc.add_block(cols.measures, sel)
-                elif lo or hi:
-                    for point, values in zip(points, leaf.values):
-                        key = tuple(reversed(point))
-                        if key[: len(lo)] < lo:
-                            continue
-                        if hi and key[: len(hi)] > hi:
-                            break
-                        if rect.contains_point(
-                            leaf.padded_point(point, self.dims)
-                        ):
-                            acc.add(values)
-                else:
-                    for point, values in zip(points, leaf.values):
-                        if rect.contains_point(
-                            leaf.padded_point(point, self.dims)
-                        ):
-                            acc.add(values)
+                    continue
+                for _view, _point, values in self._scalar_matches(
+                    leaf, rect, lo, hi
+                ):
+                    acc.add(values)
 
     def search_run_group(
         self,
@@ -440,9 +433,9 @@ class RTree:
             self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
         ) as leaves:
             for leaf in leaves:
-                if not leaf.points:
+                if not len(leaf):
                     continue
-                first = tuple(reversed(leaf.points[0]))
+                first = leaf.key_at(0)
                 for r, (_rect, _lo, hi) in enumerate(specs):
                     if active[r] and hi and first[: len(hi)] > hi:
                         active[r] = False
@@ -451,10 +444,6 @@ class RTree:
                     break
                 if use_kernel and leaf.columnar:
                     cols = leaf_columns(leaf)
-                    pad = (0,) * (self.dims - leaf.arity)
-                    points = leaf.points
-                    values = leaf.values
-                    vid = leaf.view_id
                     for r in range(len(specs)):
                         if not active[r]:
                             continue
@@ -465,9 +454,7 @@ class RTree:
                         if sink is not None:
                             sink.add_block(cols.measures, sel)
                         else:
-                            out = results[r]
-                            for i in sel:
-                                out.append((vid, points[i] + pad, values[i]))
+                            results[r].extend(leaf.matches(sel, self.dims))
                     continue
                 for j, pt in enumerate(leaf.points):
                     candidates: List[int] = []
@@ -538,11 +525,11 @@ class RTree:
         """Reversed-coordinate key of the first point in leaf ``idx``."""
         node, page = self._fetch_node(self.leaf_page_ids[idx], scan=True)
         try:
-            if not isinstance(node, RLeafNode) or not node.points:
+            if not isinstance(node, RLeafNode) or not len(node):
                 raise StorageError(
                     "packed leaf run contains an empty or non-leaf page"
                 )
-            return tuple(reversed(node.points[0]))
+            return node.key_at(0)
         finally:
             self._release(page)
 
@@ -667,9 +654,7 @@ class RTree:
                     # Scan pages churn out of the (probationary) pool
                     # quickly; keeping the decoded node in the side-cache
                     # spares the re-decode without touching simulated I/O.
-                    nbytes = (
-                        len(node.points) * 8 * (node.arity + node.n_aggs)
-                    )
+                    nbytes = len(node) * 8 * (node.arity + node.n_aggs)
                     self.pool.store_columns(page_id, node, nbytes)
             page.cached_obj = node
         return page.cached_obj, page
@@ -677,8 +662,8 @@ class RTree:
     def _release(self, page: Page) -> None:
         self.pool.unpin_page(page.page_id)
 
-    def _flush_node(self, node, page: Page) -> None:
-        page.data[:] = node.to_bytes()
+    def _flush_node(self, node, page: Page, raw: Optional[bytes] = None) -> None:
+        page.data[:] = node.to_bytes() if raw is None else raw  # pre-serialized
         page.cached_obj = node
         self.pool.unpin_page(page.page_id, dirty=True)
 
@@ -690,27 +675,18 @@ class RTree:
         try:
             if isinstance(node, RLeafNode):
                 if (
-                    node.coord_cols is not None
+                    node.columnar
                     and self.view_extents
                     and vector_kernels_enabled()
                 ):
                     # Packed columnar leaf (dynamic inserts wipe the
                     # extents, so these leaves still satisfy the kernel
                     # preconditions: lead column sorted, coords >= 1).
-                    cols = leaf_columns(node)
-                    sel = select_rows(cols, rect, self.dims)
+                    sel = select_rows(leaf_columns(node), rect, self.dims)
                     if sel is not None:
-                        pad = (0,) * (self.dims - node.arity)
-                        points = node.points
-                        values = node.values
-                        vid = node.view_id
-                        for i in sel:
-                            yield vid, points[i] + pad, values[i]
+                        yield from node.matches(sel, self.dims)
                 else:
-                    for point, values in zip(node.points, node.values):
-                        padded = node.padded_point(point, self.dims)
-                        if rect.contains_point(padded):
-                            yield node.view_id, padded, values
+                    yield from self._scalar_matches(node, rect)
             else:
                 children = [
                     child
@@ -828,11 +804,14 @@ class RTree:
 
     # ------------------------------------------------------------------
     def _count_pages(self, page_id: int) -> int:
-        node, page = self._fetch_node(page_id)
+        # A leaf is recognised by its type byte, not deserialized.
+        page = self.pool.fetch_page(page_id)
         try:
-            if isinstance(node, RLeafNode):
+            if node_type_of(page.data) in LEAF_TYPES:
                 return 1
-            children = list(node.children)
+            if page.cached_obj is None:
+                page.cached_obj = RInteriorNode.from_bytes(bytes(page.data))
+            children = list(page.cached_obj.children)
         finally:
             self._release(page)
         return 1 + sum(self._count_pages(c) for c in children)
@@ -841,11 +820,11 @@ class RTree:
         node, page = self._fetch_node(page_id)
         try:
             if isinstance(node, RLeafNode):
-                if node.points:
+                if len(node):
                     mbr = node.mbr(self.dims)
                     if bound is not None and not bound.contains_rect(mbr):
                         raise StorageError("leaf escapes its parent MBR")
-                return len(node.points)
+                return len(node)
             pairs = list(zip(node.children, node.mbrs))
             if bound is not None:
                 for _child, mbr in pairs:

@@ -18,10 +18,12 @@ runs have tiny deltas, so most entries take one byte instead of eight.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import sub
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import InvalidRecordError
@@ -260,6 +262,43 @@ def varint_size(encoded: int) -> int:
     return size
 
 
+def _varint(encoded: int) -> bytes:
+    """LEB128 bytes of one unsigned value (the scalar reference)."""
+    out = bytearray()
+    while encoded >= 0x80:
+        out.append((encoded & 0x7F) | 0x80)
+        encoded >>= 7
+    out.append(encoded)
+    return bytes(out)
+
+
+class _DeltaTokens(Dict[int, bytes]):
+    """``delta -> varint(zigzag(delta))``, memoising the one- and two-byte
+    encodings (|delta| < 8192) that sorted coordinate runs are made of."""
+
+    def __missing__(self, delta: int) -> bytes:
+        token = _varint(zigzag_encode(delta))
+        if len(token) <= 2:
+            self[delta] = token
+        return token
+
+
+_DELTA_TOKENS = _DeltaTokens()  # repro: guarded-by(GIL; idempotent memo of pure values)
+#: zigzag-decoded value of every single-byte varint.
+_UNZIGZAG = tuple(zigzag_decode(byte) for byte in range(0x80))
+_ONE_BYTE_VARINTS = bytes(range(0x80))
+
+
+def delta_tokens(values: Sequence[int], prev: int = 0) -> List[bytes]:
+    """Each value's encoded delta against its predecessor (the first
+    against ``prev``); the column stream is their concatenation and each
+    token's length is what that entry costs a columnar leaf."""
+    return [
+        _DELTA_TOKENS[delta]
+        for delta in map(sub, values, chain((prev,), values))
+    ]
+
+
 def encode_delta_column(values: Sequence[int]) -> bytes:
     """Encode a column of int64s as zigzag-varint deltas.
 
@@ -267,20 +306,13 @@ def encode_delta_column(values: Sequence[int]) -> bytes:
     is self-contained: ``decode_delta_column`` needs only the bytes and
     the element count.
     """
-    out = bytearray()
-    prev = 0
-    for value in values:
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise InvalidRecordError(
-                f"column value {value} exceeds int64 range"
-            )
-        encoded = zigzag_encode(value - prev)
-        prev = value
-        while encoded >= 0x80:
-            out.append((encoded & 0x7F) | 0x80)
-            encoded >>= 7
-        out.append(encoded)
-    return bytes(out)
+    # An array('q') is in range by construction; anything else is checked
+    # with two C-speed passes instead of a comparison per value.
+    if not isinstance(values, array) and values and not (
+        _INT64_MIN <= min(values) and max(values) <= _INT64_MAX
+    ):
+        raise InvalidRecordError("column value exceeds int64 range")
+    return b"".join(delta_tokens(values))
 
 
 def decode_delta_column(
@@ -288,12 +320,13 @@ def decode_delta_column(
     offset: int,
     length: int,
     count: int,
-) -> Tuple[int, ...]:
-    """Decode ``count`` int64s from a delta-varint stream of ``length`` bytes.
+) -> array:
+    """Decode ``count`` int64s from a delta-varint stream of ``length``
+    bytes into an ``array('q')``.
 
     Raises :class:`InvalidRecordError` if the stream is truncated, has
-    trailing bytes, or contains an overlong varint — all symptoms of a
-    corrupt columnar leaf.
+    trailing bytes, contains an overlong varint, or decodes outside the
+    int64 range — all symptoms of a corrupt columnar leaf.
     """
     end = offset + length
     if length < 0 or end > len(raw):
@@ -302,63 +335,47 @@ def decode_delta_column(
             f"buffer holds {len(raw)}"
         )
     buf = bytes(raw[offset:end])
-    if length == count:
-        # Every varint is a single byte, i.e. every zigzagged delta is
-        # < 0x80 — the common case for sorted coordinate runs.  One
-        # C-speed pass turns bytes into deltas, one more prefix-sums
-        # them; deltas of at most 64 can't push the running value out of
-        # int64 range at leaf counts, so no per-value check is needed.
-        if any(byte >= 0x80 for byte in buf):
-            raise InvalidRecordError(
-                f"truncated varint in delta column "
-                f"(value {count - 1} of {count})"
-            )
-        return tuple(
-            accumulate(
-                -((byte + 1) >> 1) if byte & 1 else byte >> 1
-                for byte in buf
-            )
+    # Sorted runs end in long stretches of one-byte varints (a leading
+    # sort column is one-byte after its first value): everything past
+    # the last multi-byte varint is a single table pass.
+    head = len(buf.rstrip(_ONE_BYTE_VARINTS))
+    if head:
+        head += 1  # the byte that ends the last multi-byte varint
+    deltas = _decode_varints(buf[:head]) if head else []
+    deltas += [_UNZIGZAG[byte] for byte in buf[head:]]
+    if len(deltas) != count:
+        raise InvalidRecordError(
+            f"delta column holds {len(deltas)} value(s), expected {count} "
+            f"(truncated or trailing bytes)"
         )
-    values: List[int] = []
-    append = values.append
-    pos = 0
-    prev = 0
     try:
-        for _ in range(count):
-            byte = buf[pos]
-            pos += 1
-            if byte < 0x80:
-                encoded = byte
-            else:
-                encoded = byte & 0x7F
-                shift = 7
-                while True:
-                    byte = buf[pos]
-                    pos += 1
-                    encoded |= (byte & 0x7F) << shift
-                    if byte < 0x80:
-                        break
-                    shift += 7
-                    if shift >= 7 * _MAX_VARINT_BYTES:
-                        raise InvalidRecordError(
-                            "varint exceeds the 10-byte int64 bound"
-                        )
-            prev += -((encoded + 1) >> 1) if encoded & 1 else encoded >> 1
-            if not _INT64_MIN <= prev <= _INT64_MAX:
-                raise InvalidRecordError(
-                    f"delta column decodes outside int64 range ({prev})"
-                )
-            append(prev)
-    except IndexError:
+        return array("q", list(accumulate(deltas)))
+    except OverflowError:
         raise InvalidRecordError(
-            f"truncated varint in delta column "
-            f"(value {len(values)} of {count})"
+            "delta column decodes outside int64 range"
         ) from None
-    if pos != length:
-        raise InvalidRecordError(
-            f"delta column has {length - pos} trailing byte(s)"
-        )
-    return tuple(values)
+
+
+def _decode_varints(buf: bytes) -> List[int]:
+    """Zigzag-decode a stream of whole varints, byte by byte."""
+    deltas: List[int] = []
+    append = deltas.append
+    encoded = shift = 0
+    for byte in buf:
+        if byte >= 0x80:
+            if shift >= 7 * (_MAX_VARINT_BYTES - 1):
+                raise InvalidRecordError(
+                    "varint exceeds the 10-byte int64 bound"
+                )
+            encoded |= (byte & 0x7F) << shift
+            shift += 7
+        else:
+            encoded |= byte << shift
+            append(-((encoded + 1) >> 1) if encoded & 1 else encoded >> 1)
+            encoded = shift = 0
+    if shift:
+        raise InvalidRecordError("truncated varint ends the delta column")
+    return deltas
 
 
 def _string_converter(width: int) -> Callable[[object], bytes]:

@@ -20,7 +20,12 @@ from repro.errors import IntegrityError
 from repro.relational.view import ViewDefinition
 from repro.rtree.geometry import Rect
 from repro.rtree.merge import merge_pack
-from repro.rtree.node import RInteriorNode, RLeafNode, leaf_capacity
+from repro.rtree.node import (
+    RInteriorNode,
+    RLeafNode,
+    leaf_capacity,
+    set_leaf_format,
+)
 from repro.rtree.packing import PackedRun, pack_rtree
 from repro.rtree.tree import RTree
 from repro.core.cubetree import Cubetree
@@ -30,6 +35,15 @@ from repro.storage.disk import DiskManager
 DIMS = 2
 CAP1 = leaf_capacity(1, 1)  # arity-1 leaves (254 at 4 KiB pages)
 CAP2 = leaf_capacity(2, 1)  # arity-2 leaves
+
+
+@pytest.fixture(autouse=True)
+def _row_leaves():
+    """The fixtures below count leaf slots (CAP1/CAP2), so they pin the
+    row format; fsck's columnar walk is tests/rtree/test_columnar_leaf."""
+    set_leaf_format("row")
+    yield
+    set_leaf_format(None)
 
 
 def make_pool(capacity=2048):

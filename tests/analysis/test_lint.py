@@ -462,7 +462,7 @@ def test_runner_flow_is_clean_modulo_baseline():
         capture_output=True, text=True, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 baselined" in proc.stdout
+    assert "1 baselined" in proc.stdout
     assert "shared-state inventory" in proc.stdout
 
 

@@ -45,8 +45,9 @@ def _reset_leaf_format():
 
 def _build_engine(columnar=False):
     data = TPCDGenerator(scale_factor=0.0005, seed=23).generate()
-    if columnar:
-        set_leaf_format("columnar")
+    # Pinned either way: v2 checkpoints (and the size baseline below)
+    # are row pages whatever the shipped default is.
+    set_leaf_format("columnar" if columnar else "row")
     try:
         engine = CubetreeEngine(data.schema, buffer_pages=128)
         engine.materialize(VIEWS, data.facts)

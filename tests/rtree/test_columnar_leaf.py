@@ -61,16 +61,16 @@ def two_view_runs(dims=3, n_1d=600, n_2d=24):
 # ----------------------------------------------------------------------
 # gate
 # ----------------------------------------------------------------------
-def test_format_gate_defaults_to_row(monkeypatch):
+def test_format_gate_defaults_to_columnar(monkeypatch):
     monkeypatch.delenv("REPRO_LEAF_FORMAT", raising=False)
-    assert leaf_format() == "row"
+    assert leaf_format() == "columnar"
 
 
 def test_format_gate_env(monkeypatch):
-    monkeypatch.setenv("REPRO_LEAF_FORMAT", "columnar")
-    assert leaf_format() == "columnar"
-    set_leaf_format("row")  # override beats the environment
+    monkeypatch.setenv("REPRO_LEAF_FORMAT", "row")  # the explicit pin
     assert leaf_format() == "row"
+    set_leaf_format("columnar")  # override beats the environment
+    assert leaf_format() == "columnar"
 
 
 def test_format_gate_rejects_unknown():
@@ -163,6 +163,7 @@ def _scan(tree):
 
 def test_columnar_pack_matches_row_pack_and_shrinks():
     dims = 3
+    set_leaf_format("row")
     _disk, pool_row = make_pool()
     row_tree = pack_rtree(pool_row, dims, two_view_runs(dims))
 
@@ -190,6 +191,7 @@ def test_fsck_accepts_columnar_tree():
 
 def test_run_scan_identical_across_formats():
     dims = 3
+    set_leaf_format("row")
     _disk, pool_row = make_pool()
     row_tree = pack_rtree(pool_row, dims, two_view_runs(dims))
     set_leaf_format("columnar")

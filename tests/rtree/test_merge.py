@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.rtree.geometry import Rect
-from repro.rtree.merge import add_combiner, merge_pack, merge_streams
+from repro.rtree.merge import add_combiner, merge_pack
 from repro.rtree.packing import PackedRun, pack_rtree, sort_key
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -122,11 +122,12 @@ def test_merge_is_sequential_io():
 
 
 def test_view_collision_raises():
-    dims = 1
-    old = iter([(1, 1, 1, (5,), (1.0,))])
-    delta = iter([(2, 1, 1, (5,), (1.0,))])
+    # Two views of one arity cannot share a tree: a delta run whose view
+    # id differs from the stored view of the same arity is rejected.
+    _disk, pool = make_pool()
+    old = pack_rtree(pool, 1, [run_of(1, 1, [((5,), 1)], 1)])
     with pytest.raises(MappingError):
-        list(merge_streams(dims, old, delta))
+        merge_pack(pool, 1, old, [run_of(2, 1, [((5,), 1)], 1)])
 
 
 def test_add_combiner():

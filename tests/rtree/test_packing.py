@@ -104,8 +104,10 @@ def test_pack_leaf_utilization_is_full():
     _disk, pool = make_pool()
     entries = sorted_entries([(i,) for i in range(1, 5001)])
     tree = pack_rtree(pool, 1, [PackedRun(0, 1, 1, entries)])
-    # Only the final leaf of the run may be partially filled.
-    assert tree.leaf_utilization() > 0.95
+    # Only the final leaf of the run may be partially filled (whichever
+    # leaf format fills them: by slots or by encoded bytes).
+    leaves = len(tree.leaf_page_ids)
+    assert tree.leaf_utilization() > 0.99 * (leaves - 1) / leaves
 
 
 def test_packed_search_views_separately():

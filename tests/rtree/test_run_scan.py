@@ -11,7 +11,7 @@ import pytest
 
 from repro.rtree.geometry import Rect
 from repro.rtree.merge import merge_pack
-from repro.rtree.node import leaf_capacity
+from repro.rtree.node import leaf_capacity, set_leaf_format
 from repro.rtree.packing import PackedRun, pack_rtree
 from repro.rtree.tree import RTree
 from repro.storage.buffer import BufferPool
@@ -107,11 +107,17 @@ def test_merge_pack_rerecords_extents():
 
 def test_dynamic_insert_clears_extents():
     # A full-dimensional view, so a dynamic insert can land in its leaves.
+    # Guttman inserts split by slot count, so the packed leaves they land
+    # in are row leaves.
     _disk, pool = make_pool()
     run = PackedRun(
         2, 2, 1, [((x, 1), (1.0,)) for x in range(1, 2 * CAP2 + 10)]
     )
-    tree = pack_rtree(pool, DIMS, [run])
+    set_leaf_format("row")
+    try:
+        tree = pack_rtree(pool, DIMS, [run])
+    finally:
+        set_leaf_format(None)
     assert tree.view_extents
     tree.insert((500_000, 1), (1.0,))
     assert tree.view_extents == {}

@@ -83,19 +83,37 @@ class TestBounds:
         # Not started: enqueue alone must fail cleanly too.
         with pytest.raises(AdmissionError, match="not running"):
             queue.submit_nowait(pinned, workload[0])
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingHandle:
+            number = pinned.number
+
+            class engine:  # noqa: N801 - stub namespace
+                @staticmethod
+                def query(query):
+                    entered.set()
+                    release.wait(30.0)
+                    return pinned.engine.query(query)
+
+        expected = pinned.engine.query(workload[0]).rows
         queue.start()
         try:
-            # Overfill synchronously while holding the executor's lock
-            # so it cannot drain between the stuffing and the assert.
-            from repro.server.admission import _Pending
-
-            with queue._lock:
-                queue._pending.extend(
-                    _Pending(pinned, workload[0]) for _ in range(2)
-                )
+            # Park the executor inside a first query.  Once ``entered``
+            # is set it has drained that round and cannot drain another
+            # before ``release``: whatever is submitted now stays queued.
+            blocker = queue.submit_nowait(BlockingHandle(), workload[0])
+            assert entered.wait(30.0)
+            queued = [
+                queue.submit_nowait(pinned, workload[0]) for _ in range(2)
+            ]
+            assert queue.depth == 2
             with pytest.raises(AdmissionError, match="full"):
                 queue.submit_nowait(pinned, workload[0])
+            release.set()
+            for ticket in [blocker, *queued]:
+                assert queue.wait(ticket, timeout=30.0).rows == expected
         finally:
+            release.set()
             queue.close()
 
     def test_max_depth_validation(self):

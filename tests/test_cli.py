@@ -109,7 +109,7 @@ def test_check_reports_clean(capsys):
 def test_check_flow_is_clean(capsys):
     assert main(["check", "--flow"]) == 0
     out = capsys.readouterr().out
-    assert "flow check: 0 new finding(s), 2 baselined" in out
+    assert "flow check: 0 new finding(s), 1 baselined" in out
     assert "shared-state inventory" in out
 
 
