@@ -14,7 +14,7 @@ import tempfile
 
 from repro.core.advisor import advise
 from repro.core.engine import CubetreeEngine
-from repro.core.persistence import load_engine, save_engine
+from repro.core.persistence import load_any_engine, save_database
 from repro.query.slice import SliceQuery
 from repro.warehouse.tpcd import TPCDGenerator
 
@@ -49,11 +49,11 @@ def main() -> None:
           f"({report.pages} pages)")
 
     with tempfile.TemporaryDirectory() as directory:
-        save_engine(engine, directory)
+        save_database(engine, directory)
         print(f"checkpointed to {directory}")
 
         # 3. Reopen in a brand-new engine and verify.
-        reopened = load_engine(directory)
+        reopened = load_any_engine(directory)
         probe = SliceQuery((), ())
         assert reopened.query(probe).scalar() == engine.query(probe).scalar()
         print("reopened database answers identically")

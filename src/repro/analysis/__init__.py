@@ -22,7 +22,7 @@ from repro.analysis.fsck import (
     FsckReport,
     Violation,
     check_cubetree,
-    check_engine,
+    check_database,
     check_forest,
     check_tree,
     debug_checks_enabled,
@@ -49,7 +49,7 @@ __all__ = [
     "FsckReport",
     "Violation",
     "check_cubetree",
-    "check_engine",
+    "check_database",
     "check_forest",
     "check_tree",
     "debug_checks_enabled",

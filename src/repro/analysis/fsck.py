@@ -25,11 +25,11 @@ Checks deserialize nodes from the raw page bytes (via
 :class:`~repro.storage.buffer.BufferPool`), so they exercise the
 *persisted* layout rather than any cached node objects.
 
-:func:`check_tree` / :func:`check_cubetree` / :func:`check_forest`
-return a structured :class:`FsckReport`; :func:`verify_tree` raises
-:class:`~repro.errors.IntegrityError` instead, and is what
-``rtree.merge`` and ``core.cubetree`` call behind the
-``REPRO_DEBUG_CHECKS`` flag.
+:func:`check_tree` / :func:`check_cubetree` / :func:`check_forest` /
+:func:`check_database` return a structured :class:`FsckReport`;
+:func:`verify_tree` raises :class:`~repro.errors.IntegrityError`
+instead, and is what ``rtree.merge`` and ``core.cubetree`` call behind
+the ``REPRO_DEBUG_CHECKS`` flag.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.cubetree import Cubetree
     from repro.core.engine import CubetreeEngine
     from repro.core.forest import CubetreeForest
-    from repro.core.sharded import ShardedCubetreeEngine
 
 # ----------------------------------------------------------------------
 # violation codes
@@ -218,15 +217,8 @@ def check_forest(forest: "CubetreeForest") -> FsckReport:
     return report
 
 
-def check_engine(engine: "CubetreeEngine") -> FsckReport:
-    """Verify a loaded engine's forest."""
-    if engine.forest is None:
-        raise ReproError("engine has no materialized forest to check")
-    return check_forest(engine.forest)
-
-
-def check_sharded_engine(engine: "ShardedCubetreeEngine") -> FsckReport:
-    """Verify every shard of a sharded engine, plus residue disjointness.
+def check_database(engine: "CubetreeEngine") -> FsckReport:
+    """Verify every shard of a loaded engine, plus residue disjointness.
 
     Each shard's forest gets the full structural fsck (labels like
     ``shard0/R1``), and on top of it the sharding contract is enforced:
@@ -234,21 +226,19 @@ def check_sharded_engine(engine: "ShardedCubetreeEngine") -> FsckReport:
     leading group coordinate hashes to (``coord % num_shards``), and the
     apex (arity-0) row may only appear on shard 0.  A misplaced entry
     would silently vanish from pruned scatter-gather queries, so it is
-    its own violation code (``shard-residue``).
+    its own violation code (``shard-residue``).  With one shard every
+    residue is 0 and the walk is skipped.
     """
+    if engine.forest is None:
+        raise ReproError("engine has no materialized forest to check")
     report = FsckReport()
-    num_shards = len(engine.shards)
     for shard in engine.shards:
-        forest = shard.forest
-        if forest is None:
-            raise ReproError(
-                f"shard {shard.index} has no materialized forest to check"
-            )
+        forest = shard.require_forest()
         for i, cubetree in enumerate(forest.cubetrees, start=1):
             label = f"shard{shard.index}/R{i}"
             report.merge(check_cubetree(cubetree, label=label))
             _check_shard_residues(
-                cubetree, shard.index, num_shards, label, report
+                cubetree, shard.index, engine.num_shards, label, report
             )
     return report
 
@@ -293,25 +283,18 @@ def _check_shard_residues(
                 break  # one misplaced entry per leaf is enough signal
 
 
-def check_database(engine: object) -> FsckReport:
-    """Verify a loaded engine, sharded or not (layout dispatch)."""
-    if hasattr(engine, "shards"):
-        return check_sharded_engine(engine)  # type: ignore[arg-type]
-    return check_engine(engine)  # type: ignore[arg-type]
-
-
 def check_checkpoint(directory: str) -> FsckReport:
     """Verify a *saved* database: checksums first, then structural fsck.
 
     Runs :func:`repro.core.persistence.verify_checkpoint` over the newest
     committed generation (manifest/size/CRC32 validation, per-page
-    checksums — per shard for sharded layouts, including manifest
-    completeness across every shard directory), and — when that passes —
-    reopens the database and fscks the reconstructed forest(s), so
-    ``repro check --checkpoint`` covers both the bytes on disk and the
-    structure they encode.  Sharded checkpoints additionally get the
-    cross-shard residue-disjointness walk.  Checksum problems and load
-    failures surface as ``checkpoint-corrupt`` violations.
+    checksums per shard, manifest completeness across every shard
+    directory), and — when that passes — reopens the database and runs
+    :func:`check_database` on it (structure of every shard's forest plus
+    the cross-shard residue-disjointness walk), so ``repro check
+    --checkpoint`` covers both the bytes on disk and the structure they
+    encode.  Checksum problems and load failures surface as
+    ``checkpoint-corrupt`` violations.
     """
     from repro.core.persistence import (
         PersistenceError,

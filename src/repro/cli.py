@@ -32,7 +32,7 @@ import csv
 import sys
 from typing import List, Optional
 
-from repro import __version__
+from repro import CubetreeEngine, __version__
 from repro.constants import (
     PAGE_SIZE,
     RANDOM_IO_MS,
@@ -284,15 +284,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.experiments.common import (
         build_conventional_engine,
         build_cubetree_engine,
-        build_sharded_engine,
         ExperimentConfig,
     )
     from repro.sql import parse_query
     from repro.warehouse.tpcd import TPCDGenerator
 
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.shards > 1 and args.engine != "cubetree":
         print("error: --shards requires --engine cubetree",
               file=sys.stderr)
@@ -303,10 +299,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     config = ExperimentConfig(scale_factor=args.scale, seed=args.seed)
     if args.engine != "cubetree":
         engine, _ = build_conventional_engine(config, data)
-    elif args.shards > 1:
-        engine, _ = build_sharded_engine(config, data, shards=args.shards)
     else:
-        engine, _ = build_cubetree_engine(config, data)
+        engine, _ = build_cubetree_engine(config, data, shards=args.shards)
 
     if args.batch:
         if args.engine != "cubetree":
@@ -326,7 +320,7 @@ def cmd_query(args: argparse.Namespace) -> int:
               f"passes ({batch.groups} group(s))")
         print(f"simulated I/O: {batch.io.total_ms:.1f} ms "
               f"({batch.io.total_ios} page accesses)")
-        _print_shard_routing(engine, args.shards)
+        _print_shard_routing(engine)
         return 0
 
     query = parse_query(args.sql, data.schema)
@@ -338,17 +332,18 @@ def cmd_query(args: argparse.Namespace) -> int:
         print("  " + "\t".join(str(v) for v in row))
     if len(result.rows) > args.limit:
         print(f"  ... {len(result.rows) - args.limit} more rows")
-    _print_shard_routing(engine, args.shards)
+    if args.engine == "cubetree":
+        _print_shard_routing(engine)
     return 0
 
 
-def _print_shard_routing(engine: object, shards: int) -> None:
-    """After a sharded query, show which shards the router targeted."""
-    if shards <= 1 or not hasattr(engine, "shard_stats"):
+def _print_shard_routing(engine: CubetreeEngine) -> None:
+    """After a query on several shards, show which ones were targeted."""
+    if engine.num_shards <= 1:
         return
-    routed = [s["routed_queries"] for s in engine.shard_stats()]
+    routed = [shard.routed_queries for shard in engine.shards]
     touched = [i for i, count in enumerate(routed) if count]
-    print(f"shards touched: {touched} of {shards} "
+    print(f"shards touched: {touched} of {engine.num_shards} "
           f"(per-shard routed counts {routed})")
 
 
@@ -358,7 +353,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.experiments.common import (
         ExperimentConfig,
         build_cubetree_engine,
-        build_sharded_engine,
     )
     from repro.warehouse.tpcd import TPCDGenerator
 
@@ -376,15 +370,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     generator = TPCDGenerator(scale_factor=args.scale, seed=args.seed)
     data = generator.generate()
     config = ExperimentConfig(scale_factor=args.scale, seed=args.seed)
-    if args.shards > 1:
-        engine, _ = build_sharded_engine(config, data, shards=args.shards)
-        print(f"loaded {len(data.facts)} fact rows into "
-              f"{args.shards} shard(s)")
-    else:
-        engine, _ = build_cubetree_engine(config, data)
-        print(f"loaded {len(data.facts)} fact rows into "
-              f"{engine.forest.num_trees if engine.forest else 0} "
-              f"cubetree(s)")
+    engine, _ = build_cubetree_engine(config, data, shards=args.shards)
+    print(f"loaded {len(data.facts)} fact rows into "
+          f"{engine.forest.num_trees if engine.forest else 0} "
+          f"cubetree(s) on {engine.num_shards} shard(s)")
     report = check_database(engine)
     print(report.format())
 
@@ -529,14 +518,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"serving generation {server.manager.current_number} of "
         f"{args.directory} on http://{host}:{port} (Ctrl-C to stop)"
     )
-    shard_stats = server.shard_stats()
-    if shard_stats:
-        print(f"sharded layout: {len(shard_stats)} shard(s)")
-        for entry in shard_stats:
-            print(
-                f"  shard {entry['shard']}: {entry['pages']} pages, "
-                f"{entry['rows']} rows"
-            )
+    for entry in server.shard_stats():
+        print(
+            f"  shard {entry['shard']}: {entry['pages']} pages, "
+            f"{entry['rows']} rows"
+        )
     from repro.storage.buffer import column_cache_capacity
 
     cache_pages = column_cache_capacity()

@@ -5,8 +5,11 @@
 * :mod:`repro.core.cubetree` — one packed/compressed Cubetree holding one
   view per arity;
 * :mod:`repro.core.forest` — the Cubetree forest with query routing;
+* :mod:`repro.core.sharded` — the scatter-gather forest over N >= 1
+  residue shards, each a Cubetree forest on its own disk;
 * :mod:`repro.core.engine` — :class:`CubetreeEngine`, the "Datablade":
-  materialize / query / bulk-incremental update behind one API;
+  the one engine (one shard by default) — materialize / query /
+  bulk-incremental update / checkpoint behind one API;
 * :mod:`repro.core.conventional` — :class:`ConventionalEngine`, the same
   API on relational tables + B-trees (the paper's baseline);
 * :mod:`repro.core.replication` — multi-sort-order replicas of a view.

@@ -84,6 +84,20 @@ def fold_reducers(view: ViewDefinition) -> Tuple[str, ...]:
     return tuple(tags)
 
 
+def split_states(
+    view: ViewDefinition, acc: FoldAccumulator
+) -> Optional[Tuple[Values, ...]]:
+    """Split an accumulator's flat states into per-aggregate tuples."""
+    if acc.states is None:
+        return None
+    out: List[Values] = []
+    offset = 0
+    for width in view.state_widths:
+        out.append(tuple(acc.states[offset : offset + width]))
+        offset += width
+    return tuple(out)
+
+
 def prepare_packed_runs(
     dims: int,
     views: Sequence[ViewDefinition],
@@ -406,20 +420,7 @@ class Cubetree:
         self.tree.search_run_fold(
             arity, spec.rect, acc, spec.lo_key, spec.hi_key
         )
-        return self._states_of(spec.view, acc)
-
-    def _states_of(
-        self, view: ViewDefinition, acc: FoldAccumulator
-    ) -> Optional[Tuple[Values, ...]]:
-        """Split an accumulator's flat states into per-aggregate tuples."""
-        if acc.states is None:
-            return None
-        out: List[Values] = []
-        offset = 0
-        for width in view.state_widths:
-            out.append(tuple(acc.states[offset : offset + width]))
-            offset += width
-        return tuple(out)
+        return split_states(spec.view, acc)
 
     def query_group(
         self,
@@ -467,7 +468,7 @@ class Cubetree:
         for position, i in enumerate(order):
             if accs is not None and accs[position] is not None:
                 results[i] = FoldedSlice(
-                    self._states_of(specs[i].view, accs[position])
+                    split_states(specs[i].view, accs[position])
                 )
             else:
                 results[i] = [

@@ -1,24 +1,35 @@
 """CubetreeEngine — the "Cubetree Datablade" of the experiments.
 
+The one engine: a forest of ``shards >= 1`` residue partitions
+(:class:`~repro.core.sharded.ShardedForest`), each shard a complete
+:class:`~repro.core.forest.CubetreeForest` on its own simulated disk.
 One object offers the full lifecycle the paper measures:
 
 * :meth:`materialize` — compute the selected views (sort-based, smallest
   parent first), optionally replicate chosen views in extra sort orders,
   run SelectMapping, and bulk-load the packed forest (Fig. 11);
-* :meth:`query` — route a slice query to the best view/sort order, search
-  the Cubetree, and aggregate/finalize the answer (Fig. 4);
+* :meth:`query` / :meth:`query_batch` — route a slice query to the best
+  view/sort order, search the Cubetree(s), and aggregate/finalize the
+  answer (Fig. 4);
 * :meth:`update` — compute the delta views from a warehouse increment and
-  merge-pack every tree (Fig. 15).
+  merge-pack every tree (Fig. 15);
+* :meth:`checkpoint` — commit a crash-safe generation of every shard.
 
-All I/O flows through one simulated disk so the reports are directly
-comparable with :class:`~repro.core.conventional.ConventionalEngine` runs
-on an identical device.
+With the default ``shards=1`` all I/O flows through one simulated disk,
+so the reports are directly comparable with
+:class:`~repro.core.conventional.ConventionalEngine` runs on an identical
+device.  With more shards the reports follow the *critical-path*
+convention (:func:`~repro.core.sharded.combine_io`): counters sum over
+shards, simulated milliseconds are the slowest shard's.  Whole-engine
+accounting goes through :meth:`io_snapshot` / :meth:`io_delta`;
+:attr:`pool` and :attr:`disk` mean shard 0's device.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from dataclasses import fields
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -30,12 +41,12 @@ from typing import (
     Type,
 )
 
-from repro.constants import DEFAULT_BUFFER_PAGES
+from repro.constants import DEFAULT_BUFFER_PAGES, PAGE_SIZE
 from repro.core.answer import finalize_fold, finalize_matches, split_bindings
-from repro.core.forest import CubetreeForest
 from repro.core.mapping import select_mapping
 from repro.core.replication import permute_state_rows, replica_definition
 from repro.core.reports import LoadReport, PhaseReport, UpdateReport
+from repro.core.sharded import Shard, ShardedForest, combine_io
 from repro.core.sorting import make_substrate_sorter
 from repro.cube.lattice import CubeLattice
 from repro.cube.parallel import ParallelCubeComputation
@@ -47,8 +58,9 @@ from repro.query.router import QueryRouter
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
 from repro.rtree.kernels import vector_kernels_enabled
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.disk import DiskManager
+from repro.storage.iomodel import IOStats
 from repro.warehouse.hierarchy import Hierarchy
 from repro.warehouse.star import StarSchema
 
@@ -82,12 +94,18 @@ class CubetreeEngine:
         hierarchies: Optional[Mapping[str, Hierarchy]] = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         sort_chunk_rows: int = 100_000,
-        disk: Optional[DiskManager] = None,
+        disks: Optional[Sequence[DiskManager]] = None,
         workers: Optional[int] = None,
         fast_scans: Optional[bool] = None,
         pool_cls: Optional[Type[BufferPool]] = None,
+        shards: int = 1,
     ) -> None:
-        """``workers`` (default: ``REPRO_WORKERS``, i.e. 1) parallelizes
+        """``shards`` residue partitions (default 1) each get their own
+        disk and a ``buffer_pages``-page pool; ``disks`` supplies the
+        per-shard disks instead of fresh ones (checkpoint recovery hands
+        back the restored devices, tests inject faulty ones).
+
+        ``workers`` (default: ``REPRO_WORKERS``, i.e. 1) parallelizes
         the pure-CPU stages — cube-computation branches and merge-pack run
         preparation — across processes; all simulated I/O stays in this
         process in serial order, so costs are identical at any count.
@@ -102,14 +120,26 @@ class CubetreeEngine:
         :class:`~repro.storage.buffer.BufferPool`); the serving layer
         passes :class:`~repro.storage.buffer.SharedBufferPool` so pool
         state stays sound under its worker threads."""
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if disks is not None and len(disks) != shards:
+            raise ValueError(f"{len(disks)} disk(s) for {shards} shard(s)")
         self.schema = schema
         self.fast_scans = (
             _env_fast_scans() if fast_scans is None else fast_scans
         )
-        self.disk = disk if disk is not None else DiskManager()
-        pool_factory = BufferPool if pool_cls is None else pool_cls
-        self.pool = pool_factory(self.disk, capacity=buffer_pages)
+        self.shards = [
+            Shard(
+                index,
+                buffer_pages,
+                pool_cls=pool_cls,
+                disk=disks[index] if disks is not None else None,
+            )
+            for index in range(shards)
+        ]
         self.workers = worker_count() if workers is None else max(1, workers)
+        # The cube computation is global, so its (rare) substrate sort
+        # spills are charged to shard 0's device.
         self.computation = ParallelCubeComputation(
             schema,
             hierarchies,
@@ -133,9 +163,58 @@ class CubetreeEngine:
             },
             fast_scans=self.fast_scans,
         )
-        self.forest: Optional[CubetreeForest] = None
+        self.forest: Optional[ShardedForest] = None
         self.base_views: List[ViewDefinition] = []
         self.replicas: Dict[str, str] = {}  # replica name -> base name
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
+
+    @property
+    def pool(self) -> BufferPool:
+        """Shard 0's buffer pool (the whole engine's when ``shards=1``)."""
+        return self.shards[0].pool
+
+    @property
+    def disk(self) -> DiskManager:
+        """Shard 0's disk (the whole engine's when ``shards=1``)."""
+        return self.shards[0].disk
+
+    # ------------------------------------------------------------------
+    # I/O accounting (critical-path convention)
+    # ------------------------------------------------------------------
+    def io_snapshot(self) -> List[IOStats]:
+        """Per-shard cost-model snapshots (pass to :meth:`io_delta`)."""
+        return [shard.disk.cost_model.snapshot() for shard in self.shards]
+
+    def io_delta(self, snapshots: Sequence[IOStats]) -> IOStats:
+        """Combined delta since a snapshot: summed counters, max ms."""
+        return combine_io(
+            [
+                shard.disk.cost_model.stats - before
+                for shard, before in zip(self.shards, snapshots)
+            ]
+        )
+
+    def io_totals(self) -> IOStats:
+        """Lifetime combined stats (critical-path milliseconds)."""
+        return combine_io(
+            [shard.disk.cost_model.stats for shard in self.shards]
+        )
+
+    def buffer_totals(self) -> BufferStats:
+        """Summed lifetime buffer-pool stats across shards."""
+        total = BufferStats()
+        for shard in self.shards:
+            for counter in fields(BufferStats):
+                setattr(
+                    total,
+                    counter.name,
+                    getattr(total, counter.name)
+                    + getattr(shard.pool.stats, counter.name),
+                )
+        return total
 
     # ------------------------------------------------------------------
     # loading
@@ -159,9 +238,11 @@ class CubetreeEngine:
             (the Datablade's multi-sort-order replication).
         """
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
-        with trace("engine.materialize", views=len(views)):
+        with trace(
+            "engine.materialize", views=len(views), shards=self.num_shards
+        ):
             self.base_views = list(views)
             data = self.computation.execute(fact_rows, self.base_views)
 
@@ -178,14 +259,15 @@ class CubetreeEngine:
                         permute_state_rows(base, data[base_name], order)
                     )
 
-            allocation = select_mapping(all_views)
-            self.forest = CubetreeForest(self.pool, allocation)
+            self.forest = ShardedForest(
+                self.shards, select_mapping(all_views)
+            )
             self.forest.build(data, workers=self.workers)
-            self.pool.flush_all()
+            self.forest.flush()
 
         report = LoadReport()
         report.phases["views"] = PhaseReport(
-            io=self.disk.cost_model.stats - io_start,
+            io=self.io_delta(snapshots),
             wall_ms=(time.perf_counter() - wall_start) * 1000.0,
         )
         report.view_rows = sum(len(rows) for rows in data.values())
@@ -210,9 +292,9 @@ class CubetreeEngine:
         forest = self._require_forest()
         use_fast = self.fast_scans if fast is None else fast
         if use_fast:
-            self._protect_index_pages()
+            forest.protect_index_pages()
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
         decision = self.router.route(
             query, forest.access_paths(), fast_scans=use_fast
@@ -241,7 +323,7 @@ class CubetreeEngine:
             rows = finalize_matches(
                 matches, view, query, self.hierarchies, residual
             )
-        io = self.disk.cost_model.stats - io_start
+        io = self.io_delta(snapshots)
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
         _OBS_QUERIES.value += 1
         _OBS_QUERY_SIM_MS.observe(io.simulated_ms)
@@ -255,7 +337,7 @@ class CubetreeEngine:
 
     def query_batch(self, queries: Sequence[SliceQuery]) -> "BatchResult":
         """Answer a batch of slice queries with one shared run pass per
-        routed view (see :mod:`repro.query.batch`).
+        routed view and shard (see :mod:`repro.query.batch`).
 
         Each query's rows are identical to what :meth:`query` returns for
         it alone; the batch-level I/O and wall totals live on the result.
@@ -263,36 +345,35 @@ class CubetreeEngine:
         from repro.query.batch import execute_batch
 
         forest = self._require_forest()
-        self._protect_index_pages()
+        forest.protect_index_pages()
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
-        with trace("engine.query_batch", queries=len(queries)):
+        with trace(
+            "engine.query_batch", queries=len(queries), shards=self.num_shards
+        ):
             batch = execute_batch(
                 self.router, forest, self.hierarchies, queries
             )
-        batch.io = self.disk.cost_model.stats - io_start
+        batch.io = self.io_delta(snapshots)
         batch.wall_ms = (time.perf_counter() - wall_start) * 1000.0
         _OBS_BATCHES.value += 1
         _OBS_BATCHED_QUERIES.value += batch.batched
         _OBS_QUERIES.value += len(queries)
         return batch
 
-    def _protect_index_pages(self) -> None:
-        """Shelter interior/root pages from scan churn (idempotent)."""
-        if self.forest is not None:
-            self.forest.protect_index_pages()
-
     # ------------------------------------------------------------------
     # bulk-incremental updates
     # ------------------------------------------------------------------
     def update(self, fact_delta: Sequence[Row]) -> UpdateReport:
-        """Merge-pack a warehouse increment into every Cubetree."""
+        """Merge-pack a warehouse increment into every touched shard."""
         forest = self._require_forest()
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
-        with trace("engine.update", rows=len(fact_delta)):
+        with trace(
+            "engine.update", rows=len(fact_delta), shards=self.num_shards
+        ):
             deltas = self.computation.execute(fact_delta, self.base_views)
             by_name = {view.name: view for view in self.base_views}
             for replica_name, base_name in self.replicas.items():
@@ -303,11 +384,11 @@ class CubetreeEngine:
                     )
                 )
             forest.update(deltas, workers=self.workers)
-            self.pool.flush_all()
+            forest.flush()
 
         return UpdateReport(
             method="cubetree merge-pack",
-            io=self.disk.cost_model.stats - io_start,
+            io=self.io_delta(snapshots),
             wall_ms=(time.perf_counter() - wall_start) * 1000.0,
             rows_applied=sum(len(rows) for rows in deltas.values()),
         )
@@ -318,21 +399,21 @@ class CubetreeEngine:
     def checkpoint(self, directory: str, retain: int = 2) -> str:
         """Write a crash-safe generational checkpoint of this engine.
 
-        A thin wrapper over :func:`repro.core.persistence.save_engine`
+        A thin wrapper over :func:`repro.core.persistence.save_database`
         (create-new-then-swap at the checkpoint level: a new ``gen-<n>/``
-        is committed by an atomic manifest rename and the previous
-        generation survives any mid-checkpoint crash).  Returns the
-        committed generation directory.
+        holding every shard is committed by one atomic manifest rename
+        and the previous generation survives any mid-checkpoint crash).
+        Returns the committed generation directory.
         """
-        from repro.core.persistence import save_engine
+        from repro.core.persistence import save_database
 
-        return save_engine(self, directory, retain=retain)
+        return save_database(self, directory, retain=retain)
 
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
     def view_sizes(self) -> Dict[str, int]:
-        """Tuple count per materialized view."""
+        """Tuple count per materialized view (summed over shards)."""
         return self._require_forest().view_sizes()
 
     def storage_pages(self) -> int:
@@ -341,11 +422,32 @@ class CubetreeEngine:
 
     def storage_bytes(self) -> int:
         """Total bytes on disk (pages * PAGE_SIZE)."""
-        from repro.constants import PAGE_SIZE
-
         return self.storage_pages() * PAGE_SIZE
 
-    def _require_forest(self) -> CubetreeForest:
+    def shard_stats(self) -> List[Dict[str, object]]:
+        """Per-shard observability: pages, I/O, hit rates, routed queries."""
+        records: List[Dict[str, object]] = []
+        for shard in self.shards:
+            io = shard.disk.cost_model.stats
+            buf = shard.pool.stats
+            forest = shard.require_forest()
+            records.append(
+                {
+                    "shard": shard.index,
+                    "pages": forest.num_pages,
+                    "rows": sum(forest.view_sizes().values()),
+                    "simulated_ms": io.simulated_ms,
+                    "reads": io.reads,
+                    "writes": io.writes,
+                    "buffer_hit_ratio": (
+                        buf.hit_ratio if buf.accesses > 0 else None
+                    ),
+                    "routed_queries": shard.routed_queries,
+                }
+            )
+        return records
+
+    def _require_forest(self) -> ShardedForest:
         if self.forest is None:
             raise QueryError("engine has no materialized views yet")
         return self.forest

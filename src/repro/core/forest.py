@@ -85,15 +85,13 @@ class CubetreeForest:
         missing = set(self._view_tree) - set(data)
         if missing:
             raise QueryError(f"no data for views {sorted(missing)}")
-        if (
-            workers > 1
-            and len(self.cubetrees) > 1
-            and self._total_rows(data) >= MIN_PARALLEL_ROWS
-            and build_memory_budget() is None
-        ):
+        if self._fan_out(workers, self.cubetrees, data):
             runs_per_tree = run_tasks(
                 _prepare_tree_runs,
-                [self._prep_payload(tree, data) for tree in self.cubetrees],
+                [
+                    (tree.dims, tree.views, self._relevant(tree, data))
+                    for tree in self.cubetrees
+                ],
                 workers,
             )
             for tree, runs in zip(self.cubetrees, runs_per_tree):
@@ -110,53 +108,62 @@ class CubetreeForest:
         """Merge-pack deltas into every tree that has any.
 
         As in :meth:`build`, ``workers > 1`` parallelizes only the
-        pure-CPU delta-run preparation; each tree's merge-pack I/O runs
-        serially in tree order.
+        pure-CPU delta-run preparation (under the same gate, build-memory
+        budget included); each tree's merge-pack I/O runs serially in
+        tree order.
         """
         touched = [
             tree
             for tree in self.cubetrees
             if any(view.name in deltas for view in tree.views)
         ]
-        if (
-            workers > 1
-            and len(touched) > 1
-            and self._total_rows(deltas) >= MIN_PARALLEL_ROWS
-        ):
+        if self._fan_out(workers, touched, deltas):
             runs_per_tree = run_tasks(
                 _prepare_tree_runs,
-                [self._prep_payload(tree, deltas) for tree in touched],
+                [
+                    (tree.dims, tree.views, self._relevant(tree, deltas))
+                    for tree in touched
+                ],
                 workers,
             )
             for tree, runs in zip(touched, runs_per_tree):
                 tree.update_from_runs(runs)
         else:
             for tree in touched:
-                relevant = {
-                    view.name: deltas[view.name]
-                    for view in tree.views
-                    if view.name in deltas
-                }
-                tree.update(relevant)
+                tree.update(self._relevant(tree, deltas))
         self._sizes = None  # recounted lazily on the next routing request
         self._paths = None
 
-    def _total_rows(self, data: Mapping[str, Sequence[Row]]) -> int:
-        """Rows this forest would prepare — the fan-out worthwhileness."""
-        return sum(
-            len(data[name]) for name in self._view_tree if name in data
+    def _fan_out(
+        self,
+        workers: int,
+        trees: Sequence[Cubetree],
+        data: Mapping[str, Sequence[Row]],
+    ) -> bool:
+        """Should run preparation go to worker processes?
+
+        Only with several trees and enough rows to amortize the pool
+        round-trip — and never under a build-memory budget, for loads and
+        merge-packs alike (see :meth:`build`).
+        """
+        return (
+            workers > 1
+            and len(trees) > 1
+            and sum(len(data[name]) for name in self._view_tree if name in data)
+            >= MIN_PARALLEL_ROWS
+            and build_memory_budget() is None
         )
 
     @staticmethod
-    def _prep_payload(
+    def _relevant(
         tree: Cubetree, data: Mapping[str, Sequence[Row]]
-    ) -> Tuple[int, Tuple[ViewDefinition, ...], Dict[str, Sequence[Row]]]:
-        relevant = {
+    ) -> Dict[str, Sequence[Row]]:
+        """The slice of ``data`` that belongs to one tree's views."""
+        return {
             view.name: data[view.name]
             for view in tree.views
             if view.name in data
         }
-        return tree.dims, tree.views, relevant
 
     # ------------------------------------------------------------------
     # checkpoint restore
@@ -170,7 +177,7 @@ class CubetreeForest:
         """
         if len(states) != len(self.cubetrees):
             raise ValueError(
-                f"{len(states)} saved tree state(s) for a forest of "
+                f"{len(states)} saved tree state(s) for an allocation of "
                 f"{len(self.cubetrees)} cubetree(s)"
             )
         for tree, state in zip(self.cubetrees, states):
@@ -189,22 +196,6 @@ class CubetreeForest:
                     "view_extents", {}
                 ).items()
             }
-        self._paths = None
-
-    def adopt_sizes(self, data: Mapping[str, Sequence[Row]]) -> None:
-        """Record tuple counts after an externally driven bulk build.
-
-        The sharded engine packs trees via :meth:`Cubetree.build` /
-        ``build_from_runs`` directly (one worker fan-out across every
-        shard's trees), then adopts the row counts here — the same
-        bookkeeping :meth:`build` does for its own trees.
-        """
-        self._sizes = {name: len(rows) for name, rows in data.items()}
-        self._paths = None
-
-    def invalidate_stats(self) -> None:
-        """Drop cached sizes/paths after an externally driven merge-pack."""
-        self._sizes = None
         self._paths = None
 
     def set_view_sizes(self, sizes: Mapping[str, int]) -> None:

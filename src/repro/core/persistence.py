@@ -5,49 +5,63 @@ merge-pack writes a freshly packed Cubetree beside the old one and swaps
 atomically, so the old Cubetree keeps serving queries and a crash never
 loses the previous generation (Sec. 5).  This module applies the same
 discipline at the checkpoint level.  A saved database is a directory of
-numbered **generations**::
+numbered **generations**, and there is one generation layout — a
+directory per shard, ``shard-00/`` alone for the default one-shard
+engine::
 
     db/
       gen-000001/
-        pages.bin       every allocated page, in page-id order
-        pages.crc       one little-endian uint32 CRC32 per page
-        meta.json       the catalog (canonical JSON, see below)
+        shard-00/
+          pages.bin     every allocated page of the shard, in page-id order
+          pages.crc     one little-endian uint32 CRC32 per page
+          shard.json    the shard's catalog: tree states, sizes, allocator
+        shard-01/ ...   one directory per further shard
+        meta.json       the global catalog (canonical JSON, see below)
         MANIFEST.json   commit record: file sizes + CRC32s (written last)
       gen-000002/
         ...             the next checkpoint; gen-000001 stays intact
 
-:func:`save_engine` writes a brand-new ``gen-<n>/`` directory next to the
-existing ones and *commits* it by writing ``MANIFEST.json`` to a temporary
-name, fsyncing, and atomically renaming it into place — the manifest's
-presence is the commit point, exactly like merge-pack's swap.  A crash at
-any write site leaves either the previous committed generation (manifest
-absent: the partial is garbage) or the new one (manifest present); never a
-torn mix.  :func:`load_engine` recovers by selecting the newest
-manifest-complete generation, verifying every checksum, and discarding
+:func:`save_database` is the one writer.  It writes a brand-new
+``gen-<n>/`` directory next to the existing ones and *commits* it by
+writing ``MANIFEST.json`` to a temporary name, fsyncing, and atomically
+renaming it into place — the manifest's presence is the commit point for
+*every* shard at once, exactly like merge-pack's swap.  A crash at any
+write site leaves either the previous committed generation (manifest
+absent: the partial is garbage) or the new one (manifest present); never
+a torn mix, and never some shards ahead of others.
+:func:`load_any_engine` is the one reader: it selects the newest
+manifest-complete generation, verifies every checksum, and discards
 partials.  Committed generations beyond ``retain`` are pruned only after
 the new commit succeeds.
 
-``meta.json`` is canonical: every dict is dumped with sorted keys and
-explicitly normalized value types (tuples as lists, sizes as ints, names
-as strings), so ``save -> load -> save`` produces byte-identical metadata.
+``meta.json`` and ``shard.json`` are canonical: every dict is dumped
+with sorted keys and explicitly normalized value types (tuples as lists,
+sizes as ints, names as strings), so ``save -> load -> save`` produces
+byte-identical metadata.
 
 Format history
 --------------
 * **v1** — ``meta.json`` + ``pages.bin`` directly in the directory, no
-  checksums, overwritten in place on every save (a crash mid-checkpoint
-  destroyed the only copy).  Still readable: :func:`load_engine` falls
-  back to the flat layout when no generation directories exist.
-* **v2** — the generational layout above.
+  checksums, overwritten in place on every save.  No longer read:
+  :func:`load_any_engine` raises a :class:`PersistenceError` naming the
+  layout (releases up to PR 21 open it, and re-saving there migrates it).
+* **v2** — generations, with one ``pages.bin`` / ``pages.crc`` /
+  ``meta.json`` triple directly inside ``gen-<n>/`` (the single-tree
+  layout; its manifest has no ``layout`` key).
 * **v3** — identical catalog layout; ``pages.bin`` may additionally
-  contain columnar (type-3) R-tree leaf pages, produced when the
-  ``REPRO_LEAF_FORMAT=columnar`` gate is on.  New saves always write
-  v3; v2 checkpoints (row-major leaves only) load unchanged because
-  the page decoder dispatches on the per-page node-type byte.
+  contain columnar (type-3) R-tree leaf pages.  v2 images (row-major
+  leaves only) load unchanged because the page decoder dispatches on the
+  per-page node-type byte.
+* **PR 23** — the per-shard layout above became the only one written
+  (still format v3; the manifest says ``"layout": "sharded"``).
+  Committed single-tree generations of v2/v3 stay loadable through a
+  read-only adapter (:func:`_shard_files`) that presents the generation
+  directory as shard 0; the first re-save migrates them.
 
 Every file operation of a checkpoint passes through a
-:class:`~repro.storage.wal.CrashPoint` (the engine disk's hook by
-default), so recovery tests can kill the simulated process at each step;
-see ``tests/core/test_checkpoint_crash.py``.
+:class:`~repro.storage.wal.CrashPoint` (a shard disk's hook by default),
+so recovery tests can kill the simulated process at each step; see
+``tests/core/test_checkpoint_crash.py``.
 """
 
 from __future__ import annotations
@@ -61,7 +75,7 @@ from typing import Collection, Dict, List, Optional, Tuple, Type
 
 from repro.constants import PAGE_SIZE
 from repro.core.engine import CubetreeEngine
-from repro.core.forest import CubetreeForest
+from repro.core.sharded import Shard, ShardedForest
 from repro.core.mapping import CubetreeAllocation, TreeAssignment
 from repro.errors import ReproError
 from repro.relational.executor import AggFunc, AggSpec
@@ -75,10 +89,8 @@ META_NAME = "meta.json"
 PAGES_NAME = "pages.bin"
 CHECKSUMS_NAME = "pages.crc"
 MANIFEST_NAME = "MANIFEST.json"
-#: Per-shard catalog inside a sharded generation's ``shard-XX/``.
+#: Per-shard catalog inside a generation's ``shard-XX/``.
 SHARD_META_NAME = "shard.json"
-GENERATION_PREFIX = "gen-"
-SHARD_DIR_PREFIX = "shard-"
 #: Current checkpoint format.  v3 (2026) admits columnar (type-3) leaf
 #: pages in the stored image; the catalog layout is unchanged from v2,
 #: so v2 checkpoints load as-is (see SUPPORTED_FORMAT_VERSIONS).
@@ -86,8 +98,8 @@ FORMAT_VERSION = 3
 #: Checkpoint format versions this build can load.  v2 images contain
 #: only row-major leaves, which every reader still decodes.
 SUPPORTED_FORMAT_VERSIONS = (2, 3)
-#: ``layout`` value in a sharded generation's manifest and catalog;
-#: single-tree checkpoints simply omit the key (format v2 unchanged).
+#: ``layout`` value in every generation's manifest and catalog; only the
+#: single-tree generations written before PR 23 lack the key.
 LAYOUT_SHARDED = "sharded"
 #: Committed generations kept after a successful save (>= 1).
 DEFAULT_RETAIN = 2
@@ -96,7 +108,7 @@ _GENERATION_RE = re.compile(r"^gen-(\d{6,})$")
 
 
 def _shard_dir_name(index: int) -> str:
-    return f"{SHARD_DIR_PREFIX}{index:02d}"
+    return f"shard-{index:02d}"
 
 
 class _ShardCrashPoint:
@@ -193,47 +205,6 @@ def _tree_state(tree) -> dict:
     }
 
 
-def _build_meta(engine: CubetreeEngine, forest: CubetreeForest) -> dict:
-    """The catalog, normalized so serialization is deterministic."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "schema": _schema_to_json(engine.schema),
-        "hierarchies": sorted(
-            (
-                {
-                    "attribute": str(attr),
-                    "fact_key": str(source),
-                    "dim_attribute": str(hierarchy.attribute),
-                }
-                for attr, (hierarchy, source) in engine.hierarchies.items()
-            ),
-            key=lambda item: item["attribute"],
-        ),
-        "base_views": [_view_to_json(v) for v in engine.base_views],
-        "replicas": {
-            str(replica): str(base)
-            for replica, base in engine.replicas.items()
-        },
-        "allocation": [
-            {
-                "dims": int(assignment.dims),
-                "views": [_view_to_json(v) for v in assignment.views],
-            }
-            for assignment in forest.allocation.trees
-        ],
-        "trees": [_tree_state(tree) for tree in forest.cubetrees],
-        "sizes": {
-            str(name): int(size)
-            for name, size in forest.view_sizes().items()
-        },
-        "disk": {
-            "next_page_id": int(engine.disk.allocation_state()["next_page_id"]),
-            "freed": [int(p) for p in engine.disk.allocation_state()["freed"]],
-        },
-        "buffer_pages": int(engine.pool.capacity),
-    }
-
-
 def _meta_bytes(meta: dict) -> bytes:
     """Canonical encoding: sorted keys, fixed separators, trailing NL."""
     return (
@@ -245,29 +216,6 @@ def _meta_bytes(meta: dict) -> bytes:
 # ----------------------------------------------------------------------
 # generation bookkeeping
 # ----------------------------------------------------------------------
-def _generation_name(number: int) -> str:
-    return f"{GENERATION_PREFIX}{number:06d}"
-
-
-def _list_generations(directory: str) -> List[Tuple[int, str]]:
-    """``(number, path)`` of every gen-* entry, ascending by number."""
-    found: List[Tuple[int, str]] = []
-    try:
-        entries = os.listdir(directory)
-    except FileNotFoundError:
-        return found
-    for entry in entries:
-        match = _GENERATION_RE.match(entry)
-        if match:
-            found.append((int(match.group(1)), os.path.join(directory, entry)))
-    found.sort()
-    return found
-
-
-def _committed(gen_path: str) -> bool:
-    return os.path.exists(os.path.join(gen_path, MANIFEST_NAME))
-
-
 def list_generations(directory: str) -> List[Tuple[int, str, bool]]:
     """Every on-disk generation: ``(number, path, committed)`` ascending.
 
@@ -275,10 +223,19 @@ def list_generations(directory: str) -> List[Tuple[int, str, bool]]:
     and to distinguish committed generations (manifest present) from the
     crash debris recovery ignores.
     """
-    return [
-        (number, path, _committed(path))
-        for number, path in _list_generations(directory)
-    ]
+    found: List[Tuple[int, str, bool]] = []
+    try:
+        entries = os.listdir(directory)
+    except FileNotFoundError:
+        return found
+    for entry in entries:
+        match = _GENERATION_RE.match(entry)
+        if match:
+            path = os.path.join(directory, entry)
+            committed = os.path.exists(os.path.join(path, MANIFEST_NAME))
+            found.append((int(match.group(1)), path, committed))
+    found.sort()
+    return found
 
 
 def newest_committed_number(directory: str) -> Optional[int]:
@@ -287,11 +244,10 @@ def newest_committed_number(directory: str) -> Optional[int]:
     This is the database's visible version: a publish that crashed after
     its manifest rename still moved this number forward, and the serving
     layer's refresh recovery keys off exactly that."""
-    newest = None
-    for number, path in _list_generations(directory):
-        if _committed(path):
-            newest = number
-    return newest
+    committed = [
+        number for number, _path, ok in list_generations(directory) if ok
+    ]
+    return committed[-1] if committed else None
 
 
 def _fsync_file(handle) -> None:
@@ -323,12 +279,15 @@ def _write_file(
     payload: bytes,
     crash_point: Optional[CrashPoint],
     context: str,
-) -> None:
-    """One checkpoint write site: crash hook, write, fsync."""
+) -> dict:
+    """One checkpoint write site: crash hook, write, fsync.
+
+    Returns the file's manifest record (size + CRC32 of the payload)."""
     _crash_hit(crash_point, context)
     with open(path, "wb") as handle:
         handle.write(payload)
         _fsync_file(handle)
+    return {"bytes": len(payload), "crc32": zlib.crc32(payload)}
 
 
 def _page_checksums(pages_path: str) -> List[int]:
@@ -364,27 +323,94 @@ def _file_crc(path: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# saving
+# saving (one manifest rename commits every shard atomically)
 # ----------------------------------------------------------------------
-def save_engine(
+def _catalog(engine: CubetreeEngine, forest: ShardedForest) -> dict:
+    """The global catalog (shared across shards), normalized so
+    serialization is deterministic."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "layout": LAYOUT_SHARDED,
+        "num_shards": int(engine.num_shards),
+        "schema": _schema_to_json(engine.schema),
+        "hierarchies": sorted(
+            (
+                {
+                    "attribute": str(attr),
+                    "fact_key": str(source),
+                    "dim_attribute": str(hierarchy.attribute),
+                }
+                for attr, (hierarchy, source) in engine.hierarchies.items()
+            ),
+            key=lambda item: item["attribute"],
+        ),
+        "base_views": [_view_to_json(v) for v in engine.base_views],
+        "replicas": {
+            str(replica): str(base)
+            for replica, base in engine.replicas.items()
+        },
+        "allocation": [
+            {
+                "dims": int(assignment.dims),
+                "views": [_view_to_json(v) for v in assignment.views],
+            }
+            for assignment in forest.allocation.trees
+        ],
+        "sizes": {
+            str(name): int(size)
+            for name, size in forest.view_sizes().items()
+        },
+        "buffer_pages": int(engine.pool.capacity),
+    }
+
+
+def _shard_catalog(shard: Shard) -> dict:
+    """One shard's private catalog: tree states, sizes, allocator."""
+    forest = shard.require_forest()
+    allocator = shard.disk.allocation_state()
+    return {
+        "format_version": FORMAT_VERSION,
+        "shard": int(shard.index),
+        "trees": [_tree_state(tree) for tree in forest.cubetrees],
+        "sizes": {
+            str(name): int(size)
+            for name, size in forest.view_sizes().items()
+        },
+        "disk": {
+            "next_page_id": int(allocator["next_page_id"]),
+            "freed": [int(p) for p in allocator["freed"]],
+        },
+    }
+
+
+def save_database(
     engine: CubetreeEngine,
     directory: str,
     crash_point: Optional[CrashPoint] = None,
     retain: int = DEFAULT_RETAIN,
     protect: Collection[int] = (),
 ) -> str:
-    """Checkpoint a loaded CubetreeEngine into a new generation.
+    """Checkpoint a loaded engine into a new generation.
 
-    Returns the committed generation directory.  ``crash_point`` defaults
-    to the engine disk's hook, so a test that armed
-    ``engine.disk.crash_point`` kills the checkpoint the same way it kills
-    a merge-pack.  ``retain`` committed generations are kept; older ones
-    (and any uncommitted partials) are pruned only after the new manifest
-    is in place, so a crash at any point keeps the last committed
-    generation reopenable.  Generation numbers in ``protect`` are never
-    pruned regardless of ``retain`` — the serving layer passes the set of
-    reader-pinned generations so a snapshot someone is still reading from
-    keeps its files.
+    Layout: ``gen-<n>/shard-XX/{pages.bin,pages.crc,shard.json}`` per
+    shard plus one top-level ``meta.json`` (global catalog) and ONE
+    ``MANIFEST.json`` listing every shard file — the single atomic
+    manifest rename commits all shards together, so a crash anywhere
+    mid-checkpoint leaves *every* shard on the previous generation (the
+    all-or-nothing property the serving layer's publish depends on).
+    Returns the committed generation directory.
+
+    ``crash_point`` defaults to the first hook found on a shard disk, so
+    a test that armed ``engine.disk.crash_point`` kills the checkpoint
+    the same way it kills a merge-pack; per-shard write sites hit it with
+    contexts prefixed ``shard <i> ``, the commit-level sites without.
+    ``retain`` committed generations are kept; older ones (and any
+    uncommitted partials) are pruned only after the new manifest is in
+    place, so a crash at any point keeps the last committed generation
+    reopenable.  Generation numbers in ``protect`` are never pruned
+    regardless of ``retain`` — the serving layer passes the set of
+    reader-pinned generations so a snapshot someone is still reading
+    from keeps its files.
     """
     forest = engine.forest
     if forest is None:
@@ -392,50 +418,72 @@ def save_engine(
     if retain < 1:
         raise ValueError("retain must be >= 1")
     if crash_point is None:
-        crash_point = getattr(engine.disk, "crash_point", None)
+        hooks = (shard.disk.crash_point for shard in engine.shards)
+        crash_point = next((hook for hook in hooks if hook is not None), None)
 
     os.makedirs(directory, exist_ok=True)
-    engine.pool.flush_all()
+    forest.flush()
 
-    generations = _list_generations(directory)
+    generations = list_generations(directory)
     number = (generations[-1][0] + 1) if generations else 1
-    gen_path = os.path.join(directory, _generation_name(number))
+    gen_path = os.path.join(directory, f"gen-{number:06d}")
     os.makedirs(gen_path)
 
-    # 1. the page dump (one crash site per page, inside dump_pages)
-    pages_path = os.path.join(gen_path, PAGES_NAME)
-    engine.disk.dump_pages(pages_path, crash_point=crash_point)
+    files: Dict[str, dict] = {}
+    shard_entries: List[dict] = []
+    for shard in engine.shards:
+        sub = _shard_dir_name(shard.index)
+        shard_path = os.path.join(gen_path, sub)
+        os.makedirs(shard_path)
+        shard_hook = (
+            _ShardCrashPoint(crash_point, shard.index)
+            if crash_point is not None
+            else None
+        )
 
-    # 2. per-page checksums, read back from the dump just written
-    page_crcs = _page_checksums(pages_path)
-    crc_payload = b"".join(crc.to_bytes(4, "little") for crc in page_crcs)
-    crc_path = os.path.join(gen_path, CHECKSUMS_NAME)
-    _write_file(crc_path, crc_payload, crash_point, "checkpoint page checksums")
+        # 1. the shard's page dump (one crash site per page)
+        pages_path = os.path.join(shard_path, PAGES_NAME)
+        shard.disk.dump_pages(pages_path, crash_point=shard_hook)
 
-    # 3. the catalog
-    meta_payload = _meta_bytes(_build_meta(engine, forest))
-    meta_path = os.path.join(gen_path, META_NAME)
-    _write_file(meta_path, meta_payload, crash_point, "checkpoint catalog")
+        # 2. per-page checksums, read back from the dump just written
+        page_crcs = _page_checksums(pages_path)
+        files[f"{sub}/{PAGES_NAME}"] = {
+            "bytes": os.path.getsize(pages_path),
+            "crc32": _file_crc(pages_path),
+        }
+        files[f"{sub}/{CHECKSUMS_NAME}"] = _write_file(
+            os.path.join(shard_path, CHECKSUMS_NAME),
+            b"".join(crc.to_bytes(4, "little") for crc in page_crcs),
+            shard_hook,
+            "checkpoint page checksums",
+        )
 
-    # 4. the commit record: temp write, fsync, atomic rename
+        # 3. the shard catalog
+        files[f"{sub}/{SHARD_META_NAME}"] = _write_file(
+            os.path.join(shard_path, SHARD_META_NAME),
+            _meta_bytes(_shard_catalog(shard)),
+            shard_hook,
+            "checkpoint catalog",
+        )
+        shard_entries.append({"dir": sub, "page_count": len(page_crcs)})
+
+    # 4. the global catalog
+    files[META_NAME] = _write_file(
+        os.path.join(gen_path, META_NAME),
+        _meta_bytes(_catalog(engine, forest)),
+        crash_point,
+        "checkpoint catalog",
+    )
+
+    # 5. the commit record: ONE manifest rename commits every shard
     manifest = {
         "format_version": FORMAT_VERSION,
+        "layout": LAYOUT_SHARDED,
         "generation": number,
-        "page_count": len(page_crcs),
-        "files": {
-            PAGES_NAME: {
-                "bytes": os.path.getsize(pages_path),
-                "crc32": _file_crc(pages_path),
-            },
-            CHECKSUMS_NAME: {
-                "bytes": len(crc_payload),
-                "crc32": zlib.crc32(crc_payload),
-            },
-            META_NAME: {
-                "bytes": len(meta_payload),
-                "crc32": zlib.crc32(meta_payload),
-            },
-        },
+        "num_shards": int(engine.num_shards),
+        "page_count": sum(entry["page_count"] for entry in shard_entries),
+        "shards": shard_entries,
+        "files": files,
     }
     manifest_tmp = os.path.join(gen_path, MANIFEST_NAME + ".tmp")
     manifest_path = os.path.join(gen_path, MANIFEST_NAME)
@@ -450,12 +498,15 @@ def save_engine(
     _fsync_dir(gen_path)
     _fsync_dir(directory)
 
-    # 5. only now retire older generations (and stale partials)
+    # 6. only now retire older generations (and stale partials)
     _crash_hit(crash_point, "checkpoint prune")
     _prune(directory, keep_newest=number, retain=retain, protect=protect)
     return gen_path
 
 
+# ----------------------------------------------------------------------
+# pruning
+# ----------------------------------------------------------------------
 def _prune(
     directory: str,
     keep_newest: int,
@@ -470,18 +521,13 @@ def _prune(
     """
     import shutil
 
-    committed = [
-        (number, path)
-        for number, path in _list_generations(directory)
-        if _committed(path)
-    ]
-    keep = {number for number, _ in committed[-retain:]}
-    keep.add(keep_newest)
-    keep.update(number for number, _path in committed if number in set(protect))
-    for number, path in _list_generations(directory):
-        if number in keep:
-            continue
-        shutil.rmtree(path, ignore_errors=True)
+    generations = list_generations(directory)
+    committed = [number for number, _path, ok in generations if ok]
+    keep = set(committed[-retain:]) | {keep_newest}
+    keep.update(set(protect).intersection(committed))
+    for number, path, _ok in generations:
+        if number not in keep:
+            shutil.rmtree(path, ignore_errors=True)
 
 
 def prune_generations(
@@ -492,7 +538,7 @@ def prune_generations(
 ) -> None:
     """Retire prunable generations of a saved database.
 
-    The standalone companion to the prune step of :func:`save_engine`:
+    The standalone companion to the prune step of :func:`save_database`:
     keeps the newest ``retain`` committed generations plus every number
     in ``protect`` (reader-pinned snapshots), removes everything else —
     including uncommitted partials left by crashes.  No-op when the
@@ -521,7 +567,6 @@ class CheckpointReport:
     files_checked: int = 0
     partial_generations: List[str] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -542,7 +587,6 @@ class CheckpointReport:
         )
         lines = [head]
         lines.extend(f"  [corrupt] {problem}" for problem in self.problems)
-        lines.extend(f"  [note] {note}" for note in self.notes)
         lines.extend(
             f"  [partial] discarded uncommitted generation {name}"
             for name in self.partial_generations
@@ -554,8 +598,8 @@ def _newest_committed(directory: str) -> Tuple[Optional[str], List[str]]:
     """Newest manifest-complete generation path + names of partials."""
     newest: Optional[str] = None
     partials: List[str] = []
-    for _number, path in _list_generations(directory):
-        if _committed(path):
+    for _number, path, committed in list_generations(directory):
+        if committed:
             newest = path
         else:
             partials.append(os.path.basename(path))
@@ -587,9 +631,10 @@ def _validate_pages(
 ) -> None:
     """Per-page CRC pass: every page of a dump against its sidecar.
 
-    ``rel_dir`` is ``""`` for the single-tree layout or ``shard-XX`` for
-    one shard of a sharded generation; problem messages carry the
-    relative path so a sharded report names the failing shard.
+    ``rel_dir`` is ``shard-XX`` for one shard of a generation (``""``
+    for a pre-PR-23 single-tree generation, whose dump sits directly in
+    the generation directory); problem messages carry the relative path,
+    so a report names the failing shard.
     """
     base = os.path.join(gen_path, rel_dir) if rel_dir else gen_path
     prefix = f"{rel_dir}/" if rel_dir else ""
@@ -687,9 +732,26 @@ def _validate_generation(gen_path: str, report: CheckpointReport) -> dict:
                 f"{META_NAME}: not covered by the manifest"
             )
     else:
-        # Per-page checksums: every page of pages.bin against pages.crc.
+        # Pre-PR-23 single-tree generation: one dump, directly in gen-<n>/.
         _validate_pages(gen_path, "", manifest.get("page_count"), report)
     return manifest
+
+
+def _no_generation_error(directory: str) -> PersistenceError:
+    """Why ``directory`` holds nothing this release can open."""
+    if all(
+        os.path.exists(os.path.join(directory, name))
+        for name in (META_NAME, PAGES_NAME)
+    ):
+        return PersistenceError(
+            f"{directory!r} holds a v1 flat layout ({META_NAME} + "
+            f"{PAGES_NAME}, no generations), which is no longer read; "
+            f"re-save it with a release up to PR 21 to migrate it to the "
+            f"generational format"
+        )
+    return PersistenceError(
+        f"no committed generation found in {directory!r}"
+    )
 
 
 def verify_checkpoint(directory: str) -> CheckpointReport:
@@ -697,20 +759,14 @@ def verify_checkpoint(directory: str) -> CheckpointReport:
 
     Partial (manifest-less) generations are reported but are not
     problems — they are exactly what a crash leaves behind and recovery
-    discards them.  A v1 flat-layout database yields a problem entry
-    (v1 carries no checksums to verify).
+    discards them.  A directory with no committed generation (a v1
+    flat-layout database included) yields a problem entry.
     """
     report = CheckpointReport(directory=directory)
     newest, partials = _newest_committed(directory)
     report.partial_generations = partials
     if newest is None:
-        if _has_v1_layout(directory):
-            report.notes.append(
-                "v1 flat layout: carries no checksums to verify "
-                "(resave to migrate to the v2 generational format)"
-            )
-            return report
-        report.problems.append("no committed generation found")
+        report.problems.append(str(_no_generation_error(directory)))
         return report
     try:
         manifest = _validate_generation(newest, report)
@@ -723,57 +779,6 @@ def verify_checkpoint(directory: str) -> CheckpointReport:
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------
-def _has_v1_layout(directory: str) -> bool:
-    return os.path.exists(os.path.join(directory, META_NAME)) and os.path.exists(
-        os.path.join(directory, PAGES_NAME)
-    )
-
-
-def load_engine(
-    directory: str, pool_cls: Optional[Type] = None
-) -> CubetreeEngine:
-    """Reopen a database saved by :func:`save_engine`.
-
-    Recovery rule: the newest generation whose ``MANIFEST.json`` exists is
-    the database; generations without a manifest are crash debris and are
-    ignored.  Every file of the chosen generation is checksum-verified
-    before a single page is trusted — a torn or bit-flipped checkpoint
-    raises :class:`CorruptCheckpointError` instead of silently loading.
-    Directories written by format v1 (flat ``meta.json`` + ``pages.bin``)
-    are still readable.  ``pool_cls`` is forwarded to the reopened
-    engine's buffer pool (the serving layer passes
-    :class:`~repro.storage.buffer.SharedBufferPool`).
-    """
-    newest, _partials = _newest_committed(directory)
-    if newest is not None:
-        report = CheckpointReport(directory=directory)
-        manifest = _validate_generation(newest, report)
-        if manifest.get("layout") == LAYOUT_SHARDED:
-            raise PersistenceError(
-                f"{newest!r} is a sharded checkpoint; open it with "
-                f"load_sharded_engine or load_any_engine"
-            )
-        if not report.ok:
-            raise CorruptCheckpointError(
-                f"checkpoint {newest!r} failed validation:\n"
-                + "\n".join(f"  {problem}" for problem in report.problems)
-            )
-        return _load_layout(
-            os.path.join(newest, META_NAME),
-            os.path.join(newest, PAGES_NAME),
-            expected_versions=SUPPORTED_FORMAT_VERSIONS,
-            pool_cls=pool_cls,
-        )
-    if _has_v1_layout(directory):
-        return _load_layout(
-            os.path.join(directory, META_NAME),
-            os.path.join(directory, PAGES_NAME),
-            expected_versions=(1,),
-            pool_cls=pool_cls,
-        )
-    raise PersistenceError(f"no saved database in {directory!r}")
-
-
 def _allocation_from_json(assignments: List[dict]) -> CubetreeAllocation:
     trees: List[TreeAssignment] = []
     for assignment in assignments:
@@ -786,312 +791,50 @@ def _allocation_from_json(assignments: List[dict]) -> CubetreeAllocation:
     return CubetreeAllocation(trees=trees)
 
 
-def _load_layout(
-    meta_path: str,
-    pages_path: str,
-    expected_versions: Tuple[int, ...],
-    pool_cls: Optional[Type] = None,
+def _shard_files(
+    gen_path: str, manifest: dict, meta: dict
+) -> List[Tuple[str, dict]]:
+    """``(page dump path, shard catalog)`` per shard of a generation.
+
+    The read-only adapter for single-tree generations written before
+    PR 23 lives here: their manifest has no ``layout`` key, their one
+    ``pages.bin`` sits directly in ``gen-<n>/``, and their ``meta.json``
+    carries the shard-catalog keys (``trees``, ``sizes``, ``disk``)
+    beside the global ones — so the generation directory *is* shard 0.
+    Nothing is rewritten; the next :func:`save_database` migrates it.
+    """
+    if manifest.get("layout") != LAYOUT_SHARDED:
+        return [(os.path.join(gen_path, PAGES_NAME), meta)]
+    parts: List[Tuple[str, dict]] = []
+    for index in range(int(meta["num_shards"])):
+        shard_path = os.path.join(gen_path, _shard_dir_name(index))
+        with open(os.path.join(shard_path, SHARD_META_NAME)) as handle:
+            parts.append(
+                (os.path.join(shard_path, PAGES_NAME), json.load(handle))
+            )
+    return parts
+
+
+def load_any_engine(
+    directory: str, pool_cls: Optional[Type] = None
 ) -> CubetreeEngine:
-    with open(meta_path) as handle:
-        meta = json.load(handle)
-    if meta.get("format_version") not in expected_versions:
-        raise PersistenceError(
-            f"unsupported format version {meta.get('format_version')!r} "
-            f"(expected one of {expected_versions})"
-        )
+    """Reopen a database saved by :func:`save_database`.
 
-    schema = _schema_from_json(meta["schema"])
-    hierarchies: Dict[str, Hierarchy] = {}
-    for item in meta["hierarchies"]:
-        dim = schema.dimension_of(item["fact_key"])
-        hierarchies[item["attribute"]] = Hierarchy.from_dimension(
-            dim, item["dim_attribute"]
-        )
-
-    expected_pages = int(meta["disk"]["next_page_id"])
-    actual_bytes = os.path.getsize(pages_path)
-    if actual_bytes != expected_pages * PAGE_SIZE:
-        raise PersistenceError(
-            f"page dump {pages_path!r} holds {actual_bytes} bytes; the "
-            f"catalog's allocator state needs exactly "
-            f"{expected_pages} pages ({expected_pages * PAGE_SIZE} bytes) "
-            f"— the checkpoint is torn"
-        )
-    disk = DiskManager.restore(pages_path, meta["disk"])
-    engine = CubetreeEngine(
-        schema,
-        hierarchies=hierarchies,
-        buffer_pages=int(meta.get("buffer_pages", 256)),
-        disk=disk,
-        pool_cls=pool_cls,
-    )
-    engine.base_views = [_view_from_json(v) for v in meta["base_views"]]
-    engine.replicas = {
-        str(replica): str(base)
-        for replica, base in meta["replicas"].items()
-    }
-
-    tree_states = meta["trees"]
-    assignments = meta["allocation"]
-    if len(tree_states) != len(assignments):
-        raise PersistenceError(
-            f"catalog mismatch: {len(assignments)} tree assignment(s) in "
-            f"the allocation but {len(tree_states)} saved tree state(s)"
-        )
-    allocation = _allocation_from_json(assignments)
-    forest = CubetreeForest(engine.pool, allocation)
-    try:
-        forest.restore_tree_states(tree_states)
-        forest.set_view_sizes(
-            {name: int(size) for name, size in meta["sizes"].items()}
-        )
-    except ValueError as exc:
-        raise PersistenceError(f"catalog mismatch: {exc}") from exc
-    engine.forest = forest
-    return engine
-
-
-# ----------------------------------------------------------------------
-# sharded databases (one manifest commits all shards atomically)
-# ----------------------------------------------------------------------
-def _build_sharded_meta(engine) -> dict:
-    """The global catalog of a sharded checkpoint (shared across shards)."""
-    forest = engine.forest
-    return {
-        "format_version": FORMAT_VERSION,
-        "layout": LAYOUT_SHARDED,
-        "num_shards": int(engine.num_shards),
-        "schema": _schema_to_json(engine.schema),
-        "hierarchies": sorted(
-            (
-                {
-                    "attribute": str(attr),
-                    "fact_key": str(source),
-                    "dim_attribute": str(hierarchy.attribute),
-                }
-                for attr, (hierarchy, source) in engine.hierarchies.items()
-            ),
-            key=lambda item: item["attribute"],
-        ),
-        "base_views": [_view_to_json(v) for v in engine.base_views],
-        "replicas": {
-            str(replica): str(base)
-            for replica, base in engine.replicas.items()
-        },
-        "allocation": [
-            {
-                "dims": int(assignment.dims),
-                "views": [_view_to_json(v) for v in assignment.views],
-            }
-            for assignment in forest.shards[0].forest.allocation.trees
-        ],
-        "sizes": {
-            str(name): int(size)
-            for name, size in forest.view_sizes().items()
-        },
-        "buffer_pages": int(engine.shards[0].pool.capacity),
-    }
-
-
-def _shard_meta(shard) -> dict:
-    """One shard's private catalog: tree states, sizes, allocator."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "shard": int(shard.index),
-        "trees": [_tree_state(tree) for tree in shard.forest.cubetrees],
-        "sizes": {
-            str(name): int(size)
-            for name, size in shard.forest.view_sizes().items()
-        },
-        "disk": {
-            "next_page_id": int(
-                shard.disk.allocation_state()["next_page_id"]
-            ),
-            "freed": [
-                int(p) for p in shard.disk.allocation_state()["freed"]
-            ],
-        },
-    }
-
-
-def save_sharded_engine(
-    engine,
-    directory: str,
-    crash_point: Optional[CrashPoint] = None,
-    retain: int = DEFAULT_RETAIN,
-    protect: Collection[int] = (),
-) -> str:
-    """Checkpoint a :class:`~repro.core.sharded.ShardedCubetreeEngine`.
-
-    Layout: ``gen-<n>/shard-XX/{pages.bin,pages.crc,shard.json}`` per
-    shard plus one top-level ``meta.json`` (global catalog) and ONE
-    ``MANIFEST.json`` listing every shard file — the single atomic
-    manifest rename commits all shards together, so a crash anywhere
-    mid-checkpoint leaves *every* shard on the previous generation (the
-    all-or-nothing property the serving layer's publish depends on).
-
-    ``crash_point`` defaults to the first armed per-shard disk hook (or
-    shard 0's); per-shard write sites hit it with contexts prefixed
-    ``shard <i> ``, while the commit-level sites keep the unsharded
-    context names, so the same crash matrix drives both layouts.
+    Recovery rule: the newest generation whose ``MANIFEST.json`` exists is
+    the database; generations without a manifest are crash debris and are
+    ignored.  Every file of the chosen generation is checksum-verified
+    before a single page is trusted — a torn or bit-flipped checkpoint
+    raises :class:`CorruptCheckpointError` instead of silently loading —
+    then each shard's disk, forest, and sizes are restored from its
+    files.  ``pool_cls`` is forwarded to the reopened engine's buffer
+    pools (the serving layer passes
+    :class:`~repro.storage.buffer.SharedBufferPool`).
     """
-    forest = engine.forest
-    if forest is None:
-        raise PersistenceError("engine has no materialized views to save")
-    if retain < 1:
-        raise ValueError("retain must be >= 1")
-    if crash_point is None:
-        for shard in engine.shards:
-            candidate = getattr(shard.disk, "crash_point", None)
-            if candidate is not None and getattr(candidate, "armed", False):
-                crash_point = candidate
-                break
-        else:
-            crash_point = getattr(engine.shards[0].disk, "crash_point", None)
-
-    os.makedirs(directory, exist_ok=True)
-    for shard in engine.shards:
-        shard.pool.flush_all()
-
-    generations = _list_generations(directory)
-    number = (generations[-1][0] + 1) if generations else 1
-    gen_path = os.path.join(directory, _generation_name(number))
-    os.makedirs(gen_path)
-
-    files: Dict[str, dict] = {}
-    shard_entries: List[dict] = []
-    total_pages = 0
-    for shard in engine.shards:
-        sub = _shard_dir_name(shard.index)
-        shard_path = os.path.join(gen_path, sub)
-        os.makedirs(shard_path)
-        shard_hook = (
-            _ShardCrashPoint(crash_point, shard.index)
-            if crash_point is not None
-            else None
-        )
-
-        # 1. the shard's page dump (one crash site per page)
-        pages_path = os.path.join(shard_path, PAGES_NAME)
-        shard.disk.dump_pages(pages_path, crash_point=shard_hook)
-
-        # 2. per-page checksums, read back from the dump just written
-        page_crcs = _page_checksums(pages_path)
-        crc_payload = b"".join(
-            crc.to_bytes(4, "little") for crc in page_crcs
-        )
-        _write_file(
-            os.path.join(shard_path, CHECKSUMS_NAME),
-            crc_payload,
-            shard_hook,
-            "checkpoint page checksums",
-        )
-
-        # 3. the shard catalog
-        shard_payload = _meta_bytes(_shard_meta(shard))
-        _write_file(
-            os.path.join(shard_path, SHARD_META_NAME),
-            shard_payload,
-            shard_hook,
-            "checkpoint catalog",
-        )
-
-        files[f"{sub}/{PAGES_NAME}"] = {
-            "bytes": os.path.getsize(pages_path),
-            "crc32": _file_crc(pages_path),
-        }
-        files[f"{sub}/{CHECKSUMS_NAME}"] = {
-            "bytes": len(crc_payload),
-            "crc32": zlib.crc32(crc_payload),
-        }
-        files[f"{sub}/{SHARD_META_NAME}"] = {
-            "bytes": len(shard_payload),
-            "crc32": zlib.crc32(shard_payload),
-        }
-        shard_entries.append({"dir": sub, "page_count": len(page_crcs)})
-        total_pages += len(page_crcs)
-
-    # 4. the global catalog
-    meta_payload = _meta_bytes(_build_sharded_meta(engine))
-    _write_file(
-        os.path.join(gen_path, META_NAME),
-        meta_payload,
-        crash_point,
-        "checkpoint catalog",
-    )
-    files[META_NAME] = {
-        "bytes": len(meta_payload),
-        "crc32": zlib.crc32(meta_payload),
-    }
-
-    # 5. the commit record: ONE manifest rename commits every shard
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "layout": LAYOUT_SHARDED,
-        "generation": number,
-        "num_shards": int(engine.num_shards),
-        "page_count": total_pages,
-        "shards": shard_entries,
-        "files": files,
-    }
-    manifest_tmp = os.path.join(gen_path, MANIFEST_NAME + ".tmp")
-    manifest_path = os.path.join(gen_path, MANIFEST_NAME)
-    _write_file(
-        manifest_tmp,
-        _meta_bytes(manifest),
-        crash_point,
-        "checkpoint manifest write",
-    )
-    _crash_hit(crash_point, "checkpoint manifest commit")
-    os.rename(manifest_tmp, manifest_path)
-    _fsync_dir(gen_path)
-    _fsync_dir(directory)
-
-    # 6. only now retire older generations (and stale partials)
-    _crash_hit(crash_point, "checkpoint prune")
-    _prune(directory, keep_newest=number, retain=retain, protect=protect)
-    return gen_path
-
-
-def save_database(
-    engine,
-    directory: str,
-    crash_point: Optional[CrashPoint] = None,
-    retain: int = DEFAULT_RETAIN,
-    protect: Collection[int] = (),
-) -> str:
-    """Checkpoint either engine flavor (layout picked by engine type)."""
-    from repro.core.sharded import ShardedCubetreeEngine
-
-    if isinstance(engine, ShardedCubetreeEngine):
-        return save_sharded_engine(
-            engine, directory,
-            crash_point=crash_point, retain=retain, protect=protect,
-        )
-    return save_engine(
-        engine, directory,
-        crash_point=crash_point, retain=retain, protect=protect,
-    )
-
-
-def load_sharded_engine(directory: str, pool_cls: Optional[Type] = None):
-    """Reopen a database saved by :func:`save_sharded_engine`.
-
-    Same recovery rule as :func:`load_engine` — newest manifest-complete
-    generation, every file checksum-verified first — then each shard's
-    disk, forest, and sizes are restored from its ``shard-XX/`` files.
-    """
-    from repro.core.sharded import ShardedCubetreeEngine, ShardedForest
-
     newest, _partials = _newest_committed(directory)
     if newest is None:
-        raise PersistenceError(f"no saved sharded database in {directory!r}")
+        raise _no_generation_error(directory)
     report = CheckpointReport(directory=directory)
     manifest = _validate_generation(newest, report)
-    if manifest.get("layout") != LAYOUT_SHARDED:
-        raise PersistenceError(
-            f"{newest!r} is not a sharded checkpoint; use load_engine"
-        )
     if not report.ok:
         raise CorruptCheckpointError(
             f"checkpoint {newest!r} failed validation:\n"
@@ -1114,30 +857,25 @@ def load_sharded_engine(directory: str, pool_cls: Optional[Type] = None):
             dim, item["dim_attribute"]
         )
 
-    num_shards = int(meta["num_shards"])
+    shard_files = _shard_files(newest, manifest, meta)
     disks: List[DiskManager] = []
-    shard_metas: List[dict] = []
-    for index in range(num_shards):
-        shard_path = os.path.join(newest, _shard_dir_name(index))
-        with open(os.path.join(shard_path, SHARD_META_NAME)) as handle:
-            smeta = json.load(handle)
-        pages_path = os.path.join(shard_path, PAGES_NAME)
-        expected_pages = int(smeta["disk"]["next_page_id"])
+    for pages_path, shard_meta in shard_files:
+        expected_pages = int(shard_meta["disk"]["next_page_id"])
         actual_bytes = os.path.getsize(pages_path)
         if actual_bytes != expected_pages * PAGE_SIZE:
             raise PersistenceError(
-                f"page dump {pages_path!r} holds {actual_bytes} bytes; "
-                f"the shard catalog's allocator state needs exactly "
-                f"{expected_pages} pages — the checkpoint is torn"
+                f"page dump {pages_path!r} holds {actual_bytes} bytes; the "
+                f"catalog's allocator state needs exactly "
+                f"{expected_pages} pages ({expected_pages * PAGE_SIZE} bytes) "
+                f"— the checkpoint is torn"
             )
-        disks.append(DiskManager.restore(pages_path, smeta["disk"]))
-        shard_metas.append(smeta)
+        disks.append(DiskManager.restore(pages_path, shard_meta["disk"]))
 
-    engine = ShardedCubetreeEngine(
+    engine = CubetreeEngine(
         schema,
         hierarchies=hierarchies,
         buffer_pages=int(meta.get("buffer_pages", 256)),
-        shards=num_shards,
+        shards=len(disks),
         disks=disks,
         pool_cls=pool_cls,
     )
@@ -1146,33 +884,16 @@ def load_sharded_engine(directory: str, pool_cls: Optional[Type] = None):
         str(replica): str(base)
         for replica, base in meta["replicas"].items()
     }
-    allocation = _allocation_from_json(meta["allocation"])
-    for shard, smeta in zip(engine.shards, shard_metas):
-        forest = CubetreeForest(shard.pool, allocation)
+    engine.forest = ShardedForest(
+        engine.shards, _allocation_from_json(meta["allocation"])
+    )
+    for shard, (_pages_path, shard_meta) in zip(engine.shards, shard_files):
+        forest = shard.require_forest()
         try:
-            forest.restore_tree_states(smeta["trees"])
+            forest.restore_tree_states(shard_meta["trees"])
             forest.set_view_sizes(
-                {name: int(size) for name, size in smeta["sizes"].items()}
+                {name: int(size) for name, size in shard_meta["sizes"].items()}
             )
         except ValueError as exc:
             raise PersistenceError(f"catalog mismatch: {exc}") from exc
-        shard.forest = forest
-    engine.forest = ShardedForest(engine.shards)
     return engine
-
-
-def load_any_engine(directory: str, pool_cls: Optional[Type] = None):
-    """Reopen a saved database of either layout.
-
-    Dispatches on the newest committed generation's manifest ``layout``
-    key: sharded checkpoints come back as
-    :class:`~repro.core.sharded.ShardedCubetreeEngine`, everything else
-    (v2 single-tree and v1 flat) as the classic
-    :class:`~repro.core.engine.CubetreeEngine`.  The serving layer opens
-    databases through this, so a sharded database serves transparently.
-    """
-    newest, _partials = _newest_committed(directory)
-    if newest is not None:
-        if _read_manifest(newest).get("layout") == LAYOUT_SHARDED:
-            return load_sharded_engine(directory, pool_cls=pool_cls)
-    return load_engine(directory, pool_cls=pool_cls)

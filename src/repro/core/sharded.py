@@ -1,39 +1,46 @@
-"""Sharded Cubetree forest: scatter-gather queries, per-shard merge-pack.
+"""The scatter-gather forest: N >= 1 residue shards behind one surface.
 
-The sharded engine partitions every materialized view by the residue of
-its *leading group coordinate* modulo ``N`` — the same first-coordinate
-split :class:`~repro.cube.parallel.ParallelCubeComputation` proved
+Every materialized view is partitioned by the residue of its *leading
+group coordinate* modulo ``N`` — the same first-coordinate split
+:class:`~repro.cube.parallel.ParallelCubeComputation` proved
 bit-identical under merge — so a group row lives in exactly one shard and
-no aggregate state is ever split.  Each shard is a fully independent
-Cubetree forest with its own :class:`~repro.storage.disk.DiskManager`,
-buffer pool, and (at checkpoint time) its own ``shard-XX/`` directory
-under one atomically committed generation manifest (see
-:func:`repro.core.persistence.save_sharded_engine`).
+no aggregate state is ever split.  Each :class:`Shard` is a fully
+independent :class:`~repro.core.forest.CubetreeForest` with its own
+:class:`~repro.storage.disk.DiskManager`, buffer pool, and (at checkpoint
+time) its own ``shard-XX/`` directory under one atomically committed
+generation manifest (see :func:`repro.core.persistence.save_database`).
 
-Queries run scatter-gather.  The router plans once against merged access
-paths; the binding on the routed view's leading coordinate prunes the
-shard set (a point restriction hits exactly one shard), each target shard
-executes the per-shard plan — including the packed-run fast path, whose
-extents are per-shard — and the partial match streams are k-way merged
-back into the exact serial packing order, so the float fold order of
+:class:`ShardedForest` is the forest the one engine
+(:class:`~repro.core.engine.CubetreeEngine`) and the batch executor
+(:func:`repro.query.batch.execute_batch`) talk to.  It presents the
+:class:`~repro.core.forest.CubetreeForest` surface — ``build`` /
+``update`` / ``access_paths`` / ``query_view`` / ``query_view_aggregate``
+/ ``query_view_group`` — and runs each call scatter-gather: the binding
+on the routed view's leading coordinate prunes the shard set (a point
+restriction hits exactly one shard), each target shard executes the
+per-shard plan, and partial match streams are k-way merged back into the
+exact serial packing order, so the float fold order of
 :func:`~repro.core.answer.finalize_matches` is preserved bit-for-bit.
 
-Bulk load and merge-pack prepare runs for every (shard, tree) pair in one
-``REPRO_WORKERS`` fan-out; the simulated-I/O model reports the
-*critical-path* shard (max over shards, counters still summed), so
-simulated milliseconds reflect the wall-clock parallelism of N disks.
+Aggregate pushdown (``query_view_aggregate``, ``fold=``) folds *inside* a
+shard only when the binding targets exactly one shard — always at
+``N = 1``, and on a point restriction of the leading coordinate at
+``N > 1``.  A slice that spans several shards is answered from the
+merged match stream instead: folding per shard and combining the partial
+states would reassociate the float additions and break bit-identity with
+the serial answer.
 
-``shards=1`` degenerates to today's engine: the same call sequence hits
-the same single pool, so rows, aggregate states, and simulated I/O are
-byte-identical to :class:`~repro.core.engine.CubetreeEngine`.
+``N = 1`` is not a special engine: the one shard receives every row, is
+the target of every binding, and the same call sequence reaches its one
+pool, so rows, aggregate states and simulated I/O are exactly those of a
+lone :class:`~repro.core.forest.CubetreeForest`.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
+from dataclasses import replace
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterator,
     List,
@@ -44,41 +51,24 @@ from typing import (
     Type,
 )
 
-from repro.constants import DEFAULT_BUFFER_PAGES
-from repro.core.answer import finalize_matches, split_bindings
-from repro.core.engine import _env_fast_scans
-from repro.core.extsort import build_memory_budget
-from repro.core.forest import CubetreeForest, _prepare_tree_runs
-from repro.core.mapping import select_mapping
-from repro.core.replication import permute_state_rows, replica_definition
-from repro.core.reports import LoadReport, PhaseReport, UpdateReport
-from repro.core.sorting import make_substrate_sorter
-from repro.cube.lattice import CubeLattice
-from repro.cube.parallel import ParallelCubeComputation
+from repro.core.cubetree import Cubetree, fold_reducers, split_states
+from repro.core.forest import CubetreeForest
+from repro.core.mapping import CubetreeAllocation
 from repro.errors import QueryError
-from repro.obs import get_registry, trace
-from repro.parallel import MIN_PARALLEL_ROWS, run_tasks, worker_count
-from repro.query.result import QueryResult
-from repro.query.router import AccessPath, QueryRouter
-from repro.query.slice import SliceQuery
+from repro.obs import get_registry
+from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import FoldAccumulator
 from repro.rtree.packing import sort_key
-from repro.storage.buffer import BufferPool, BufferStats
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.iomodel import IOStats
-from repro.warehouse.hierarchy import Hierarchy
-from repro.warehouse.star import StarSchema
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.query.batch import BatchResult
 
 Row = Tuple[object, ...]
 Match = Tuple[Tuple[int, ...], Tuple[float, ...]]
+States = Optional[Tuple[Tuple[float, ...], ...]]
 
-_REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
-_OBS_QUERIES = _REG.counter("query.sharded.count")
-_OBS_SHARDS_TOUCHED = _REG.counter("query.sharded.shards_touched")
-_OBS_BATCHES = _REG.counter("query.sharded.batches")
+_OBS_SHARDS_TOUCHED = get_registry().counter("query.cubetree.shards_touched")
 
 
 # ----------------------------------------------------------------------
@@ -97,8 +87,6 @@ def partition_state_rows(
     Arity-0 views (the apex) have no leading coordinate; their single
     row lives in shard 0 by convention.
     """
-    if num_shards == 1:
-        return [list(rows)]
     parts: List[List[Row]] = [[] for _ in range(num_shards)]
     if view.arity == 0:
         parts[0] = list(rows)
@@ -179,27 +167,46 @@ class Shard:
             raise QueryError(f"shard {self.index} has no forest yet")
         return self.forest
 
+    def routed(self, slices: int = 1) -> CubetreeForest:
+        """Count ``slices`` executions on this shard; return its forest."""
+        self.routed_queries += slices
+        _OBS_SHARDS_TOUCHED.value += slices
+        return self.require_forest()
+
 
 class ShardedForest:
-    """The scatter-gather facade over N per-shard Cubetree forests.
+    """The Cubetree forest of a database: N per-shard forests, one surface.
 
-    Presents the exact query surface :func:`repro.query.batch.execute_batch`
-    and the engine use on a :class:`~repro.core.forest.CubetreeForest` —
-    ``access_paths``/``view_definition``/``has_run``/``query_view``/
-    ``query_view_group`` — while fanning executions across shards and
-    merging the partial match streams back into global packing order.
+    Constructing it gives every shard an empty
+    :class:`~repro.core.forest.CubetreeForest` over the same allocation
+    (the view -> tree mapping is global; only the rows are partitioned).
     """
 
-    def __init__(self, shards: Sequence[Shard]) -> None:
+    def __init__(
+        self, shards: Sequence[Shard], allocation: CubetreeAllocation
+    ) -> None:
         if not shards:
             raise ValueError("a sharded forest needs at least one shard")
         self.shards = list(shards)
+        self.allocation = allocation
+        for shard in self.shards:
+            shard.forest = CubetreeForest(shard.pool, allocation)
         self._paths: Optional[List[AccessPath]] = None
 
     # -- catalog delegation (identical across shards) -------------------
     @property
-    def num_shards(self) -> int:
-        return len(self.shards)
+    def num_trees(self) -> int:
+        """Cubetrees per shard (the allocation's tree count)."""
+        return len(self.allocation.trees)
+
+    @property
+    def cubetrees(self) -> List[Cubetree]:
+        """Every shard's Cubetrees, in (shard, tree) order."""
+        return [
+            tree
+            for shard in self.shards
+            for tree in shard.require_forest().cubetrees
+        ]
 
     def view_names(self) -> List[str]:
         return self.shards[0].require_forest().view_names()
@@ -207,12 +214,56 @@ class ShardedForest:
     def view_definition(self, view_name: str) -> ViewDefinition:
         return self.shards[0].require_forest().view_definition(view_name)
 
-    def tree_dims(self, view_name: str) -> int:
-        return self.shards[0].require_forest().tree_dims(view_name)
-
-    def invalidate(self) -> None:
-        """Drop cached routing paths after a build/update."""
+    # -- loading --------------------------------------------------------
+    def build(
+        self, data: Mapping[str, Sequence[Row]], workers: int = 1
+    ) -> None:
+        """Residue-split the view data and bulk-load every shard."""
+        parts = self._partition(data, keep_empty=True)
+        for shard, part in zip(self.shards, parts):
+            shard.require_forest().build(part, workers=workers)
         self._paths = None
+
+    def update(
+        self, deltas: Mapping[str, Sequence[Row]], workers: int = 1
+    ) -> None:
+        """Residue-split the deltas and merge-pack every touched shard.
+
+        A shard whose residue class received no delta rows is left
+        untouched: no merge-pack, no I/O, its cached sizes stay valid.
+        """
+        parts = self._partition(deltas, keep_empty=False)
+        for shard, part in zip(self.shards, parts):
+            if part:
+                shard.require_forest().update(part, workers=workers)
+        self._paths = None
+
+    def _partition(
+        self, data: Mapping[str, Sequence[Row]], keep_empty: bool
+    ) -> List[Dict[str, Sequence[Row]]]:
+        """One data mapping per shard.
+
+        ``keep_empty`` keeps zero-row views in each shard's mapping (the
+        bulk load requires data for every view); updates drop them so a
+        shard tree with no deltas skips merge-pack entirely.  One shard
+        receives every view as given, empty ones included.
+        """
+        if len(self.shards) == 1:
+            return [dict(data)]
+        per_shard: List[Dict[str, Sequence[Row]]] = [{} for _ in self.shards]
+        for name, rows in data.items():
+            parts = partition_state_rows(
+                self.view_definition(name), rows, len(self.shards)
+            )
+            for index, part in enumerate(parts):
+                if part or keep_empty:
+                    per_shard[index][name] = part
+        return per_shard
+
+    def flush(self) -> None:
+        """Write every shard pool's dirty pages to its disk."""
+        for shard in self.shards:
+            shard.pool.flush_all()
 
     # -- shard pruning --------------------------------------------------
     def target_shards(
@@ -220,7 +271,7 @@ class ShardedForest:
     ) -> List[Shard]:
         """Shards whose residue can match the leading-coordinate binding."""
         if len(self.shards) == 1:
-            return [self.shards[0]]
+            return self.shards
         view = self.view_definition(view_name)
         if view.arity == 0:
             return [self.shards[0]]
@@ -229,6 +280,15 @@ class ShardedForest:
             self.shards[index]
             for index in shard_targets(len(self.shards), bound)
         ]
+
+    def _merge(
+        self, view_name: str, streams: Sequence[Sequence[Match]]
+    ) -> Iterator[Match]:
+        """K-way merge of per-shard partials into global packing order."""
+        dims = self.shards[0].require_forest().tree_dims(view_name)
+        return heapq.merge(
+            *streams, key=lambda match: sort_key(match[0], dims)
+        )
 
     # -- scatter-gather execution ---------------------------------------
     def query_view(
@@ -239,79 +299,97 @@ class ShardedForest:
     ) -> Iterator[Match]:
         """Slice one view across its target shards.
 
-        A single target returns that shard's stream untouched (the N=1
-        and point-restriction cases — byte-identical to the unsharded
-        engine).  Multiple targets k-way merge on the packing sort key,
-        reproducing the exact order a single tree would have yielded, so
-        downstream float folds are bit-identical.
+        A single target returns that shard's stream untouched (``N = 1``
+        and point restrictions).  Several targets k-way merge on the
+        packing sort key, reproducing the exact order a single tree would
+        have yielded, so downstream float folds are bit-identical.
+        """
+        streams = [
+            shard.routed().query_view(view_name, bindings, fast=fast)
+            for shard in self.target_shards(view_name, bindings)
+        ]
+        if len(streams) == 1:
+            return streams[0]
+        return self._merge(view_name, streams)
+
+    def query_view_aggregate(
+        self, view_name: str, bindings: Mapping[str, object]
+    ) -> States:
+        """Fold one slice into combined per-aggregate states.
+
+        One target shard with a leaf-run extent folds in place
+        (:meth:`CubetreeForest.query_view_aggregate`).  Otherwise the
+        merged match stream is folded here in packing order — the same
+        left fold, so the states are bit-identical either way.
         """
         targets = self.target_shards(view_name, bindings)
-        for shard in targets:
-            shard.routed_queries += 1
-        if not targets:
-            return iter(())
-        if len(targets) == 1:
-            return targets[0].require_forest().query_view(
-                view_name, bindings, fast=fast
+        if len(targets) == 1 and targets[0].require_forest().has_run(
+            view_name
+        ):
+            return targets[0].routed().query_view_aggregate(
+                view_name, bindings
             )
-        dims = self.tree_dims(view_name)
-        streams = [
-            shard.require_forest().query_view(view_name, bindings, fast=fast)
-            for shard in targets
-        ]
-        return heapq.merge(
-            *streams, key=lambda match: sort_key(match[0], dims)
-        )
+        view = self.view_definition(view_name)
+        acc = FoldAccumulator(fold_reducers(view))
+        for _coords, values in self.query_view(
+            view_name, bindings, fast=True
+        ):
+            acc.add(values)
+        return split_states(view, acc)
 
     def query_view_group(
         self,
         view_name: str,
         bindings_list: Sequence[Mapping[str, object]],
-    ) -> List[List[Match]]:
+        fold: Optional[Sequence[bool]] = None,
+    ) -> List[object]:
         """Answer several slices of one view, one shared pass per shard.
 
         Every shard runs a single grouped run pass over only the bindings
         whose residue can land in it; each binding's per-shard partials
         are then merged in packing order.  One shard per binding (the
-        common point-restriction batch) skips the merge entirely.
+        common point-restriction batch) skips the merge, and only such a
+        binding honours its ``fold`` flag (see the module docstring): its
+        entry comes back as a :class:`~repro.core.cubetree.FoldedSlice`,
+        every other entry as a match list.
         """
-        results: List[List[Match]] = [[] for _ in bindings_list]
-        if not bindings_list:
-            return results
+        targets = [
+            self.target_shards(view_name, bindings)
+            for bindings in bindings_list
+        ]
         per_shard: List[List[int]] = [[] for _ in self.shards]
-        for position, bindings in enumerate(bindings_list):
-            for shard in self.target_shards(view_name, bindings):
+        for position, shards in enumerate(targets):
+            for shard in shards:
                 per_shard[shard.index].append(position)
-        partials: List[List[List[Match]]] = [[] for _ in bindings_list]
-        for shard in self.shards:
-            positions = per_shard[shard.index]
+        partials: List[List[object]] = [[] for _ in bindings_list]
+        for shard, positions in zip(self.shards, per_shard):
             if not positions:
                 continue
-            shard.routed_queries += len(positions)
-            forest = shard.require_forest()
+            forest = shard.routed(len(positions))
             subset = [bindings_list[i] for i in positions]
             if forest.has_run(view_name):
-                match_lists = forest.query_view_group(view_name, subset)
+                folds = [
+                    fold is not None and fold[i] and len(targets[i]) == 1
+                    for i in positions
+                ]
+                answers = forest.query_view_group(
+                    view_name, subset, fold=folds if any(folds) else None
+                )
             else:
                 # No extent on this shard (dynamic build): per-binding
                 # classic descent, still in packing order.
-                match_lists = [
+                answers = [
                     list(forest.query_view(view_name, bindings, fast=False))
                     for bindings in subset
                 ]
-            for position, matches in zip(positions, match_lists):
-                partials[position].append(matches)
-        dims = self.tree_dims(view_name)
-        for position, streams in enumerate(partials):
+            for position, answer in zip(positions, answers):
+                partials[position].append(answer)
+        results: List[object] = []
+        for streams in partials:
             if len(streams) == 1:
-                results[position] = streams[0]
-            elif streams:
-                results[position] = list(
-                    heapq.merge(
-                        *streams,
-                        key=lambda match: sort_key(match[0], dims),
-                    )
-                )
+                results.append(streams[0])
+            else:
+                results.append(list(self._merge(view_name, streams)))
         return results
 
     def has_run(self, view_name: str) -> bool:
@@ -337,31 +415,23 @@ class ShardedForest:
         decision's leading-coordinate binding.
         """
         if self._paths is None:
-            from repro.rtree.node import leaf_capacity
-
-            sizes = self.view_sizes()
-            paths = []
-            for name in self.view_names():
-                view = self.view_definition(name)
-                order = tuple(reversed(view.group_by))
-                run_counts = [
-                    shard.require_forest().run_leaf_count(name)
-                    for shard in self.shards
+            per_shard = [
+                shard.require_forest().access_paths() for shard in self.shards
+            ]
+            self._paths = []
+            for group in zip(*per_shard):  # one view's path on every shard
+                runs = [
+                    path.run_leaves
+                    for path in group
+                    if path.run_leaves is not None
                 ]
-                known = [count for count in run_counts if count is not None]
-                paths.append(
-                    AccessPath(
-                        view,
-                        float(sizes[name]),
-                        (order,),
-                        rows_per_page=leaf_capacity(
-                            view.arity, view.total_state_width
-                        ),
-                        clustered=order,
-                        run_leaves=sum(known) if known else None,
+                self._paths.append(
+                    replace(
+                        group[0],
+                        size=sum(path.size for path in group),
+                        run_leaves=sum(runs) if runs else None,
                     )
                 )
-            self._paths = paths
         return self._paths
 
     # -- statistics -----------------------------------------------------
@@ -378,430 +448,3 @@ class ShardedForest:
         return sum(
             shard.require_forest().num_pages for shard in self.shards
         )
-
-    def leaf_utilization(self) -> float:
-        utils = [
-            shard.require_forest().leaf_utilization()
-            for shard in self.shards
-            if shard.forest is not None and shard.forest.num_pages
-        ]
-        return sum(utils) / len(utils) if utils else 0.0
-
-
-# ----------------------------------------------------------------------
-# the engine
-# ----------------------------------------------------------------------
-class ShardedCubetreeEngine:
-    """N independent Cubetree shards behind one engine surface.
-
-    Mirrors :class:`~repro.core.engine.CubetreeEngine`'s lifecycle
-    (materialize / query / query_batch / update / checkpoint) and report
-    shapes; ``shards=1`` is byte-identical to it.  ``disks`` lets
-    checkpoint recovery hand back restored per-shard disks.
-    """
-
-    def __init__(
-        self,
-        schema: StarSchema,
-        hierarchies: Optional[Mapping[str, Hierarchy]] = None,
-        buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        sort_chunk_rows: int = 100_000,
-        shards: int = 1,
-        workers: Optional[int] = None,
-        fast_scans: Optional[bool] = None,
-        pool_cls: Optional[Type[BufferPool]] = None,
-        disks: Optional[Sequence[DiskManager]] = None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if disks is not None and len(disks) != shards:
-            raise ValueError(
-                f"{len(disks)} restored disk(s) for {shards} shard(s)"
-            )
-        self.schema = schema
-        self.num_shards = shards
-        self.buffer_pages = buffer_pages
-        self.fast_scans = (
-            _env_fast_scans() if fast_scans is None else fast_scans
-        )
-        self.shards = [
-            Shard(
-                index,
-                buffer_pages,
-                pool_cls=pool_cls,
-                disk=disks[index] if disks is not None else None,
-            )
-            for index in range(shards)
-        ]
-        self.workers = worker_count() if workers is None else max(1, workers)
-        # Substrate sort spills (rare at bench scales) charge shard 0:
-        # the cube computation is global, and with one shard this is
-        # exactly the unsharded engine's pool.
-        self.computation = ParallelCubeComputation(
-            schema,
-            hierarchies,
-            sorter=make_substrate_sorter(
-                self.shards[0].pool, sort_chunk_rows
-            ),
-            workers=self.workers,
-            serial_row_threshold=sort_chunk_rows,
-        )
-        self.hierarchies: Dict[str, Tuple[Hierarchy, str]] = {}
-        for attr, hierarchy in (hierarchies or {}).items():
-            source = self.computation._source_key(hierarchy)
-            self.hierarchies[attr] = (hierarchy, source)
-        self.lattice = CubeLattice(
-            schema.fact_keys,
-            {attr: source for attr, (_h, source) in self.hierarchies.items()},
-        )
-        self.router = QueryRouter(
-            self.lattice,
-            {
-                attr: float(schema.distinct_count(attr))
-                for attr in schema.groupable_attributes()
-            },
-            fast_scans=self.fast_scans,
-        )
-        self.forest: Optional[ShardedForest] = None
-        self.base_views: List[ViewDefinition] = []
-        self.replicas: Dict[str, str] = {}  # replica name -> base name
-
-    # ------------------------------------------------------------------
-    # I/O accounting (critical-path convention)
-    # ------------------------------------------------------------------
-    def io_snapshot(self) -> List[IOStats]:
-        """Per-shard cost-model snapshots (pass to :meth:`io_delta`)."""
-        return [shard.disk.cost_model.snapshot() for shard in self.shards]
-
-    def io_delta(self, snapshots: Sequence[IOStats]) -> IOStats:
-        """Combined delta since a snapshot: summed counters, max ms."""
-        return combine_io(
-            [
-                shard.disk.cost_model.stats - before
-                for shard, before in zip(self.shards, snapshots)
-            ]
-        )
-
-    def io_totals(self) -> IOStats:
-        """Lifetime combined stats (critical-path milliseconds)."""
-        return combine_io(
-            [shard.disk.cost_model.stats for shard in self.shards]
-        )
-
-    def buffer_totals(self) -> BufferStats:
-        """Summed lifetime buffer-pool stats across shards."""
-        total = BufferStats()
-        for shard in self.shards:
-            stats = shard.pool.stats
-            total.hits += stats.hits
-            total.misses += stats.misses
-            total.evictions += stats.evictions
-            total.new_pages += stats.new_pages
-            total.unpins += stats.unpins
-            total.scan_admissions += stats.scan_admissions
-            total.promotions += stats.promotions
-            total.readahead_pages += stats.readahead_pages
-        return total
-
-    # ------------------------------------------------------------------
-    # loading
-    # ------------------------------------------------------------------
-    def materialize(
-        self,
-        views: Sequence[ViewDefinition],
-        fact_rows: Sequence[Row],
-        replicate: Optional[Mapping[str, Sequence[Sequence[str]]]] = None,
-    ) -> LoadReport:
-        """Compute the views once, partition, and bulk-load every shard."""
-        wall_start = time.perf_counter()
-        snapshots = self.io_snapshot()
-
-        with trace(
-            "engine.materialize", views=len(views), shards=self.num_shards
-        ):
-            self.base_views = list(views)
-            data = self.computation.execute(fact_rows, self.base_views)
-
-            all_views = list(self.base_views)
-            by_name = {view.name: view for view in self.base_views}
-            self.replicas = {}
-            for base_name, orders in (replicate or {}).items():
-                base = by_name[base_name]
-                for order in orders:
-                    replica = replica_definition(base, order)
-                    all_views.append(replica)
-                    self.replicas[replica.name] = base_name
-                    data[replica.name] = list(
-                        permute_state_rows(base, data[base_name], order)
-                    )
-
-            allocation = select_mapping(all_views)
-            views_by_name = {view.name: view for view in all_views}
-            per_shard = self._partition(views_by_name, data, keep_empty=True)
-            for shard in self.shards:
-                shard.forest = CubetreeForest(shard.pool, allocation)
-            self.forest = ShardedForest(self.shards)
-            self._apply(per_shard, update=False)
-            for shard in self.shards:
-                shard.pool.flush_all()
-
-        report = LoadReport()
-        report.phases["views"] = PhaseReport(
-            io=self.io_delta(snapshots),
-            wall_ms=(time.perf_counter() - wall_start) * 1000.0,
-        )
-        report.view_rows = sum(len(rows) for rows in data.values())
-        report.pages = self.forest.num_pages
-        report.bytes_on_disk = self.storage_bytes()
-        return report
-
-    def _partition(
-        self,
-        views_by_name: Mapping[str, ViewDefinition],
-        data: Mapping[str, Sequence[Row]],
-        keep_empty: bool,
-    ) -> List[Dict[str, Sequence[Row]]]:
-        """Residue-split every view's rows; one data mapping per shard.
-
-        ``keep_empty`` keeps zero-row views in each shard's mapping (the
-        bulk load requires data for every view); updates drop them so a
-        shard with no deltas skips merge-pack entirely.
-        """
-        if self.num_shards == 1:
-            return [dict(data)]
-        per_shard: List[Dict[str, Sequence[Row]]] = [
-            {} for _ in range(self.num_shards)
-        ]
-        for name, rows in data.items():
-            parts = partition_state_rows(
-                views_by_name[name], rows, self.num_shards
-            )
-            for index, part in enumerate(parts):
-                if part or keep_empty:
-                    per_shard[index][name] = part
-        return per_shard
-
-    def _apply(
-        self, per_shard: Sequence[Mapping[str, Sequence[Row]]], update: bool
-    ) -> None:
-        """Build or merge-pack every shard, one combined worker fan-out.
-
-        Run preparation (pure CPU) parallelizes across every touched
-        (shard, tree) pair under the same gate as
-        :meth:`CubetreeForest.build`; the packs — everything that charges
-        simulated I/O — run serially in (shard, tree) order, so the per-
-        shard I/O traces are deterministic and, at N=1, identical to the
-        unsharded forest's.
-        """
-        tasks = []
-        total_rows = 0
-        for shard, data in zip(self.shards, per_shard):
-            forest = shard.require_forest()
-            if update:
-                trees = [
-                    tree
-                    for tree in forest.cubetrees
-                    if any(view.name in data for view in tree.views)
-                ]
-            else:
-                missing = set(forest._view_tree) - set(data)
-                if missing:
-                    raise QueryError(
-                        f"no data for views {sorted(missing)}"
-                    )
-                trees = list(forest.cubetrees)
-            total_rows += forest._total_rows(data)
-            for tree in trees:
-                tasks.append(
-                    (shard, tree, CubetreeForest._prep_payload(tree, data))
-                )
-        if (
-            self.workers > 1
-            and len(tasks) > 1
-            and total_rows >= MIN_PARALLEL_ROWS
-            # A build-memory budget forces the serial streaming path:
-            # worker-side run prep would materialize full sorted runs.
-            and build_memory_budget() is None
-        ):
-            runs_per_tree = run_tasks(
-                _prepare_tree_runs,
-                [payload for _shard, _tree, payload in tasks],
-                self.workers,
-            )
-            for (_shard, tree, _payload), runs in zip(tasks, runs_per_tree):
-                if update:
-                    tree.update_from_runs(runs)
-                else:
-                    tree.build_from_runs(runs)
-        else:
-            for _shard, tree, payload in tasks:
-                _dims, _views, relevant = payload
-                if update:
-                    tree.update(relevant)
-                else:
-                    tree.build(relevant)
-        for shard, data in zip(self.shards, per_shard):
-            forest = shard.require_forest()
-            if not update:
-                forest.adopt_sizes(data)
-            elif data:
-                forest.invalidate_stats()
-        if self.forest is not None:
-            self.forest.invalidate()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def query(
-        self, query: SliceQuery, fast: Optional[bool] = None
-    ) -> QueryResult:
-        """Answer one slice query scatter-gather (see module docstring)."""
-        forest = self._require_forest()
-        use_fast = self.fast_scans if fast is None else fast
-        if use_fast:
-            forest.protect_index_pages()
-        wall_start = time.perf_counter()
-        snapshots = self.io_snapshot()
-
-        decision = self.router.route(
-            query, forest.access_paths(), fast_scans=use_fast
-        )
-        view = decision.path.view
-        direct, residual = split_bindings(view, query, self.hierarchies)
-        touched = len(forest.target_shards(view.name, direct))
-        matches = forest.query_view(view.name, direct, fast=decision.use_run)
-        rows = finalize_matches(
-            matches, view, query, self.hierarchies, residual
-        )
-        io = self.io_delta(snapshots)
-        wall_ms = (time.perf_counter() - wall_start) * 1000.0
-        _OBS_QUERIES.value += 1
-        _OBS_SHARDS_TOUCHED.value += touched
-        return QueryResult(
-            rows=rows,
-            io=io,
-            wall_ms=wall_ms,
-            plan=decision.describe(),
-        )
-
-    def query_batch(self, queries: Sequence[SliceQuery]) -> "BatchResult":
-        """Answer a batch, fanning each coalesced group across shards."""
-        from repro.query.batch import execute_batch
-
-        forest = self._require_forest()
-        forest.protect_index_pages()
-        wall_start = time.perf_counter()
-        snapshots = self.io_snapshot()
-
-        with trace(
-            "engine.query_batch",
-            queries=len(queries),
-            shards=self.num_shards,
-        ):
-            batch = execute_batch(
-                self.router, forest, self.hierarchies, queries
-            )
-        batch.io = self.io_delta(snapshots)
-        batch.wall_ms = (time.perf_counter() - wall_start) * 1000.0
-        _OBS_BATCHES.value += 1
-        _OBS_QUERIES.value += len(queries)
-        return batch
-
-    # ------------------------------------------------------------------
-    # bulk-incremental updates
-    # ------------------------------------------------------------------
-    def update(self, fact_delta: Sequence[Row]) -> UpdateReport:
-        """Merge-pack a warehouse increment into every touched shard."""
-        forest = self._require_forest()
-        wall_start = time.perf_counter()
-        snapshots = self.io_snapshot()
-
-        with trace(
-            "engine.update", rows=len(fact_delta), shards=self.num_shards
-        ):
-            deltas = self.computation.execute(fact_delta, self.base_views)
-            by_name = {view.name: view for view in self.base_views}
-            views_by_name = dict(by_name)
-            for replica_name, base_name in self.replicas.items():
-                replica = forest.view_definition(replica_name)
-                views_by_name[replica_name] = replica
-                deltas[replica_name] = list(
-                    permute_state_rows(
-                        by_name[base_name], deltas[base_name],
-                        replica.group_by,
-                    )
-                )
-            per_shard = self._partition(
-                views_by_name, deltas, keep_empty=False
-            )
-            self._apply(per_shard, update=True)
-            for shard in self.shards:
-                shard.pool.flush_all()
-
-        return UpdateReport(
-            method="cubetree merge-pack",
-            io=self.io_delta(snapshots),
-            wall_ms=(time.perf_counter() - wall_start) * 1000.0,
-            rows_applied=sum(len(rows) for rows in deltas.values()),
-        )
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def checkpoint(self, directory: str, retain: int = 2) -> str:
-        """Write one atomically committed multi-shard generation."""
-        from repro.core.persistence import save_sharded_engine
-
-        return save_sharded_engine(self, directory, retain=retain)
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def view_sizes(self) -> Dict[str, int]:
-        """Global tuple count per materialized view."""
-        return self._require_forest().view_sizes()
-
-    def storage_pages(self) -> int:
-        """Total pages owned across every shard."""
-        return self._require_forest().num_pages
-
-    def storage_bytes(self) -> int:
-        """Total bytes on disk (pages * PAGE_SIZE, all shards)."""
-        from repro.constants import PAGE_SIZE
-
-        return self.storage_pages() * PAGE_SIZE
-
-    def shard_stats(self) -> List[Dict[str, object]]:
-        """Per-shard observability: pages, I/O, hit rates, routed queries."""
-        records: List[Dict[str, object]] = []
-        for shard in self.shards:
-            io = shard.disk.cost_model.stats
-            buf = shard.pool.stats
-            records.append(
-                {
-                    "shard": shard.index,
-                    "pages": (
-                        shard.forest.num_pages
-                        if shard.forest is not None
-                        else 0
-                    ),
-                    "rows": (
-                        sum(shard.forest.view_sizes().values())
-                        if shard.forest is not None
-                        else 0
-                    ),
-                    "simulated_ms": io.simulated_ms,
-                    "reads": io.reads,
-                    "writes": io.writes,
-                    "buffer_hit_ratio": (
-                        buf.hit_ratio if buf.accesses > 0 else None
-                    ),
-                    "routed_queries": shard.routed_queries,
-                }
-            )
-        return records
-
-    def _require_forest(self) -> ShardedForest:
-        if self.forest is None:
-            raise QueryError("engine has no materialized views yet")
-        return self.forest

@@ -5,16 +5,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conventional import ConventionalEngine
 from repro.core.engine import CubetreeEngine
 from repro.core.reports import LoadReport
 from repro.relational.view import ViewDefinition
 from repro.warehouse.tpcd import TPCDGenerator, WarehouseData
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.sharded import ShardedCubetreeEngine
 
 #: The paper's selected view set V (Sec. 3, from GHRU 1-greedy).
 PAPER_VIEW_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
@@ -101,36 +98,12 @@ def build_cubetree_engine(
     config: ExperimentConfig,
     data: WarehouseData,
     replicate: bool = True,
-) -> Tuple[CubetreeEngine, LoadReport]:
-    """Build + load the Cubetree configuration (with replicas)."""
-    engine = CubetreeEngine(
-        data.schema,
-        buffer_pages=config.buffer_pages,
-        sort_chunk_rows=config.sort_chunk_rows,
-    )
-    report = engine.materialize(
-        paper_views(),
-        data.facts,
-        replicate=paper_replicas() if replicate else None,
-    )
-    return engine, report
-
-
-def build_sharded_engine(
-    config: ExperimentConfig,
-    data: WarehouseData,
-    shards: int,
-    replicate: bool = True,
+    shards: int = 1,
     workers: Optional[int] = None,
-) -> Tuple["ShardedCubetreeEngine", LoadReport]:
-    """Build + load the sharded Cubetree configuration.
-
-    At ``shards=1`` this is byte-identical to
-    :func:`build_cubetree_engine` (same call sequence through one pool).
-    """
-    from repro.core.sharded import ShardedCubetreeEngine
-
-    engine = ShardedCubetreeEngine(
+) -> Tuple[CubetreeEngine, LoadReport]:
+    """Build + load the Cubetree configuration (with replicas),
+    partitioned into ``shards`` residue shards (default: one)."""
+    engine = CubetreeEngine(
         data.schema,
         buffer_pages=config.buffer_pages,
         sort_chunk_rows=config.sort_chunk_rows,

@@ -272,8 +272,8 @@ def _absolute_phase(name: str, pool, wall_ms: float = 0.0) -> Dict[str, object]:
 
 def _stats_phase(name: str, io, buf, wall_ms: float = 0.0) -> Dict[str, object]:
     """A phase record from explicit IOStats/BufferStats (absolute or
-    delta) — the sharded engine reports critical-path combined stats
-    rather than a single pool's counters."""
+    delta) — an engine with several shards reports critical-path
+    combined stats rather than a single pool's counters."""
     return {
         "name": name,
         "simulated_ms": io.simulated_ms,
@@ -690,7 +690,7 @@ def _suite_serving(scale: float, seed: int, queries: int) -> Dict[str, object]:
 
 
 def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
-    """Sharded forest vs. unsharded: load, merge-pack, point queries.
+    """Four shards vs. one: load, merge-pack, point queries.
 
     The same warehouse is loaded at N=1 and N=4 shards.  Sharded phases
     charge the *critical-path* shard (max over per-shard deltas), so the
@@ -703,7 +703,7 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
     wall-clock rides along report-only as everywhere else.
     """
     from repro.experiments.common import (
-        build_sharded_engine,
+        build_cubetree_engine,
         build_warehouse,
     )
     from repro.query.slice import SliceQuery
@@ -725,7 +725,7 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
     for num_shards in (1, 4):
         tag = f"n{num_shards}"
         wall_start = time.perf_counter()
-        engine, _ = build_sharded_engine(config, data, shards=num_shards)
+        engine, _ = build_cubetree_engine(config, data, shards=num_shards)
         load_io = engine.io_totals()
         run.phases.append(
             _stats_phase(

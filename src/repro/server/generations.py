@@ -2,11 +2,10 @@
 
 The MVCC heart of the server.  A :class:`GenerationHandle` wraps one
 *committed* checkpoint generation — its number, its ``gen-<n>/``
-directory, and an engine (:class:`~repro.core.engine.CubetreeEngine` or
-:class:`~repro.core.sharded.ShardedCubetreeEngine`, whichever the
-checkpoint's layout names) reopened from it that is never mutated again
-— plus a pin count.  Readers pin the
-current handle for the duration of a query; a publish installs a new
+directory, and a :class:`~repro.core.engine.CubetreeEngine` (with as
+many shards as the generation has ``shard-XX/`` directories) reopened
+from it that is never mutated again — plus a pin count.  Readers pin
+the current handle for the duration of a query; a publish installs a new
 handle without touching pinned ones; a generation's files are pruned
 only once its pin count has dropped to zero *and* it has been
 superseded.  The result is snapshot isolation by construction: every
@@ -74,7 +73,7 @@ class GenerationHandle:
 class GenerationManager:
     """Owns the live generations of one serving database directory.
 
-    ``retain`` mirrors :func:`repro.core.persistence.save_engine`'s
+    ``retain`` mirrors :func:`repro.core.persistence.save_database`'s
     retention: that many newest committed generations keep their files
     even when unpinned (fast restarts, corruption headroom).  Pinned
     generations additionally always keep their files, however old.

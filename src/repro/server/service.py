@@ -388,7 +388,7 @@ class CubetreeServer:
     @staticmethod
     def _generation_number(gen_path: str) -> int:
         match = _GEN_DIR_RE.search(os.path.basename(gen_path))
-        if match is None:  # pragma: no cover - save_engine names these
+        if match is None:  # pragma: no cover - save_database names these
             raise ServerError(f"unrecognized generation path {gen_path!r}")
         return int(match.group(1))
 
@@ -407,22 +407,20 @@ class CubetreeServer:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def shard_stats(self) -> Optional[List[Dict[str, object]]]:
+    def shard_stats(self) -> List[Dict[str, object]]:
         """Per-shard statistics of the serving generation's engine.
 
-        ``None`` when the database is unsharded (or not serving); the
-        sharded engine reports pages, rows, simulated I/O, buffer hit
-        rates, and routed-query counts per shard so scatter-gather skew
-        is observable at ``GET /stats``.
+        One entry per shard (one for the default one-shard database, none
+        when not serving): pages, rows, simulated I/O, buffer hit rates,
+        and routed-query counts, so scatter-gather skew is observable at
+        ``GET /stats``.
         """
         try:
             stats = self.manager.run_pinned(
                 lambda handle: handle.engine.shard_stats()
-                if hasattr(handle.engine, "shard_stats")
-                else None
             )
         except ReproError:
-            return None
+            return []
         return stats  # type: ignore[return-value]
 
     def stats(self) -> Dict[str, object]:
@@ -497,9 +495,9 @@ def bootstrap_database(
     When the directory already has one, it is left untouched.  Otherwise
     the paper's configuration (views + replicas) is built at ``scale``
     from the deterministic TPC-D generator and checkpointed as
-    generation 1.  With ``shards > 1`` the database is built sharded
-    (residue mod N on the leading group coordinate); refresh cycles
-    keep the layout they find on disk.
+    generation 1, partitioned into ``shards`` residue shards (mod N on
+    the leading group coordinate); refresh cycles keep the shard count
+    they find on disk.
     """
     existing = newest_committed_number(directory)
     if existing is not None:
@@ -507,20 +505,14 @@ def bootstrap_database(
     from repro.experiments.common import (
         ExperimentConfig,
         build_cubetree_engine,
-        build_sharded_engine,
         build_warehouse,
     )
 
     config = ExperimentConfig(scale_factor=scale, seed=seed)
     _generator, data = build_warehouse(config)
-    if shards > 1:
-        engine, report = build_sharded_engine(
-            config, data, shards=shards, replicate=replicate
-        )
-    else:
-        engine, report = build_cubetree_engine(
-            config, data, replicate=replicate
-        )
+    engine, report = build_cubetree_engine(
+        config, data, replicate=replicate, shards=shards
+    )
     gen_path = save_database(engine, directory, retain=retain)
     number = CubetreeServer._generation_number(gen_path)
     return BootstrapReport(

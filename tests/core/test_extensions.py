@@ -53,7 +53,7 @@ def test_engine_on_file_backed_disk(tmp_path):
     path = str(tmp_path / "cubetrees.db")
     data = TPCDGenerator(scale_factor=0.0005, seed=3).generate()
     disk = DiskManager(path=path)
-    engine = CubetreeEngine(data.schema, disk=disk, buffer_pages=64)
+    engine = CubetreeEngine(data.schema, disks=[disk], buffer_pages=64)
     views = [ViewDefinition("V_ps", ("partkey", "suppkey")),
              ViewDefinition("V_none", ())]
     report = engine.materialize(views, data.facts)

@@ -1,4 +1,5 @@
-"""Tests for saving and reopening a Cubetree database (v2 generations)."""
+"""Tests for saving and reopening a Cubetree database (one generation
+layout: ``gen-N/{meta.json, MANIFEST.json, shard-XX/...}``)."""
 
 import json
 import os
@@ -15,9 +16,10 @@ from repro.core.persistence import (
     MANIFEST_NAME,
     META_NAME,
     PAGES_NAME,
+    SHARD_META_NAME,
     PersistenceError,
-    load_engine,
-    save_engine,
+    load_any_engine,
+    save_database,
     verify_checkpoint,
 )
 from repro.query.generator import RandomQueryGenerator
@@ -40,13 +42,20 @@ def _newest_gen(directory):
     return os.path.join(directory, gens[-1])
 
 
-def _rewrite_meta(gen_path, mutate):
+#: Shard 0's directory and catalog, relative to the generation.
+SHARD0 = "shard-00"
+SHARD0_META = f"{SHARD0}/{SHARD_META_NAME}"
+
+
+def _rewrite_meta(gen_path, mutate, name=META_NAME):
     """Edit a committed generation's catalog, keeping the manifest honest.
 
-    Lets tests exercise *semantic* catalog validation (the strict loader)
-    without tripping the checksum layer first.
+    ``name`` is the catalog's path relative to the generation (the global
+    ``meta.json`` or a shard's ``shard-XX/shard.json``).  Lets tests
+    exercise *semantic* catalog validation (the strict loader) without
+    tripping the checksum layer first.
     """
-    meta_path = os.path.join(gen_path, META_NAME)
+    meta_path = os.path.join(gen_path, name)
     with open(meta_path) as handle:
         meta = json.load(handle)
     mutate(meta)
@@ -58,7 +67,7 @@ def _rewrite_meta(gen_path, mutate):
     manifest_path = os.path.join(gen_path, MANIFEST_NAME)
     with open(manifest_path) as handle:
         manifest = json.load(handle)
-    manifest["files"][META_NAME] = {
+    manifest["files"][name] = {
         "bytes": len(payload),
         "crc32": zlib.crc32(payload),
     }
@@ -76,19 +85,26 @@ def saved(tmp_path):
         replicate={"V_ps": [("suppkey", "partkey")]},
     )
     directory = str(tmp_path / "db")
-    save_engine(engine, directory)
+    save_database(engine, directory)
     return gen, data, engine, directory
 
 
 def test_save_creates_committed_generation(saved):
     _gen, _data, _engine, directory = saved
     gen_path = _newest_gen(directory)
-    for name in (META_NAME, PAGES_NAME, CHECKSUMS_NAME, MANIFEST_NAME):
+    shard_path = os.path.join(gen_path, SHARD0)
+    for name in (META_NAME, MANIFEST_NAME):
         assert os.path.exists(os.path.join(gen_path, name)), name
-    assert os.path.getsize(os.path.join(gen_path, PAGES_NAME)) > 0
+    for name in (PAGES_NAME, CHECKSUMS_NAME, SHARD_META_NAME):
+        assert os.path.exists(os.path.join(shard_path, name)), name
+    # One shard, so shard-00/ is the only shard directory.
+    assert sorted(os.listdir(gen_path)) == sorted(
+        [META_NAME, MANIFEST_NAME, SHARD0]
+    )
+    assert os.path.getsize(os.path.join(shard_path, PAGES_NAME)) > 0
     # One uint32 CRC per page of the dump.
-    pages = os.path.getsize(os.path.join(gen_path, PAGES_NAME)) // PAGE_SIZE
-    assert os.path.getsize(os.path.join(gen_path, CHECKSUMS_NAME)) == 4 * pages
+    pages = os.path.getsize(os.path.join(shard_path, PAGES_NAME)) // PAGE_SIZE
+    assert os.path.getsize(os.path.join(shard_path, CHECKSUMS_NAME)) == 4 * pages
     report = verify_checkpoint(directory)
     assert report.ok, report.format()
     assert report.generation == 1
@@ -97,7 +113,7 @@ def test_save_creates_committed_generation(saved):
 
 def test_reopened_engine_answers_identically(saved):
     _gen, data, original, directory = saved
-    reopened = load_engine(directory)
+    reopened = load_any_engine(directory)
     qgen = RandomQueryGenerator(data.schema, seed=3)
     for node in (("partkey", "suppkey"), ("suppkey",), ("partkey",)):
         for query in qgen.generate_for_node(node, 8, include_unbound=True):
@@ -106,7 +122,7 @@ def test_reopened_engine_answers_identically(saved):
 
 def test_reopened_engine_accepts_updates(saved):
     gen, data, original, directory = saved
-    reopened = load_engine(directory)
+    reopened = load_any_engine(directory)
     increment = gen.generate_increment(0.2)
     reopened.update(increment)
     expected = float(
@@ -117,7 +133,7 @@ def test_reopened_engine_accepts_updates(saved):
 
 def test_reopened_view_sizes_and_replicas(saved):
     _gen, _data, original, directory = saved
-    reopened = load_engine(directory)
+    reopened = load_any_engine(directory)
     assert reopened.view_sizes() == original.view_sizes()
     assert reopened.replicas == original.replicas
     assert reopened.forest.num_trees == original.forest.num_trees
@@ -130,8 +146,8 @@ def test_hierarchies_survive_roundtrip(tmp_path):
     engine.materialize([ViewDefinition("V_p", ("partkey",)),
                         ViewDefinition("V_none", ())], data.facts)
     directory = str(tmp_path / "db")
-    save_engine(engine, directory)
-    reopened = load_engine(directory)
+    save_database(engine, directory)
+    reopened = load_any_engine(directory)
     query = SliceQuery(("brand",), ())
     assert reopened.query(query).rows == engine.query(query).rows
 
@@ -140,12 +156,12 @@ def test_save_unloaded_engine_raises(tmp_path):
     data = TPCDGenerator(scale_factor=0.0005, seed=2).generate()
     engine = CubetreeEngine(data.schema)
     with pytest.raises(PersistenceError):
-        save_engine(engine, str(tmp_path / "db"))
+        save_database(engine, str(tmp_path / "db"))
 
 
 def test_load_missing_directory_raises(tmp_path):
     with pytest.raises(PersistenceError):
-        load_engine(str(tmp_path / "nope"))
+        load_any_engine(str(tmp_path / "nope"))
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +170,7 @@ def test_load_missing_directory_raises(tmp_path):
 def test_each_save_is_a_new_generation(saved):
     _gen, _data, engine, directory = saved
     first = _newest_gen(directory)
-    second = save_engine(engine, directory)
+    second = save_database(engine, directory)
     assert second != first
     assert os.path.exists(first)  # previous generation survives
     assert verify_checkpoint(directory).generation == 2
@@ -163,7 +179,7 @@ def test_each_save_is_a_new_generation(saved):
 def test_retention_prunes_oldest_committed_generations(saved):
     _gen, _data, engine, directory = saved
     for _ in range(3):
-        save_engine(engine, directory, retain=2)
+        save_database(engine, directory, retain=2)
     gens = sorted(
         entry for entry in os.listdir(directory) if entry.startswith("gen-")
     )
@@ -174,7 +190,7 @@ def test_engine_checkpoint_method(saved):
     _gen, _data, engine, directory = saved
     gen_path = engine.checkpoint(directory)
     assert os.path.exists(os.path.join(gen_path, MANIFEST_NAME))
-    assert load_engine(directory).view_sizes() == engine.view_sizes()
+    assert load_any_engine(directory).view_sizes() == engine.view_sizes()
 
 
 def test_partial_generation_is_discarded_on_load(saved):
@@ -185,7 +201,7 @@ def test_partial_generation_is_discarded_on_load(saved):
     os.makedirs(partial)
     with open(os.path.join(partial, PAGES_NAME), "wb") as handle:
         handle.write(b"\x00" * 100)
-    reopened = load_engine(directory)
+    reopened = load_any_engine(directory)
     assert reopened.query(SliceQuery((), ())).scalar() == expected
     report = verify_checkpoint(directory)
     assert report.ok
@@ -197,7 +213,7 @@ def test_partial_generation_is_discarded_on_load(saved):
 # ----------------------------------------------------------------------
 def test_bitflip_in_pages_is_detected(saved):
     _gen, _data, _engine, directory = saved
-    pages_path = os.path.join(_newest_gen(directory), PAGES_NAME)
+    pages_path = os.path.join(_newest_gen(directory), SHARD0, PAGES_NAME)
     with open(pages_path, "r+b") as handle:
         handle.seek(PAGE_SIZE + 17)
         byte = handle.read(1)
@@ -207,17 +223,17 @@ def test_bitflip_in_pages_is_detected(saved):
     assert not report.ok
     assert any("page 1" in problem for problem in report.problems)
     with pytest.raises(CorruptCheckpointError):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_truncated_pages_is_detected(saved):
     _gen, _data, _engine, directory = saved
-    pages_path = os.path.join(_newest_gen(directory), PAGES_NAME)
+    pages_path = os.path.join(_newest_gen(directory), SHARD0, PAGES_NAME)
     with open(pages_path, "r+b") as handle:
         handle.truncate(os.path.getsize(pages_path) - PAGE_SIZE - 7)
     assert not verify_checkpoint(directory).ok
     with pytest.raises(CorruptCheckpointError):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_tampered_meta_is_detected(saved):
@@ -227,7 +243,7 @@ def test_tampered_meta_is_detected(saved):
         handle.write(" ")
     assert not verify_checkpoint(directory).ok
     with pytest.raises(CorruptCheckpointError):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_load_bad_manifest_version_raises(saved):
@@ -239,7 +255,7 @@ def test_load_bad_manifest_version_raises(saved):
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle)
     with pytest.raises(PersistenceError):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +264,10 @@ def test_load_bad_manifest_version_raises(saved):
 def test_tree_state_count_mismatch_rejected(saved):
     _gen, _data, _engine, directory = saved
     _rewrite_meta(
-        _newest_gen(directory), lambda meta: meta["trees"].pop()
+        _newest_gen(directory), lambda meta: meta["trees"].pop(), SHARD0_META
     )
     with pytest.raises(PersistenceError, match="tree state"):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_allocation_count_mismatch_rejected(saved):
@@ -260,7 +276,7 @@ def test_allocation_count_mismatch_rejected(saved):
         _newest_gen(directory), lambda meta: meta["allocation"].pop()
     )
     with pytest.raises(PersistenceError, match="allocation"):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_unknown_size_key_rejected(saved):
@@ -269,18 +285,20 @@ def test_unknown_size_key_rejected(saved):
     def rename_size(meta):
         meta["sizes"]["V_ghost"] = meta["sizes"].pop("V_s")
 
-    _rewrite_meta(_newest_gen(directory), rename_size)
+    _rewrite_meta(_newest_gen(directory), rename_size, SHARD0_META)
     with pytest.raises(PersistenceError, match="V_ghost"):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_missing_size_key_rejected(saved):
     _gen, _data, _engine, directory = saved
     _rewrite_meta(
-        _newest_gen(directory), lambda meta: meta["sizes"].pop("V_none")
+        _newest_gen(directory),
+        lambda meta: meta["sizes"].pop("V_none"),
+        SHARD0_META,
     )
     with pytest.raises(PersistenceError, match="V_none"):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 # ----------------------------------------------------------------------
@@ -297,31 +315,27 @@ def test_meta_roundtrip_is_byte_identical(tmp_path, seed):
         replicate={"V_ps": [("suppkey", "partkey")]},
     )
     directory = str(tmp_path / "db")
-    first = save_engine(engine, directory)
-    second = save_engine(load_engine(directory), directory)
-    with open(os.path.join(first, META_NAME), "rb") as handle:
-        meta_a = handle.read()
-    with open(os.path.join(second, META_NAME), "rb") as handle:
-        meta_b = handle.read()
-    assert meta_a == meta_b
-    with open(os.path.join(first, PAGES_NAME), "rb") as handle:
-        pages_a = handle.read()
-    with open(os.path.join(second, PAGES_NAME), "rb") as handle:
-        pages_b = handle.read()
-    assert pages_a == pages_b
+    first = save_database(engine, directory)
+    second = save_database(load_any_engine(directory), directory)
+    for name in (META_NAME, SHARD0_META, f"{SHARD0}/{PAGES_NAME}"):
+        with open(os.path.join(first, name), "rb") as handle:
+            bytes_a = handle.read()
+        with open(os.path.join(second, name), "rb") as handle:
+            bytes_b = handle.read()
+        assert bytes_a == bytes_b, name
 
 
 # ----------------------------------------------------------------------
-# v1 flat-layout compatibility
+# older layouts: v1 is refused by name, pre-PR-23 generations still load
 # ----------------------------------------------------------------------
 def _downgrade_to_v1(directory):
-    """Rewrite a v2 database as the flat v1 layout it replaced."""
+    """Rewrite a database as the flat v1 layout generations replaced."""
     gen_path = _newest_gen(directory)
     with open(os.path.join(gen_path, META_NAME)) as handle:
         meta = json.load(handle)
     meta["format_version"] = 1
     shutil.copy(
-        os.path.join(gen_path, PAGES_NAME),
+        os.path.join(gen_path, SHARD0, PAGES_NAME),
         os.path.join(directory, PAGES_NAME),
     )
     with open(os.path.join(directory, META_NAME), "w") as handle:
@@ -331,41 +345,92 @@ def _downgrade_to_v1(directory):
             shutil.rmtree(os.path.join(directory, entry))
 
 
-def test_v1_layout_still_loads(saved):
-    _gen, data, original, directory = saved
-    _downgrade_to_v1(directory)
-    reopened = load_engine(directory)
-    qgen = RandomQueryGenerator(data.schema, seed=3)
-    for query in qgen.generate_for_node(("suppkey",), 6):
-        assert reopened.query(query).rows == original.query(query).rows
-    # Verification flags nothing but notes the missing checksums.
-    report = verify_checkpoint(directory)
-    assert report.ok
-    assert any("v1" in note for note in report.notes)
-
-
-def test_v1_bad_version_raises(saved):
+def test_v1_layout_raises_typed_error(saved):
     _gen, _data, _engine, directory = saved
     _downgrade_to_v1(directory)
-    meta_path = os.path.join(directory, META_NAME)
-    with open(meta_path) as handle:
-        meta = json.load(handle)
-    meta["format_version"] = 999
-    with open(meta_path, "w") as handle:
-        json.dump(meta, handle)
-    with pytest.raises(PersistenceError):
-        load_engine(directory)
-
-
-def test_resave_migrates_v1_to_v2(saved):
-    _gen, _data, engine, directory = saved
-    _downgrade_to_v1(directory)
-    migrated = load_engine(directory)
-    save_engine(migrated, directory)
+    with pytest.raises(PersistenceError, match="v1 flat layout") as info:
+        load_any_engine(directory)
+    assert "PR 21" in str(info.value)  # says how to migrate
+    assert not isinstance(info.value, CorruptCheckpointError)
     report = verify_checkpoint(directory)
-    assert report.ok
-    assert report.generation == 1
-    assert load_engine(directory).view_sizes() == engine.view_sizes()
+    assert not report.ok
+    assert any("v1 flat layout" in problem for problem in report.problems)
+
+
+def _downgrade_to_single_layout(directory):
+    """Rewrite a fresh one-shard checkpoint as the single-tree generation
+    releases before PR 23 wrote: the page dump and its checksums directly
+    in ``gen-N/``, one ``meta.json`` holding the shard catalog's keys
+    too, and a manifest without ``layout``/``shards``."""
+    gen_path = _newest_gen(directory)
+    shard_path = os.path.join(gen_path, SHARD0)
+    with open(os.path.join(gen_path, META_NAME)) as handle:
+        meta = json.load(handle)
+    with open(os.path.join(shard_path, SHARD_META_NAME)) as handle:
+        shard_meta = json.load(handle)
+    with open(os.path.join(gen_path, MANIFEST_NAME)) as handle:
+        manifest = json.load(handle)
+    del meta["layout"], meta["num_shards"]
+    for key in ("trees", "sizes", "disk"):
+        meta[key] = shard_meta[key]
+    meta_payload = (
+        json.dumps(meta, indent=1, sort_keys=True, ensure_ascii=True) + "\n"
+    ).encode("ascii")
+    with open(os.path.join(gen_path, META_NAME), "wb") as handle:
+        handle.write(meta_payload)
+    files = {
+        META_NAME: {
+            "bytes": len(meta_payload), "crc32": zlib.crc32(meta_payload),
+        },
+    }
+    for name in (PAGES_NAME, CHECKSUMS_NAME):
+        shutil.move(
+            os.path.join(shard_path, name), os.path.join(gen_path, name)
+        )
+        files[name] = manifest["files"][f"{SHARD0}/{name}"]
+    shutil.rmtree(shard_path)
+    old_manifest = {
+        "format_version": manifest["format_version"],
+        "generation": manifest["generation"],
+        "page_count": manifest["page_count"],
+        "files": files,
+    }
+    with open(os.path.join(gen_path, MANIFEST_NAME), "w") as handle:
+        json.dump(old_manifest, handle, indent=1, sort_keys=True)
+
+
+def test_single_tree_generation_loads_and_migrates_on_resave(saved):
+    from repro.cli import main
+
+    _gen, data, original, directory = saved
+    _downgrade_to_single_layout(directory)
+    old_gen = _newest_gen(directory)
+    assert not os.path.exists(os.path.join(old_gen, SHARD0))
+
+    assert verify_checkpoint(directory).ok
+    reopened = load_any_engine(directory)
+    assert reopened.num_shards == 1
+    assert reopened.view_sizes() == original.view_sizes()
+    qgen = RandomQueryGenerator(data.schema, seed=3)
+    for node in (("partkey", "suppkey"), ("suppkey",), ("partkey",)):
+        for query in qgen.generate_for_node(node, 6, include_unbound=True):
+            assert reopened.query(query).rows == original.query(query).rows
+    assert main(["check", "--checkpoint", directory]) == 0
+
+    # Read-only: opening it rewrote nothing; a re-save writes the one
+    # layout beside it.
+    assert sorted(os.listdir(old_gen)) == sorted(
+        [META_NAME, MANIFEST_NAME, PAGES_NAME, CHECKSUMS_NAME]
+    )
+    new_gen = save_database(reopened, directory)
+    assert new_gen != old_gen
+    assert os.path.exists(os.path.join(new_gen, SHARD0_META))
+    with open(os.path.join(new_gen, MANIFEST_NAME)) as handle:
+        assert json.load(handle)["layout"] == "sharded"
+    assert verify_checkpoint(directory).generation == 2
+    migrated = load_any_engine(directory)
+    assert migrated.view_sizes() == original.view_sizes()
+    assert main(["check", "--checkpoint", directory]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +438,13 @@ def test_resave_migrates_v1_to_v2(saved):
 # ----------------------------------------------------------------------
 def test_view_extents_survive_roundtrip(saved):
     _gen, data, original, directory = saved
-    reopened = load_engine(directory)
-    originals = [t.tree.view_extents for t in original.forest.cubetrees]
-    restored = [t.tree.view_extents for t in reopened.forest.cubetrees]
+    reopened = load_any_engine(directory)
+    originals = [
+        t.tree.view_extents for t in original.shards[0].forest.cubetrees
+    ]
+    restored = [
+        t.tree.view_extents for t in reopened.shards[0].forest.cubetrees
+    ]
     assert restored == originals
     assert any(extents for extents in restored)  # not vacuously equal
     # The restored extents drive the fast path to serial-identical rows.
@@ -396,10 +465,11 @@ def test_checkpoint_without_extents_still_loads(saved):
         for state in meta["trees"]:
             state.pop("view_extents", None)
 
-    _rewrite_meta(_newest_gen(directory), drop_extents)
-    reopened = load_engine(directory)
+    _rewrite_meta(_newest_gen(directory), drop_extents, SHARD0_META)
+    reopened = load_any_engine(directory)
     assert all(
-        t.tree.view_extents == {} for t in reopened.forest.cubetrees
+        t.tree.view_extents == {}
+        for t in reopened.shards[0].forest.cubetrees
     )
     qgen = RandomQueryGenerator(data.schema, seed=11)
     for query in qgen.generate_for_node(("partkey",), 6):

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded Cubetree forest.
+"""Unit tests for the engine at several shards (the scatter-gather forest).
 
 Covers the partitioning rule and router pruning helpers, the
 critical-path I/O combination, single-shard routing of leading-coordinate
@@ -19,18 +19,14 @@ from repro.analysis.fsck import (
     _check_shard_residues,
     check_checkpoint,
     check_database,
-    check_sharded_engine,
 )
+from repro.core.engine import CubetreeEngine
 from repro.core.persistence import (
-    PersistenceError,
     load_any_engine,
-    load_engine,
-    load_sharded_engine,
     save_database,
     verify_checkpoint,
 )
 from repro.core.sharded import (
-    ShardedCubetreeEngine,
     combine_io,
     partition_state_rows,
     shard_of,
@@ -58,7 +54,7 @@ def warehouse():
 
 
 def _build(data, shards, **kwargs):
-    engine = ShardedCubetreeEngine(
+    engine = CubetreeEngine(
         data.schema, buffer_pages=64, shards=shards, **kwargs
     )
     engine.materialize(
@@ -138,11 +134,7 @@ def test_point_query_on_leading_coordinate_touches_one_shard(warehouse):
 def test_unbound_query_scatters_to_all_shards_and_merges(warehouse):
     data, _delta = warehouse
     engine = _build(data, shards=4)
-    single = ShardedCubetreeEngine(data.schema, buffer_pages=64, shards=1)
-    single.materialize(
-        VIEWS, data.facts,
-        replicate={"V_ps": [("suppkey", "partkey")]},
-    )
+    single = _build(data, shards=1)
     for query in (
         SliceQuery(("partkey", "suppkey"), ()),
         SliceQuery(("suppkey",), ()),
@@ -175,12 +167,8 @@ def test_sharded_checkpoint_roundtrip(tmp_path, warehouse):
     save_database(engine, directory)
 
     assert verify_checkpoint(directory).ok
-    # The unsharded loader refuses with a pointed error.
-    with pytest.raises(PersistenceError, match="sharded"):
-        load_engine(directory)
-
     recovered = load_any_engine(directory)
-    assert isinstance(recovered, ShardedCubetreeEngine)
+    assert isinstance(recovered, CubetreeEngine)
     assert recovered.num_shards == 3
     assert recovered.view_sizes() == engine.view_sizes()
     query = SliceQuery(("suppkey",), ())
@@ -188,8 +176,8 @@ def test_sharded_checkpoint_roundtrip(tmp_path, warehouse):
 
     # Update + second generation round-trips too.
     recovered.update(delta)
-    save_database(recovered, directory)
-    reopened = load_sharded_engine(directory)
+    recovered.checkpoint(directory)
+    reopened = load_any_engine(directory)
     assert reopened.query(query).rows == recovered.query(query).rows
 
 
@@ -224,11 +212,9 @@ def test_sharded_checkpoint_detects_per_shard_corruption(
 def test_sharded_fsck_clean_engine_passes(warehouse):
     data, _delta = warehouse
     engine = _build(data, shards=3)
-    report = check_sharded_engine(engine)
+    report = check_database(engine)
     assert report.ok, report.format()
     assert report.trees_checked == len(engine.shards) * 2
-    # check_database dispatches on the engine type.
-    assert check_database(engine).ok
 
 
 def test_fsck_flags_entry_on_wrong_shard(warehouse):

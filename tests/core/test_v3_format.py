@@ -18,15 +18,19 @@ from repro.core.persistence import (
     META_NAME,
     SUPPORTED_FORMAT_VERSIONS,
     PersistenceError,
-    load_engine,
-    save_engine,
+    load_any_engine,
+    save_database,
 )
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
 from repro.rtree.node import set_leaf_format
 from repro.warehouse.tpcd import TPCDGenerator
 
-from tests.core.test_persistence import _newest_gen, _rewrite_meta
+from tests.core.test_persistence import (
+    _downgrade_to_single_layout,
+    _newest_gen,
+    _rewrite_meta,
+)
 
 VIEWS = [
     ViewDefinition("V_ps", ("partkey", "suppkey")),
@@ -74,7 +78,7 @@ def test_new_checkpoints_stamp_v3(tmp_path):
     assert FORMAT_VERSION in SUPPORTED_FORMAT_VERSIONS
     engine = _build_engine()
     directory = str(tmp_path / "db")
-    save_engine(engine, directory)
+    save_database(engine, directory)
     gen_path = _newest_gen(directory)
     with open(os.path.join(gen_path, META_NAME)) as handle:
         assert json.load(handle)["format_version"] == 3
@@ -86,10 +90,12 @@ def test_v2_checkpoint_still_loads(tmp_path):
     engine = _build_engine()
     expected = engine.query(PROBE).rows
     directory = str(tmp_path / "db")
-    save_engine(engine, directory)
+    save_database(engine, directory)
+    # What a v2 release wrote: the single-tree generation, stamped 2.
+    _downgrade_to_single_layout(directory)
     _downgrade_generation(_newest_gen(directory), 2)
 
-    reopened = load_engine(directory)
+    reopened = load_any_engine(directory)
     assert reopened.view_sizes() == engine.view_sizes()
     assert reopened.query(PROBE).rows == expected
 
@@ -97,10 +103,10 @@ def test_v2_checkpoint_still_loads(tmp_path):
 def test_future_version_rejected(tmp_path):
     engine = _build_engine()
     directory = str(tmp_path / "db")
-    save_engine(engine, directory)
+    save_database(engine, directory)
     _downgrade_generation(_newest_gen(directory), 99)
     with pytest.raises(PersistenceError):
-        load_engine(directory)
+        load_any_engine(directory)
 
 
 def test_columnar_checkpoint_round_trip(tmp_path):
@@ -111,9 +117,9 @@ def test_columnar_checkpoint_round_trip(tmp_path):
     ), "columnar checkpoint should be smaller"
 
     directory = str(tmp_path / "db")
-    save_engine(col_engine, directory)
+    save_database(col_engine, directory)
     # Loading does not depend on the gate: the stored pages carry their
     # own node-type bytes.
-    reopened = load_engine(directory)
+    reopened = load_any_engine(directory)
     assert reopened.view_sizes() == row_engine.view_sizes()
     assert reopened.query(PROBE).rows == row_engine.query(PROBE).rows

@@ -26,7 +26,7 @@ import threading
 import time
 
 from repro.core.engine import CubetreeEngine
-from repro.core.persistence import save_engine
+from repro.core.persistence import save_database
 from repro.query.generator import RandomQueryGenerator
 from repro.relational.view import ViewDefinition
 from repro.warehouse.tpcd import TPCDGenerator
@@ -49,7 +49,7 @@ KIT_NODES = (
 )
 
 
-def build_database(directory, scale=0.0004, seed=31, retain=2):
+def build_database(directory, scale=0.0004, seed=31, retain=2, shards=1):
     """Materialize the kit warehouse and commit it as generation 1.
 
     Returns ``(generator, data)`` so tests can draw increments from the
@@ -57,9 +57,9 @@ def build_database(directory, scale=0.0004, seed=31, retain=2):
     """
     generator = TPCDGenerator(scale_factor=scale, seed=seed)
     data = generator.generate()
-    engine = CubetreeEngine(data.schema, buffer_pages=128)
+    engine = CubetreeEngine(data.schema, buffer_pages=128, shards=shards)
     engine.materialize(KIT_VIEWS, data.facts, replicate=KIT_REPLICATE)
-    save_engine(engine, str(directory), retain=retain)
+    save_database(engine, str(directory), retain=retain)
     return generator, data
 
 

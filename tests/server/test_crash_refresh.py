@@ -1,10 +1,11 @@
 """Crash injection through the server's publish path.
 
-The refresh cycle inherits `save_engine`'s crash discipline: the
+The refresh cycle inherits `save_database`'s crash discipline: the
 manifest rename is the commit point.  These tests arm the server's
 :class:`CrashPoint` at representative write sites — first page, middle,
-checksums, catalog, manifest write, the commit rename itself, and the
-post-commit prune — and assert the serving-layer contract on top of the
+checksums, shard catalog, global catalog, manifest write, the commit
+rename itself, and the post-commit prune — on a one-shard and a
+two-shard database, and assert the serving-layer contract on top of the
 storage one:
 
 * readers pinned to the old generation never notice a mid-publish crash
@@ -15,11 +16,12 @@ storage one:
   increment is NOT re-applied (no double counting).
 """
 
+import os
 import shutil
 
 import pytest
 
-from repro.core.persistence import save_engine
+from repro.core.persistence import load_any_engine, save_database
 from repro.server import CubetreeServer, ServerConfig
 from repro.storage.wal import CrashPoint
 
@@ -31,50 +33,60 @@ from tests.server.kit import (
     reference_queries,
 )
 
+#: Every scenario runs against a database of each of these shard counts.
+SHARD_COUNTS = (1, 2)
 
-class CountingCrashPoint(CrashPoint):
+
+class RecordingCrashPoint(CrashPoint):
     def __init__(self):
         super().__init__()
-        self.hits = 0
+        self.contexts = []
 
     def hit(self, context=""):
-        self.hits += 1
+        self.contexts.append(context)
         super().hit(context)
 
 
 @pytest.fixture(scope="module")
-def crash_db(tmp_path_factory):
-    """Template DB + its delta + the number of crashable publish sites."""
+def crash_dbs(tmp_path_factory):
+    """Per shard count: template DB, its data and delta, and the write
+    sites one full publish passes through (in order)."""
     root = tmp_path_factory.mktemp("crash-db")
-    directory = str(root / "db")
-    generator, data = build_database(directory, scale=0.0003, seed=47)
-    delta = generator.generate_increment(0.2, stream="crash")
+    databases = []
+    for num_shards in SHARD_COUNTS:
+        directory = str(root / f"db-n{num_shards}")
+        generator, data = build_database(
+            directory, scale=0.0003, seed=47, shards=num_shards
+        )
+        delta = generator.generate_increment(0.2, stream="crash")
 
-    # Count the write sites one full publish passes through, using a
-    # throwaway copy (the builder path = load + update + save).
-    from repro.core.persistence import load_engine
+        # Record the sites on a throwaway copy (the builder path = load
+        # + update + save).
+        probe_dir = str(root / f"probe-n{num_shards}")
+        shutil.copytree(directory, probe_dir)
+        builder = load_any_engine(probe_dir)
+        assert builder.num_shards == num_shards
+        builder.update(list(delta))
+        recorder = RecordingCrashPoint()
+        save_database(builder, probe_dir, crash_point=recorder)
+        shutil.rmtree(probe_dir, ignore_errors=True)
+        databases.append((directory, data, delta, recorder.contexts))
+    return databases
 
-    probe_dir = str(root / "probe")
-    shutil.copytree(directory, probe_dir)
-    builder = load_engine(probe_dir)
-    builder.update(list(delta))
-    counter = CountingCrashPoint()
-    save_engine(builder, probe_dir, crash_point=counter)
-    shutil.rmtree(probe_dir, ignore_errors=True)
 
-    return directory, data, delta, counter.hits
-
-
-def _named_sites(sites):
-    """Representative sites: head, middle, and the five named tail ones."""
-    tail = {
-        "checksums": sites - 5,
-        "catalog": sites - 4,
-        "manifest-write": sites - 3,
-        "manifest-commit": sites - 2,
-        "prune": sites - 1,
-    }
-    return {"first-page": 0, "mid-pages": max(1, (sites - 5) // 2), **tail}
+def _named_sites(contexts):
+    """Representative sites: head, middle, and the named tail ones,
+    located in the recorded site list by what they report."""
+    first_tail = len(contexts) - 6
+    offsets = {"first-page": 0, "mid-pages": max(1, first_tail // 2)}
+    for offset, name in enumerate(TAIL_SITE_NAMES, start=first_tail):
+        offsets[name] = offset
+    assert "page checksums" in contexts[offsets["checksums"]]
+    assert contexts[offsets["shard-catalog"]].startswith("shard ")
+    assert contexts[offsets["catalog"]] == "checkpoint catalog"
+    assert contexts[offsets["manifest-commit"]].endswith("manifest commit")
+    assert contexts[offsets["prune"]] == "checkpoint prune"
+    return offsets
 
 
 def _fresh_server(directory, tmp_path, name):
@@ -83,23 +95,31 @@ def _fresh_server(directory, tmp_path, name):
     return CubetreeServer(copy_dir, ServerConfig(retain=2)).start()
 
 
-# The site list must be static for parametrize; the fixture asserts the
-# real count matches these names at runtime.
-SITE_NAMES = (
-    "first-page", "mid-pages", "checksums", "catalog",
+# The site list must be static for parametrize; _named_sites asserts
+# the recorded contexts match these names at runtime.
+TAIL_SITE_NAMES = (
+    "checksums", "shard-catalog", "catalog",
     "manifest-write", "manifest-commit", "prune",
 )
+SITE_NAMES = ("first-page", "mid-pages") + TAIL_SITE_NAMES
 
 
 @pytest.mark.parametrize("site", SITE_NAMES)
-def test_publish_crash_matrix(crash_db, tmp_path, site):
-    directory, data, delta, sites = crash_db
-    offsets = _named_sites(sites)
+def test_publish_crash_matrix(crash_dbs, tmp_path, site):
+    for crash_db in crash_dbs:
+        _publish_crash_at(crash_db, tmp_path, site)
+
+
+def _publish_crash_at(crash_db, tmp_path, site):
+    directory, data, delta, contexts = crash_db
+    offsets = _named_sites(contexts)
     assert set(offsets) == set(SITE_NAMES)
     queries = reference_queries(data.schema, per_node=1)
     oracle = ReferenceOracle(data, queries)
 
-    server = _fresh_server(directory, tmp_path, f"db-{site}")
+    server = _fresh_server(
+        directory, tmp_path, f"{os.path.basename(directory)}-{site}"
+    )
     try:
         old_gen = server.manager.current_number
         before = [server.query(q) for q in queries]
@@ -152,7 +172,7 @@ def test_publish_crash_matrix(crash_db, tmp_path, site):
         server.close()
 
 
-def test_readers_survive_mid_publish_crash_under_load(crash_db, tmp_path):
+def test_readers_survive_mid_publish_crash_under_load(crash_dbs, tmp_path):
     """Concurrent clients ride through a crashed publish + its retry.
 
     A refresher thread arms a crash mid-pages, watches the publish fail,
@@ -162,7 +182,8 @@ def test_readers_survive_mid_publish_crash_under_load(crash_db, tmp_path):
     """
     import threading
 
-    directory, data, delta, sites = crash_db
+    directory, data, delta, contexts = crash_dbs[-1]  # two shards
+    mid_pages = _named_sites(contexts)["mid-pages"]
     queries = reference_queries(data.schema, per_node=1)
     oracle = ReferenceOracle(data, queries)
     server = _fresh_server(directory, tmp_path, "db-load")
@@ -176,7 +197,7 @@ def test_readers_survive_mid_publish_crash_under_load(crash_db, tmp_path):
             try:
                 server.submit_delta(delta)
                 point = CrashPoint()
-                point.arm(after=max(1, (sites - 5) // 2))
+                point.arm(after=mid_pages)
                 server.crash_point = point
                 report["crashed"] = server.refresh_now()
                 server.crash_point = None

@@ -99,7 +99,7 @@ def test_engine_query_fault_does_not_poison_engine():
 
     data = TPCDGenerator(scale_factor=0.0005, seed=19).generate()
     disk = FaultyDisk()
-    engine = CubetreeEngine(data.schema, disk=disk, buffer_pages=16)
+    engine = CubetreeEngine(data.schema, disks=[disk], buffer_pages=16)
     engine.materialize([ViewDefinition("V_ps", ("partkey", "suppkey")),
                         ViewDefinition("V_none", ())], data.facts)
     engine.pool.flush_all()

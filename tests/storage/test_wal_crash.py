@@ -12,8 +12,8 @@ retry of the increment must then succeed.
 
 import pytest
 
-from repro.analysis.fsck import check_engine
-from repro.core.persistence import load_engine, save_engine
+from repro.analysis.fsck import check_database
+from repro.core.persistence import load_any_engine, save_database
 from repro.experiments.common import (
     ExperimentConfig,
     FIG12_NODES,
@@ -107,12 +107,12 @@ def test_crash_mid_merge_pack_recovers_from_checkpoint(
 ):
     engine, delta, queries = loaded_engine_setup
     checkpoint = str(tmp_path / f"db_{crash_after}")
-    save_engine(engine, checkpoint)
+    save_database(engine, checkpoint)
     before = _answers(engine, queries)
     if crash_after == "late":
         # Three quarters through the merge's data-page writes, however
         # many the shipped leaf format makes of them.
-        dry_run = load_engine(checkpoint)
+        dry_run = load_any_engine(checkpoint)
         written = dry_run.disk.cost_model.stats.writes
         dry_run.update(delta)
         written = dry_run.disk.cost_model.stats.writes - written
@@ -121,7 +121,7 @@ def test_crash_mid_merge_pack_recovers_from_checkpoint(
 
     # Reopen the checkpoint and kill it on the Nth data-page write of
     # the merge.  (The module-scoped engine stays pristine.)
-    victim = load_engine(checkpoint)
+    victim = load_any_engine(checkpoint)
     assert _answers(victim, queries) == before
     point = CrashPoint()
     victim.disk.crash_point = point
@@ -131,20 +131,20 @@ def test_crash_mid_merge_pack_recovers_from_checkpoint(
     assert point.fired
 
     # The "machine reboots": reopen from the on-disk checkpoint.
-    recovered = load_engine(checkpoint)
-    report = check_engine(recovered)
+    recovered = load_any_engine(checkpoint)
+    report = check_database(recovered)
     assert report.ok, report.format()
     assert _answers(recovered, queries) == before
 
     # Retrying the increment on the recovered engine succeeds and the
     # refreshed forest is structurally sound.
     recovered.update(delta)
-    refreshed = check_engine(recovered)
+    refreshed = check_database(recovered)
     assert refreshed.ok, refreshed.format()
 
     # And the refreshed answers match a crash-free refresh of the same
     # checkpoint (recovery lost nothing and invented nothing).
-    oracle = load_engine(checkpoint)
+    oracle = load_any_engine(checkpoint)
     oracle.update(delta)
     assert _answers(recovered, queries) == _answers(oracle, queries)
 
@@ -157,9 +157,9 @@ def test_crashed_engine_old_forest_is_untouched_in_memory(
     after the new tree is complete."""
     engine, delta, queries = loaded_engine_setup
     checkpoint = str(tmp_path / "db_inplace")
-    save_engine(engine, checkpoint)
+    save_database(engine, checkpoint)
 
-    victim = load_engine(checkpoint)
+    victim = load_any_engine(checkpoint)
     point = CrashPoint()
     victim.disk.crash_point = point
     point.arm(after=10)
@@ -167,7 +167,7 @@ def test_crashed_engine_old_forest_is_untouched_in_memory(
         victim.update(delta)
 
     victim.disk.crash_point = None  # "reboot" without reopening
-    report = check_engine(victim)
+    report = check_database(victim)
     assert report.ok, report.format()
     # Every query still answers without error.
     for query in queries:

@@ -91,6 +91,36 @@ def test_query_batch(capsys):
     assert "batch: 2 queries" in out
 
 
+def test_query_batch_on_two_shards_matches_unsharded(capsys):
+    """Eight slices of one lattice node, batched: ``--shards 2`` prints
+    the same rows and the same "8 via shared passes" as one shard.
+    (Until PR 23 the sharded forest lacked ``fold=`` and this died with
+    a TypeError.)"""
+    sql = "; ".join(
+        f"select partkey, sum(quantity) from F where suppkey = {v} "
+        f"group by partkey"
+        for v in range(1, 9)
+    )
+    outputs = []
+    for extra in ([], ["--shards", "2"]):
+        assert main(
+            ["query", sql, "--scale", "0.002", "--batch", *extra]
+        ) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    single, sharded = outputs
+    assert "batch: 8 queries, 8 via shared passes (1 group(s))" in single
+    assert not any(line.startswith("shards touched") for line in single)
+    assert sharded[-1].startswith("shards touched: [0, 1] of 2")
+
+    def rows(lines):
+        return [
+            line for line in lines
+            if line.startswith(("[", "  ", "batch:"))
+        ]
+
+    assert rows(sharded) == rows(single)
+
+
 def test_query_batch_requires_cubetree_engine(capsys):
     assert main([
         "query", "select sum(quantity) from F",
@@ -131,7 +161,7 @@ def test_check_with_increment(capsys):
 @pytest.fixture()
 def checkpoint_dir(tmp_path):
     from repro.core.engine import CubetreeEngine
-    from repro.core.persistence import save_engine
+    from repro.core.persistence import save_database
     from repro.relational.view import ViewDefinition
     from repro.warehouse.tpcd import TPCDGenerator
 
@@ -140,7 +170,7 @@ def checkpoint_dir(tmp_path):
     engine.materialize([ViewDefinition("V_ps", ("partkey", "suppkey")),
                         ViewDefinition("V_none", ())], data.facts)
     directory = str(tmp_path / "db")
-    save_engine(engine, directory)
+    save_database(engine, directory)
     return directory
 
 
@@ -156,7 +186,7 @@ def test_check_checkpoint_flags_corruption(checkpoint_dir, capsys):
         entry for entry in os.listdir(checkpoint_dir)
         if entry.startswith("gen-")
     )[-1]
-    pages = os.path.join(checkpoint_dir, gen, "pages.bin")
+    pages = os.path.join(checkpoint_dir, gen, "shard-00", "pages.bin")
     with open(pages, "r+b") as handle:
         handle.seek(100)
         byte = handle.read(1)

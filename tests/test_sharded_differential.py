@@ -1,17 +1,23 @@
-"""Differential sweep: the sharded engine vs. the single-tree engine.
+"""Differential sweep: the engine at N shards vs. the on-the-fly oracle.
 
 Property: for ANY star schema, fact data, materialized lattice subset,
-and slice-query set, a :class:`~repro.core.sharded.ShardedCubetreeEngine`
-at N ∈ {1, 2, 3, 5} shards answers bit-for-bit what the unsharded
-:class:`~repro.core.engine.CubetreeEngine` answers, across the full
-load → query → update → query → checkpoint → recover lifecycle.  At N=1
-the agreement extends to the *simulated I/O* (same counters, same float
-milliseconds): the single-shard configuration runs the identical call
-sequence through one pool, so any drift is a real divergence.
+and slice-query set, a :class:`~repro.core.engine.CubetreeEngine` at
+N ∈ {1, 2, 3, 5} shards answers bit-for-bit what
+:class:`~repro.core.onthefly.OnTheFlyEngine` recomputes from the raw
+facts, across the full load → query → update → query → checkpoint →
+recover lifecycle; N ∈ {2, 3, 5} additionally agree with N = 1 on every
+row trace.  At every N the whole query set also runs through
+``query_batch``, and each batched result must equal ``query(q)`` and
+``query(q, fast=True)`` for the same query.
 
-Both engines run **mirrored lifecycles** (fresh engine, same operation
-order) — the cost model's accumulator is position-dependent in the last
-float ulp, so only identical histories compare exactly.
+Until PR 23 this sweep compared a second, sharded engine class against
+the single-tree one (rows at every N, simulated I/O at N = 1); that
+proof licensed deleting the single-tree engine.  The reference roles it
+played now belong to two independent ones: the oracle here for answers,
+and the committed ``bench/BENCH_*.json`` baselines (written by the
+single-tree engine) for simulated I/O.  What is left to check here on
+the I/O side is the accounting convention: at N = 1 the engine's
+critical-path reports are exactly shard 0's cost-model deltas.
 
 Example count scales with ``REPRO_DIFF_EXAMPLES`` (default 200 locally;
 CI sets a smaller smoke profile).
@@ -29,8 +35,8 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from repro.core.engine import CubetreeEngine
+from repro.core.onthefly import OnTheFlyEngine
 from repro.core.persistence import load_any_engine, save_database
-from repro.core.sharded import ShardedCubetreeEngine
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
 from repro.warehouse.star import Dimension, StarSchema
@@ -154,45 +160,75 @@ def _io_record(io):
 
 
 def _lifecycle(engine, views, initial, delta, queries):
-    """One mirrored lifecycle; returns (rows trace, io trace)."""
+    """One lifecycle; returns (rows trace, io trace, shard-0 io trace).
+
+    Every query phase answers the set three ways — classic, fast, and
+    batched — and requires them to agree before recording the rows.
+    """
     rows_trace = []
     io_trace = []
+    disk_trace = []
+
+    def record(io, before):
+        io_trace.append(_io_record(io))
+        disk_trace.append(
+            _io_record(engine.disk.cost_model.stats - before)
+        )
+
+    def query_phase():
+        for query in queries:
+            before = engine.disk.cost_model.snapshot()
+            result = engine.query(query)
+            record(result.io, before)
+            rows_trace.append(result.rows)
+            assert engine.query(query, fast=True).rows == result.rows
+        batch = engine.query_batch(queries)
+        assert [r.rows for r in batch.results] == rows_trace[-len(queries):]
+
+    before = engine.disk.cost_model.snapshot()
     load = engine.materialize(views, initial)
-    io_trace.append(_io_record(load.phases["views"].io))
-    for query in queries:
-        result = engine.query(query)
-        rows_trace.append(result.rows)
-        io_trace.append(_io_record(result.io))
+    record(load.phases["views"].io, before)
+    query_phase()
+    before = engine.disk.cost_model.snapshot()
     update = engine.update(delta)
+    record(update.io, before)
     rows_trace.append(update.rows_applied)
-    io_trace.append(_io_record(update.io))
-    for query in queries:
-        result = engine.query(query)
-        rows_trace.append(result.rows)
-        io_trace.append(_io_record(result.io))
-    return rows_trace, io_trace
+    query_phase()
+    return rows_trace, io_trace, disk_trace
+
+
+def _oracle_traces(schema, initial, delta, queries):
+    """The oracle's answers before and after the increment."""
+    oracle = OnTheFlyEngine(schema, buffer_pages=64)
+    oracle.load_fact(initial)
+    before = [oracle.query(q).rows for q in queries]
+    oracle.append(delta)
+    after = [oracle.query(q).rows for q in queries]
+    return before, after
 
 
 @given(differential_cases())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_sharded_lifecycle_matches_single_engine(case):
-    """Rows identical at every N; simulated I/O identical at N=1."""
+    """Rows equal the oracle's at every N (hence N > 1 equals the
+    single-shard engine); at N = 1 the reported I/O is shard 0's."""
     domain_sizes, facts, views, queries = case
     schema = _make_schema(domain_sizes)
     split = len(facts) // 2
     initial, delta = facts[:split] or facts, facts[split:] or facts
+    before, after = _oracle_traces(schema, initial, delta, queries)
 
-    base = CubetreeEngine(schema, buffer_pages=64)
-    base_rows, base_io = _lifecycle(base, views, initial, delta, queries)
-
+    single_rows = None
     for num_shards in SHARD_COUNTS:
-        engine = ShardedCubetreeEngine(
-            schema, buffer_pages=64, shards=num_shards
-        )
-        rows, io = _lifecycle(engine, views, initial, delta, queries)
-        assert rows == base_rows, f"N={num_shards}"
+        engine = CubetreeEngine(schema, buffer_pages=64, shards=num_shards)
+        rows, io, disk_io = _lifecycle(engine, views, initial, delta, queries)
+        applied = rows[len(queries)]
+        assert rows == before + [applied] + after, f"N={num_shards}"
         if num_shards == 1:
-            assert io == base_io, "N=1 must be byte-identical"
+            single_rows = rows
+            assert io == disk_io, "N=1 reports exactly shard 0's I/O"
+        else:
+            assert rows == single_rows, f"N={num_shards} vs N=1"
 
 
 @given(differential_cases())
@@ -203,16 +239,11 @@ def test_sharded_checkpoint_recover_matches(tmp_path_factory, case):
     schema = _make_schema(domain_sizes)
     split = len(facts) // 2
     initial, delta = facts[:split] or facts, facts[split:] or facts
+    _before, expected = _oracle_traces(schema, initial, delta, queries)
 
-    base = CubetreeEngine(schema, buffer_pages=64)
-    base.materialize(views, initial)
-    base.update(delta)
-    expected = [base.query(q).rows for q in queries]
-
+    sizes = None
     for num_shards in (1, 3):
-        engine = ShardedCubetreeEngine(
-            schema, buffer_pages=64, shards=num_shards
-        )
+        engine = CubetreeEngine(schema, buffer_pages=64, shards=num_shards)
         engine.materialize(views, initial)
         engine.update(delta)
         directory = str(
@@ -220,6 +251,10 @@ def test_sharded_checkpoint_recover_matches(tmp_path_factory, case):
         )
         save_database(engine, directory)
         recovered = load_any_engine(directory)
-        assert recovered.view_sizes() == base.view_sizes()
+        assert recovered.num_shards == num_shards
+        sizes = sizes or engine.view_sizes()
+        assert recovered.view_sizes() == sizes, f"N={num_shards}"
         got = [recovered.query(q).rows for q in queries]
         assert got == expected, f"N={num_shards}"
+        batch = recovered.query_batch(queries)
+        assert [r.rows for r in batch.results] == expected
