@@ -16,14 +16,14 @@ from repro.experiments.common import (
     build_cubetree_engine,
     build_warehouse,
 )
-from repro.rtree.node import pinned_leaf_format
+from repro.settings import override
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _paper_leaf_format():
     """The paper's figures describe row leaves: pin them for the session
     (``test_ablation_compression`` sets the columnar variant itself)."""
-    with pinned_leaf_format("row"):
+    with override(leaf_format="row"):
         yield
 
 

@@ -25,8 +25,6 @@ from repro.analysis.fsck import (
     check_database,
     check_forest,
     check_tree,
-    debug_checks_enabled,
-    set_debug_checks,
     verify_tree,
 )
 from repro.analysis.flowrules import (
@@ -52,8 +50,6 @@ __all__ = [
     "check_database",
     "check_forest",
     "check_tree",
-    "debug_checks_enabled",
-    "set_debug_checks",
     "verify_tree",
     "RULES",
     "LintFinding",

@@ -146,27 +146,6 @@ class FsckReport:
 
 
 # ----------------------------------------------------------------------
-# debug flag (consulted by rtree.merge / core.cubetree post-conditions)
-# ----------------------------------------------------------------------
-_DEBUG_CHECKS: Optional[bool] = None  # repro: worker-local
-
-
-def set_debug_checks(enabled: Optional[bool]) -> None:
-    """Force the debug-check flag on/off; ``None`` defers to the env."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = enabled
-
-
-def debug_checks_enabled() -> bool:
-    """True when post-operation fsck should run (``REPRO_DEBUG_CHECKS``)."""
-    if _DEBUG_CHECKS is not None:
-        return _DEBUG_CHECKS
-    return os.environ.get("REPRO_DEBUG_CHECKS", "").lower() not in (
-        "", "0", "false", "no",
-    )
-
-
-# ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
 def check_tree(

@@ -39,6 +39,8 @@ from repro.constants import (
     ROW_OP_OVERHEAD_MS,
     SEQUENTIAL_IO_MS,
 )
+from repro.errors import ConfigError
+from repro.settings import current, override
 
 EXPERIMENTS = (
     "table5", "table6", "fig12", "fig13", "fig14", "table7",
@@ -269,11 +271,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "baseline": baseline_onthefly,
         "ablations": ablations,
     }
-    from repro.rtree.node import pinned_leaf_format
-
     chosen = modules.values() if args.name == "all" else [modules[args.name]]
     # The paper's figures (and EXPERIMENTS.md) describe row leaves.
-    with pinned_leaf_format("row"):
+    with override(leaf_format="row"):
         for module in chosen:
             module.run(config)
     return 0
@@ -523,9 +523,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"  shard {entry['shard']}: {entry['pages']} pages, "
             f"{entry['rows']} rows"
         )
-    from repro.storage.buffer import column_cache_capacity
-
-    cache_pages = column_cache_capacity()
+    cache_pages = current().column_cache_pages
     print(
         f"decoded-column cache: {cache_pages} leaf(s)"
         if cache_pages > 0
@@ -556,6 +554,11 @@ def cmd_info(_args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        current()
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "generate": cmd_generate,
         "experiment": cmd_experiment,

@@ -13,13 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.fsck import check_cubetree, debug_checks_enabled
 from repro.btree.keys import INT64_MAX
-from repro.core.extsort import (
-    ExternalRunSorter,
-    StreamBuildReport,
-    build_memory_budget,
-)
+from repro.core.extsort import ExternalRunSorter, StreamBuildReport
 from repro.errors import IntegrityError, MappingError, QueryError
 from repro.obs import trace
 from repro.relational.executor import AggFunc, combine_states
@@ -35,6 +30,7 @@ from repro.rtree.packing import (
     sort_key,
 )
 from repro.rtree.tree import RTree, RunKey
+from repro.settings import current
 from repro.storage.buffer import BufferPool
 
 Row = Tuple[object, ...]
@@ -175,13 +171,13 @@ class Cubetree:
         states).  Rows are re-sorted into packing order and streamed into
         a freshly packed tree.
 
-        When a build-memory budget is configured (``REPRO_BUILD_MEMORY``
-        or :func:`repro.core.extsort.set_build_memory`), the load runs
+        When a build-memory budget is configured (the ``build_memory``
+        setting, ``REPRO_BUILD_MEMORY``), the load runs
         through the bounded-memory streaming path instead of
         materializing every sorted run up front.
         """
         with trace("cubetree.build", views=len(self.views)):
-            budget = build_memory_budget()
+            budget = current().build_memory
             if budget is not None:
                 self.build_streaming(data, budget)
                 return
@@ -210,7 +206,8 @@ class Cubetree:
         same simulated I/O) as :meth:`build`.
         """
         budget = (
-            max_buffered if max_buffered is not None else build_memory_budget()
+            max_buffered if max_buffered is not None
+            else current().build_memory
         )
         if budget is None:
             raise ValueError(
@@ -282,8 +279,12 @@ class Cubetree:
 
     def _debug_verify(self, context: str) -> None:
         """Post-condition fsck behind the ``REPRO_DEBUG_CHECKS`` flag."""
-        if not debug_checks_enabled():
+        if not current().debug_checks:
             return
+        # Local import: the verifier is an analysis tool, and the serving
+        # path must not load repro.analysis just to skip the check.
+        from repro.analysis.fsck import check_cubetree
+
         report = check_cubetree(self)
         if not report.ok:
             raise IntegrityError(f"{context}: {report.format()}")

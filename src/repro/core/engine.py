@@ -27,7 +27,6 @@ accounting goes through :meth:`io_snapshot` / :meth:`io_delta`;
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import fields
 from typing import (
@@ -38,7 +37,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
 )
 
 from repro.constants import DEFAULT_BUFFER_PAGES, PAGE_SIZE
@@ -50,14 +48,13 @@ from repro.core.sharded import Shard, ShardedForest, combine_io
 from repro.core.sorting import make_substrate_sorter
 from repro.cube.lattice import CubeLattice
 from repro.cube.parallel import ParallelCubeComputation
-from repro.parallel import worker_count
 from repro.errors import QueryError
 from repro.obs import get_registry, trace
 from repro.query.result import QueryResult
 from repro.query.router import QueryRouter
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
-from repro.rtree.kernels import vector_kernels_enabled
+from repro.settings import current
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.disk import DiskManager
 from repro.storage.iomodel import IOStats
@@ -78,13 +75,6 @@ _OBS_BATCHED_QUERIES = _REG.counter("query.cubetree.batched_queries")
 _OBS_PUSHDOWNS = _REG.counter("query.cubetree.pushdowns")
 
 
-def _env_fast_scans() -> bool:
-    """Default for the engine's ``fast_scans`` flag (``REPRO_FAST_SCANS``)."""
-    return os.environ.get("REPRO_FAST_SCANS", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
 class CubetreeEngine:
     """Materialized ROLAP views stored as a forest of Cubetrees."""
 
@@ -97,7 +87,6 @@ class CubetreeEngine:
         disks: Optional[Sequence[DiskManager]] = None,
         workers: Optional[int] = None,
         fast_scans: Optional[bool] = None,
-        pool_cls: Optional[Type[BufferPool]] = None,
         shards: int = 1,
     ) -> None:
         """``shards`` residue partitions (default 1) each get their own
@@ -114,30 +103,26 @@ class CubetreeEngine:
         single queries execute through the packed-run fast path and the
         router cost plans accordingly; off, :meth:`query` keeps the
         classic interior descent and its exact simulated I/O.  Batched
-        execution (:meth:`query_batch`) always uses the run pass.
-
-        ``pool_cls`` picks the buffer-pool implementation (default
-        :class:`~repro.storage.buffer.BufferPool`); the serving layer
-        passes :class:`~repro.storage.buffer.SharedBufferPool` so pool
-        state stays sound under its worker threads."""
+        execution (:meth:`query_batch`) always uses the run pass."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if disks is not None and len(disks) != shards:
             raise ValueError(f"{len(disks)} disk(s) for {shards} shard(s)")
         self.schema = schema
         self.fast_scans = (
-            _env_fast_scans() if fast_scans is None else fast_scans
+            current().fast_scans if fast_scans is None else fast_scans
         )
         self.shards = [
             Shard(
                 index,
                 buffer_pages,
-                pool_cls=pool_cls,
                 disk=disks[index] if disks is not None else None,
             )
             for index in range(shards)
         ]
-        self.workers = worker_count() if workers is None else max(1, workers)
+        self.workers = (
+            current().workers if workers is None else max(1, workers)
+        )
         # The cube computation is global, so its (rare) substrate sort
         # spills are charged to shard 0's device.
         self.computation = ParallelCubeComputation(
@@ -305,7 +290,7 @@ class CubetreeEngine:
             decision.use_run
             and not query.group_by
             and not residual
-            and vector_kernels_enabled()
+            and current().vector_kernels
             and forest.has_run(view.name)
         ):
             # Aggregate pushdown: a total query with no residual filter

@@ -14,17 +14,15 @@ out-of-core alternative the streaming build path uses:
   order while holding one chunk per run in memory.
 
 The budget is expressed in *entries* (a ``(point, values)`` pair each)
-and comes from the ``REPRO_BUILD_MEMORY`` environment variable —
-optionally with a ``k``/``m`` suffix — or a
-:func:`set_build_memory` override.  When no budget is configured,
-:func:`build_memory_budget` returns None and bulk loads take the
-classic in-memory path, byte-for-byte identical to before.
+and comes from the ``build_memory`` setting (``REPRO_BUILD_MEMORY``,
+optionally with a ``k``/``m`` suffix).  When no budget is configured it
+is None and bulk loads take the classic in-memory path, byte-for-byte
+identical to before.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import pickle
 import tempfile
 from dataclasses import dataclass
@@ -33,7 +31,6 @@ from typing import (
     Callable,
     Iterator,
     List,
-    Optional,
     Tuple,
 )
 
@@ -52,47 +49,6 @@ SortKey = Callable[[Entry], Tuple[int, ...]]
 #: Entries per pickled spill chunk: readers hold at most one chunk per
 #: spill run, keeping merge-side memory bounded too.
 _SPILL_CHUNK = 512
-
-_BUILD_MEMORY: Optional[int] = None  # repro: worker-local
-
-
-def set_build_memory(budget: Optional[int]) -> None:
-    """Override the streaming-build budget (max buffered entries).
-
-    ``None`` falls back to the ``REPRO_BUILD_MEMORY`` environment gate;
-    a positive integer forces the streaming path with that budget.
-    """
-    global _BUILD_MEMORY
-    if budget is not None and budget < 1:
-        raise ValueError(f"build memory budget must be >= 1, got {budget}")
-    _BUILD_MEMORY = budget
-
-
-def build_memory_budget() -> Optional[int]:
-    """The configured streaming-build budget, or None (classic path)."""
-    if _BUILD_MEMORY is not None:
-        return _BUILD_MEMORY
-    raw = os.environ.get("REPRO_BUILD_MEMORY", "").strip().lower()
-    if not raw or raw in ("0", "off", "none"):
-        return None
-    scale = 1
-    if raw.endswith("k"):
-        scale, raw = 1_000, raw[:-1]
-    elif raw.endswith("m"):
-        scale, raw = 1_000_000, raw[:-1]
-    try:
-        value = int(raw) * scale
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_BUILD_MEMORY must be an entry count (optionally with "
-            f"a k/m suffix), got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(
-            f"REPRO_BUILD_MEMORY must be >= 1 entries, got {value}"
-        )
-    return value
-
 
 @dataclass
 class StreamBuildReport:

@@ -5,13 +5,13 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cubetree import Cubetree, prepare_packed_runs
-from repro.core.extsort import build_memory_budget
 from repro.core.mapping import CubetreeAllocation
 from repro.errors import QueryError
 from repro.parallel import MIN_PARALLEL_ROWS, run_tasks
 from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
 from repro.rtree.packing import PackedRun
+from repro.settings import current
 from repro.storage.buffer import BufferPool
 
 Row = Tuple[object, ...]
@@ -151,7 +151,7 @@ class CubetreeForest:
             and len(trees) > 1
             and sum(len(data[name]) for name in self._view_tree if name in data)
             >= MIN_PARALLEL_ROWS
-            and build_memory_budget() is None
+            and current().build_memory is None
         )
 
     @staticmethod

@@ -71,7 +71,7 @@ import os
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Tuple, Type
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.constants import PAGE_SIZE
 from repro.core.engine import CubetreeEngine
@@ -815,9 +815,7 @@ def _shard_files(
     return parts
 
 
-def load_any_engine(
-    directory: str, pool_cls: Optional[Type] = None
-) -> CubetreeEngine:
+def load_any_engine(directory: str) -> CubetreeEngine:
     """Reopen a database saved by :func:`save_database`.
 
     Recovery rule: the newest generation whose ``MANIFEST.json`` exists is
@@ -826,9 +824,7 @@ def load_any_engine(
     before a single page is trusted — a torn or bit-flipped checkpoint
     raises :class:`CorruptCheckpointError` instead of silently loading —
     then each shard's disk, forest, and sizes are restored from its
-    files.  ``pool_cls`` is forwarded to the reopened engine's buffer
-    pools (the serving layer passes
-    :class:`~repro.storage.buffer.SharedBufferPool`).
+    files.
     """
     newest, _partials = _newest_committed(directory)
     if newest is None:
@@ -877,7 +873,6 @@ def load_any_engine(
         buffer_pages=int(meta.get("buffer_pages", 256)),
         shards=len(disks),
         disks=disks,
-        pool_cls=pool_cls,
     )
     engine.base_views = [_view_from_json(v) for v in meta["base_views"]]
     engine.replicas = {

@@ -48,7 +48,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
 )
 
 from repro.core.cubetree import Cubetree, fold_reducers, split_states
@@ -151,13 +150,11 @@ class Shard:
         self,
         index: int,
         buffer_pages: int,
-        pool_cls: Optional[Type[BufferPool]] = None,
         disk: Optional[DiskManager] = None,
     ) -> None:
         self.index = index
         self.disk = disk if disk is not None else DiskManager()
-        pool_factory = BufferPool if pool_cls is None else pool_cls
-        self.pool = pool_factory(self.disk, capacity=buffer_pages)
+        self.pool = BufferPool(self.disk, capacity=buffer_pages)
         self.forest: Optional[CubetreeForest] = None
         #: Slice executions routed to this shard (scatter-gather skew).
         self.routed_queries = 0

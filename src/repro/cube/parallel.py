@@ -40,9 +40,10 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cube.computation import CubeComputation, CubePlanStep
-from repro.parallel import MIN_PARALLEL_ROWS, shared_pool, worker_count
+from repro.parallel import MIN_PARALLEL_ROWS, shared_pool
 from repro.relational.executor import make_key_extractor
 from repro.relational.view import ViewDefinition
+from repro.settings import current
 from repro.warehouse.hierarchy import Hierarchy
 from repro.warehouse.star import StarSchema
 
@@ -100,7 +101,9 @@ class ParallelCubeComputation(CubeComputation):
         min_parallel_rows: int = DEFAULT_MIN_PARALLEL_ROWS,
     ) -> None:
         super().__init__(schema, hierarchies, sorter)
-        self.workers = worker_count() if workers is None else max(1, workers)
+        self.workers = (
+            current().workers if workers is None else max(1, workers)
+        )
         self.serial_row_threshold = serial_row_threshold
         self.min_parallel_rows = min_parallel_rows
 

@@ -83,3 +83,8 @@ class SQLError(ReproError):
 
 class UpdateTimeoutError(ReproError):
     """An (simulated) update run exceeded its down-time window deadline."""
+
+
+class ConfigError(ReproError):
+    """A ``REPRO_*`` environment variable (or a settings override) holds
+    a value its :class:`~repro.settings.Settings` field does not accept."""

@@ -34,9 +34,9 @@ from repro.experiments.common import (
     print_table,
 )
 from repro.query.generator import RandomQueryGenerator
-from repro.rtree.node import pinned_leaf_format
 from repro.rtree.packing import PackedRun, hilbert_sort_key, pack_rtree, sort_key
 from repro.rtree.tree import RTree
+from repro.settings import override
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -99,7 +99,7 @@ def run_compression(verbose: bool = True) -> Dict:
 
     def packed(fmt: str, arity_of=lambda arity: arity, **kwargs):
         """Both views packed in ``fmt`` leaves, ``arity_of`` coords wide."""
-        with pinned_leaf_format(fmt):
+        with override(leaf_format=fmt):
             return pack_rtree(_pool()[1], dims, [
                 PackedRun(
                     view, arity_of(view), 1,

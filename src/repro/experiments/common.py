@@ -3,7 +3,6 @@ paper's selected views/indexes/replicas, and formatting helpers."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -11,6 +10,7 @@ from repro.core.conventional import ConventionalEngine
 from repro.core.engine import CubetreeEngine
 from repro.core.reports import LoadReport
 from repro.relational.view import ViewDefinition
+from repro.settings import current
 from repro.warehouse.tpcd import TPCDGenerator, WarehouseData
 
 #: The paper's selected view set V (Sec. 3, from GHRU 1-greedy).
@@ -60,14 +60,12 @@ class ExperimentConfig:
     Environment overrides: ``REPRO_SCALE`` and ``REPRO_QUERIES``.
     """
 
-    scale_factor: float = field(
-        default_factory=lambda: float(os.environ.get("REPRO_SCALE", "0.01"))
-    )
+    scale_factor: float = field(default_factory=lambda: current().scale)
     seed: int = 42
     query_seed: int = 7
     buffer_pages: int = 256
     queries_per_node: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_QUERIES", "100"))
+        default_factory=lambda: current().queries
     )
     increment_fraction: float = 0.1
     sort_chunk_rows: int = 100_000

@@ -22,7 +22,7 @@ from repro.experiments import (
     table7_updates,
 )
 from repro.experiments.common import ExperimentConfig
-from repro.rtree.node import pinned_leaf_format
+from repro.settings import override
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> None:
     print(f"Running all experiments at scale factor {config.scale_factor} "
           f"({config.queries_per_node} queries/view)")
     # The paper's figures (and EXPERIMENTS.md) describe row leaves.
-    with pinned_leaf_format("row"):
+    with override(leaf_format="row"):
         table5_mapping.run(config)
         table6_loading.run(config)
         fig12_queries.run(config)

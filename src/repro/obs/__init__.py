@@ -27,12 +27,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.trace import (
-    set_tracing,
-    trace,
-    tracing_enabled,
-    tracing_override,
-)
+from repro.obs.trace import trace
 
 __all__ = [
     "Counter",
@@ -40,8 +35,5 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "set_tracing",
     "trace",
-    "tracing_enabled",
-    "tracing_override",
 ]

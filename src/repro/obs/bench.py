@@ -33,8 +33,8 @@ from repro.constants import (
     ROW_OP_OVERHEAD_MS,
     SEQUENTIAL_IO_MS,
 )
-from repro.obs import get_registry, set_tracing
-from repro.obs.trace import tracing_override
+from repro.obs import get_registry
+from repro.settings import current, override
 
 #: Bumped whenever the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -168,25 +168,17 @@ def run_suite(
     if queries_per_node is None:
         queries_per_node = _DEFAULT_QUERIES[suite]
 
-    from repro.rtree.node import pinned_leaf_format
-
     registry = get_registry()
     registry.reset()
-    forced_before = tracing_override()
-    set_tracing(True)
-    try:
-        runner = globals()[f"_suite_{suite}"]
-        # The committed baselines price row pages, whatever the shipped
-        # default is (``columnar`` sets both formats itself, inside).
-        with pinned_leaf_format("row"):
-            return runner(scale, seed, queries_per_node)
-    finally:
-        set_tracing(forced_before)
+    runner = globals()[f"_suite_{suite}"]
+    # The committed baselines price row pages, whatever the shipped
+    # default is (``columnar`` sets both formats itself, inside).
+    with override(trace=True, leaf_format="row"):
+        return runner(scale, seed, queries_per_node)
 
 
 def _make_config(suite: str, scale: float, seed: int, queries: int):
     from repro.experiments.common import ExperimentConfig
-    from repro.parallel import worker_count
 
     config = ExperimentConfig(
         scale_factor=scale, seed=seed, queries_per_node=queries
@@ -200,7 +192,7 @@ def _make_config(suite: str, scale: float, seed: int, queries: int):
             "buffer_pages": config.buffer_pages,
             # Worker count only moves wall-clock numbers; simulated I/O
             # is identical at any setting (see repro.parallel).
-            "workers": worker_count(),
+            "workers": current().workers,
         },
     )
     return config, run
@@ -824,15 +816,12 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     """
     from dataclasses import replace
 
-    from repro.core.extsort import set_build_memory
     from repro.experiments.common import (
         FIG12_NODES,
         build_cubetree_engine,
         build_warehouse,
     )
     from repro.query.generator import RandomQueryGenerator
-    from repro.rtree.kernels import set_vector_kernels
-    from repro.rtree.node import set_leaf_format
 
     #: Streaming-build sort buffer (entries) — small enough that the
     #: bench corpus spills several runs.
@@ -857,17 +846,17 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
         for query in qgen.generate_for_node(node, queries)
     ]
 
-    try:
-        # Pin kernel dispatch on for the suite so the phases measure the
-        # same thing regardless of the ambient REPRO_VECTOR_KERNELS.
-        set_vector_kernels(True)
+    # Pin kernel dispatch on for the suite so the phases measure the
+    # same thing regardless of the ambient REPRO_VECTOR_KERNELS; builds
+    # pack columnar unless a phase pins its own format.
+    with override(vector_kernels=True, leaf_format="columnar"):
         results: Dict[str, object] = {}
         pages: Dict[str, int] = {}
         engine = None
         for mode in ("row", "columnar"):
-            set_leaf_format(mode)
             wall_start = time.perf_counter()
-            engine, _ = build_cubetree_engine(config, data)
+            with override(leaf_format=mode):
+                engine, _ = build_cubetree_engine(config, data)
             run.phases.append(
                 _absolute_phase(
                     f"load_{mode}", engine.pool,
@@ -890,10 +879,9 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 "same workload differently"
             )
 
-        set_leaf_format("columnar")
-        set_build_memory(stream_budget)
         wall_start = time.perf_counter()
-        stream_engine, _ = build_cubetree_engine(config, data)
+        with override(build_memory=stream_budget):
+            stream_engine, _ = build_cubetree_engine(config, data)
         run.phases.append(
             _absolute_phase(
                 "load_stream", stream_engine.pool,
@@ -905,7 +893,6 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 "columnar bench: streaming build produced a different "
                 "page count than the in-memory columnar build"
             )
-        set_build_memory(None)
 
         # -- vectorized vs scalar, single-query path -------------------
         # Both sides run the identical multi-pass protocol (cold pool,
@@ -917,9 +904,10 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             ("queries_columnar_scalar", False),
             ("queries_columnar_vector", True),
         ):
-            set_vector_kernels(enabled)
             columnar_engine.pool.clear()
-            with run.phase(kernel_mode, columnar_engine.pool):
+            with override(vector_kernels=enabled), run.phase(
+                kernel_mode, columnar_engine.pool
+            ):
                 for _ in range(kernel_passes):
                     kernel_answers[kernel_mode] = [
                         tuple(
@@ -948,9 +936,10 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             ("batch_columnar_scalar", False),
             ("batch_columnar_vector", True),
         ):
-            set_vector_kernels(enabled)
             columnar_engine.pool.clear()
-            with run.phase(kernel_mode, columnar_engine.pool):
+            with override(vector_kernels=enabled), run.phase(
+                kernel_mode, columnar_engine.pool
+            ):
                 batch = columnar_engine.query_batch(workload)
             batch_answers[kernel_mode] = [
                 tuple(sorted(result.rows)) for result in batch.results
@@ -981,9 +970,10 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             ("queries_small_scalar", False),
             ("queries_small_vector", True),
         ):
-            set_vector_kernels(enabled)
             small_engine.pool.clear()
-            with run.phase(kernel_mode, small_engine.pool):
+            with override(vector_kernels=enabled), run.phase(
+                kernel_mode, small_engine.pool
+            ):
                 for _ in range(small_pool_passes):
                     small_answers[kernel_mode] = [
                         tuple(
@@ -1071,9 +1061,6 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             },
         }
         return result
-    finally:  # (run_suite's pin restores the leaf format)
-        set_build_memory(None)
-        set_vector_kernels(None)
 
 
 # ----------------------------------------------------------------------

@@ -13,53 +13,20 @@ accumulate into ``span.<name>.<tag>`` counters (e.g. pages packed per
 merge).  Spans may nest freely — they are independent measurements, not a
 causal trace tree.
 
-Tracing is **off by default** and costs one module-global check plus a
+Tracing is **off by default** and costs one settings read plus a
 shared no-op context manager per call site when disabled, so instrumented
-hot paths stay at production speed.  Enable it with the environment
-variable :data:`TRACE_ENV` (``REPRO_TRACE=1``) or programmatically with
-:func:`set_tracing` (tests, the bench harness).
+hot paths stay at production speed.  Enable it with ``REPRO_TRACE=1``
+or programmatically with ``repro.settings.override(trace=True)`` (tests,
+the bench harness).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Optional, Union
+from typing import Union
 
 from repro.obs.registry import get_registry
-
-#: Environment variable that switches span tracing on for a process.
-TRACE_ENV = "REPRO_TRACE"
-
-_FORCED: Optional[bool] = None  # repro: worker-local
-_ENABLED: bool = False  # resolved cache; recomputed on set_tracing()  # repro: worker-local
-
-
-def _resolve() -> bool:
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(TRACE_ENV, "").lower() not in ("", "0", "false", "no")
-
-
-def set_tracing(enabled: Optional[bool]) -> None:
-    """Force tracing on/off; ``None`` defers to ``REPRO_TRACE`` again."""
-    global _FORCED, _ENABLED
-    _FORCED = enabled
-    _ENABLED = _resolve()
-
-
-def tracing_enabled() -> bool:
-    """True when spans are being recorded."""
-    return _ENABLED
-
-
-def tracing_override() -> Optional[bool]:
-    """The current :func:`set_tracing` override (None = env-driven).
-
-    Callers that force tracing temporarily (the bench harness) save this
-    and pass it back to :func:`set_tracing` to restore the prior state.
-    """
-    return _FORCED
+from repro.settings import current
 
 
 class _NoopSpan:
@@ -103,10 +70,6 @@ class Span:
 
 def trace(name: str, **tags: Union[int, float, str]) -> Union[Span, _NoopSpan]:
     """Open a span named ``name``; free when tracing is disabled."""
-    if not _ENABLED:
+    if not current().trace:
         return _NOOP
     return Span(name, tags)
-
-
-# Resolve the environment once at import; set_tracing() re-resolves.
-_ENABLED = _resolve()

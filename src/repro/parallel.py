@@ -1,4 +1,5 @@
-"""Process-parallel execution helpers, gated by ``REPRO_WORKERS``.
+"""Process-parallel execution helpers, sized by the ``workers`` setting
+(``REPRO_WORKERS``).
 
 The simulated-I/O experiments are single-device by construction: every
 page access moves one shared disk head, so the cost model is only
@@ -12,32 +13,17 @@ byte-for-byte the serial one.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-_ENV_VAR = "REPRO_WORKERS"
-
 #: Below this many input rows, parallel stages run serially: the pickle
 #: round-trip and dispatch latency of a process pool cost milliseconds,
 #: which small inputs cannot amortize (see docs/PERFORMANCE.md for the
 #: measured crossover).
 MIN_PARALLEL_ROWS = 32_768
-
-
-def worker_count(default: int = 1) -> int:
-    """The configured worker count (``REPRO_WORKERS``, min 1)."""
-    raw = os.environ.get(_ENV_VAR, "")
-    if not raw:
-        return max(1, default)
-    try:
-        value = int(raw)
-    except ValueError:
-        return max(1, default)
-    return max(1, value)
 
 
 #: Lazily-created pools, keyed by worker count and shared process-wide so

@@ -48,7 +48,7 @@ from repro.query.router import (
     run_seek_probes,
 )
 from repro.query.slice import SliceQuery
-from repro.rtree.kernels import vector_kernels_enabled
+from repro.settings import current
 from repro.storage.iomodel import IOStats
 
 _OBS_PUSHDOWNS = get_registry().counter("query.cubetree.pushdowns")
@@ -111,7 +111,7 @@ def execute_batch(
     batch = BatchResult(results=[QueryResult() for _ in queries])
     if not queries:
         return batch
-    use_pushdown = vector_kernels_enabled()
+    use_pushdown = current().vector_kernels
     decisions, groups = route_batch(router, forest.access_paths(), queries)
     for view_names in _merge_replica_groups(decisions, groups):
         indices = sorted(i for name in view_names for i in groups[name])

@@ -23,13 +23,12 @@ as slices while preserving the exact serial float fold order of the
 row-at-a-time path.
 
 Scalar row-leaf traversal stays in :mod:`repro.rtree.tree`; per-leaf
-dispatch picks the kernel only for columnar leaves and only while
-:func:`vector_kernels_enabled` (``REPRO_VECTOR_KERNELS``, default on).
+dispatch picks the kernel only for columnar leaves and only while the
+``vector_kernels`` setting (``REPRO_VECTOR_KERNELS``, default on) holds.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple, Union
@@ -41,28 +40,8 @@ INT64_MAX = (1 << 63) - 1
 #: Smallest coordinate a packed run may contain (validated at pack time).
 MIN_COORD = 1
 
-_VECTOR_KERNELS: Optional[bool] = None  # repro: worker-local
-
 #: A leaf-entry selection: contiguous range or explicit index list.
 Selection = Union[range, List[int]]
-
-
-def set_vector_kernels(enabled: Optional[bool]) -> None:
-    """Override kernel dispatch: ``True``/``False``, or ``None`` to fall
-    back to the ``REPRO_VECTOR_KERNELS`` environment gate."""
-    global _VECTOR_KERNELS
-    if enabled not in (None, True, False):
-        raise ValueError(f"unknown vector-kernels setting {enabled!r}")
-    _VECTOR_KERNELS = enabled
-
-
-def vector_kernels_enabled() -> bool:
-    """True when columnar leaves should be queried through the kernels
-    (default; set ``REPRO_VECTOR_KERNELS=0`` to force the scalar path)."""
-    if _VECTOR_KERNELS is not None:
-        return _VECTOR_KERNELS
-    env = os.environ.get("REPRO_VECTOR_KERNELS", "").strip().lower()
-    return env not in ("0", "false", "no", "off")
 
 
 class LeafColumns:

@@ -29,6 +29,7 @@ from repro.rtree.packing import (
     write_chunks,
 )
 from repro.rtree.tree import EMPTY_EXTENT, RTree
+from repro.settings import current
 from repro.storage.buffer import BufferPool
 
 _REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
@@ -212,9 +213,9 @@ def _merge_pack(
     # the old tree is retired so a violation loses no data.  The import
     # is local because repro.analysis.fsck itself depends on this
     # package.
-    from repro.analysis.fsck import debug_checks_enabled, verify_tree
+    if current().debug_checks:
+        from repro.analysis.fsck import verify_tree
 
-    if debug_checks_enabled():
         verify_tree(new_tree, context="merge_pack post-condition")
     if retire_old:
         free_tree(pool, old_tree)

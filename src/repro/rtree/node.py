@@ -31,8 +31,8 @@ Columnar leaf page layout (type 3, format v3) shares the 17-byte header
 
 Packed runs are sorted, so coordinate deltas are tiny and most varints
 take one byte — the source of the beyond-2:1 storage ratio.  Columnar
-is what the packer writes; :func:`set_leaf_format` /
-``REPRO_LEAF_FORMAT=row`` pins row-major (type 1), and both decode
+is what the packer writes; ``REPRO_LEAF_FORMAT=row`` (the
+``leaf_format`` setting) pins row-major (type 1), and both decode
 transparently.
 
 Interior page layout::
@@ -45,11 +45,9 @@ Interior page layout::
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
 from array import array
-from contextlib import contextmanager
 from itertools import repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -78,40 +76,6 @@ MAX_LEAF_ENTRIES = 0xFFFF
 
 Point = Tuple[int, ...]
 Values = Tuple[float, ...]
-
-_LEAF_FORMAT: Optional[str] = None  # repro: worker-local
-
-
-def set_leaf_format(fmt: Optional[str]) -> None:
-    """Override the packer's leaf format: ``"row"``, ``"columnar"``, or
-    ``None`` to fall back to the ``REPRO_LEAF_FORMAT`` environment gate."""
-    global _LEAF_FORMAT
-    if fmt not in (None, "row", "columnar"):
-        raise ValueError(f"unknown leaf format {fmt!r}")
-    _LEAF_FORMAT = fmt
-
-
-@contextmanager
-def pinned_leaf_format(fmt: str) -> Iterator[None]:
-    """Pin the packer's leaf format for a ``with`` block (benches and
-    paper-figure experiments recorded over row pages pin ``"row"``)."""
-    global _LEAF_FORMAT
-    before = _LEAF_FORMAT
-    set_leaf_format(fmt)
-    try:
-        yield
-    finally:
-        _LEAF_FORMAT = before
-
-
-def leaf_format() -> str:
-    """The leaf format newly packed trees use (``"columnar"`` unless
-    pinned to ``"row"``)."""
-    if _LEAF_FORMAT is not None:
-        return _LEAF_FORMAT
-    env = os.environ.get("REPRO_LEAF_FORMAT", "").strip().lower()
-    return "row" if env == "row" else "columnar"
-
 
 def leaf_capacity(arity: int, n_aggs: int) -> int:
     """Max entries for a leaf storing ``arity`` coords + ``n_aggs`` values."""

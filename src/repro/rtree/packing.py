@@ -34,9 +34,9 @@ from repro.rtree.node import (
     columnar_header_size,
     interior_capacity,
     leaf_capacity,
-    leaf_format,
 )
 from repro.rtree.tree import EMPTY_EXTENT, RTree
+from repro.settings import current
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import delta_tokens
 
@@ -241,7 +241,7 @@ class LeafWriter:
 
     def __init__(self, pool: BufferPool, dims: int) -> None:
         self.tree = RTree(pool, dims)
-        self._columnar = leaf_format() == "columnar"
+        self._columnar = current().leaf_format == "columnar"
         self._level: List[Tuple[Rect, int]] = []  # (mbr, page id) per leaf
         self._total = 0
         # The open leaf: its pinned page, (view id, arity, n_aggs), the

@@ -19,12 +19,7 @@ from repro.constants import PAGE_SIZE
 from repro.errors import InvalidCoordinateError, StorageError
 from repro.obs import get_registry
 from repro.rtree.geometry import Rect
-from repro.rtree.kernels import (
-    FoldAccumulator,
-    leaf_columns,
-    select_rows,
-    vector_kernels_enabled,
-)
+from repro.rtree.kernels import FoldAccumulator, leaf_columns, select_rows
 from repro.rtree.node import (
     LEAF_TYPES,
     RInteriorNode,
@@ -35,6 +30,7 @@ from repro.rtree.node import (
     leaf_header,
     node_type_of,
 )
+from repro.settings import current
 from repro.storage.buffer import BufferPool
 from repro.storage.page import Page
 
@@ -267,7 +263,7 @@ class RTree:
         lo = tuple(lo_key)
         hi = tuple(hi_key)
         start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        use_kernel = vector_kernels_enabled()
+        use_kernel = current().vector_kernels
         with closing(
             self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
         ) as leaves:
@@ -332,7 +328,7 @@ class RTree:
         lo = tuple(lo_key)
         hi = tuple(hi_key)
         start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        use_kernel = vector_kernels_enabled()
+        use_kernel = current().vector_kernels
         with closing(
             self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
         ) as leaves:
@@ -428,7 +424,7 @@ class RTree:
             else:
                 eq_index.setdefault((dim, rect.lows[dim]), []).append(r)
         probe_dims = sorted({dim for dim, _value in eq_index})
-        use_kernel = vector_kernels_enabled()
+        use_kernel = current().vector_kernels
         with closing(
             self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
         ) as leaves:
@@ -677,7 +673,7 @@ class RTree:
                 if (
                     node.columnar
                     and self.view_extents
-                    and vector_kernels_enabled()
+                    and current().vector_kernels
                 ):
                     # Packed columnar leaf (dynamic inserts wipe the
                     # extents, so these leaves still satisfy the kernel

@@ -15,7 +15,7 @@ queries onto the same snapshot.  That gives three properties at once:
 * **serialized engine access** — exactly one thread executes against any
   engine, so the buffer pool, cost model, and router see the
   single-threaded schedules they were built for (the
-  :class:`~repro.storage.buffer.SharedBufferPool` lock stays a
+  :class:`~repro.storage.buffer.BufferPool` lock stays a
   defence-in-depth backstop, not the consistency mechanism);
 * **bounded admission** — past ``max_depth`` waiting queries, new
   arrivals are rejected with :class:`AdmissionError` (HTTP 503) instead

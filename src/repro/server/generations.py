@@ -19,7 +19,7 @@ execution itself never holds it.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.persistence import (
     DEFAULT_RETAIN,
@@ -30,7 +30,6 @@ from repro.core.persistence import (
 )
 from repro.errors import ReproError
 from repro.obs import get_registry
-from repro.storage.buffer import SharedBufferPool
 
 _REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
 _OBS_PINNED = _REG.gauge("server.pinned_generations")
@@ -83,11 +82,9 @@ class GenerationManager:
         self,
         directory: str,
         retain: int = DEFAULT_RETAIN,
-        pool_cls: Optional[Type] = SharedBufferPool,
     ) -> None:
         self.directory = directory
         self.retain = retain
-        self.pool_cls = pool_cls
         self._lock = threading.Lock()
         self._current: Optional[GenerationHandle] = None
         self._handles: Dict[int, GenerationHandle] = {}
@@ -115,7 +112,7 @@ class GenerationManager:
             raise GenerationError(
                 f"generation {number} is not committed in {self.directory!r}"
             )
-        engine = load_any_engine(self.directory, pool_cls=self.pool_cls)
+        engine = load_any_engine(self.directory)
         newest = newest_committed_number(self.directory)
         if newest != number:
             raise GenerationError(

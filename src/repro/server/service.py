@@ -31,7 +31,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import (
     DEFAULT_RETAIN,
@@ -45,7 +45,6 @@ from repro.query.result import QueryResult
 from repro.query.slice import SliceQuery
 from repro.server.admission import AdmissionQueue
 from repro.server.generations import GenerationManager
-from repro.storage.buffer import SharedBufferPool
 from repro.storage.wal import CrashPoint
 
 Row = Tuple[object, ...]
@@ -117,7 +116,6 @@ class ServerConfig:
     #: Seconds between refresh-thread wakeups (None = no thread; drive
     #: :meth:`CubetreeServer.refresh_now` manually).
     refresh_interval: Optional[float] = None
-    pool_cls: Optional[Type] = SharedBufferPool
     query_timeout: Optional[float] = 60.0
 
 
@@ -130,9 +128,7 @@ class CubetreeServer:
         self.directory = directory
         self.config = config or ServerConfig()
         self.manager = GenerationManager(
-            directory,
-            retain=self.config.retain,
-            pool_cls=self.config.pool_cls,
+            directory, retain=self.config.retain
         )
         self.admission = AdmissionQueue(
             max_depth=self.config.max_admission_depth
@@ -313,9 +309,7 @@ class CubetreeServer:
         rows: List[Row] = [row for batch in batches for row in batch]
         before = newest_committed_number(self.directory)
         try:
-            builder = load_any_engine(
-                self.directory, pool_cls=self.config.pool_cls
-            )
+            builder = load_any_engine(self.directory)
             builder.update(rows)
             gen_path = save_database(
                 builder,

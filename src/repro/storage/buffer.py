@@ -29,15 +29,15 @@ simulated-I/O baselines cannot drift.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.constants import DEFAULT_BUFFER_PAGES, DEFAULT_COLUMN_CACHE_PAGES
+from repro.constants import DEFAULT_BUFFER_PAGES
 from repro.errors import StorageError
 from repro.obs import get_registry
+from repro.settings import current
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page
 
@@ -58,24 +58,6 @@ _OBS_COL_INVALIDATIONS = _REG.counter("buffer.column_cache.invalidations")
 #: Current decoded bytes held across every pool's column cache (counter
 #: adjusted with +/- deltas so the snapshot reads as a gauge).
 _OBS_COL_BYTES = _REG.counter("buffer.column_cache.bytes")
-
-
-def column_cache_capacity() -> int:
-    """Decoded-column cache entries per pool.
-
-    ``REPRO_COLUMN_CACHE_PAGES`` overrides the default
-    (:data:`repro.constants.DEFAULT_COLUMN_CACHE_PAGES`); ``0`` disables
-    the cache entirely.
-    """
-    raw = os.environ.get("REPRO_COLUMN_CACHE_PAGES", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError as exc:
-            raise StorageError(
-                f"REPRO_COLUMN_CACHE_PAGES={raw!r} is not an integer"
-            ) from exc
-    return DEFAULT_COLUMN_CACHE_PAGES
 
 
 @dataclass
@@ -254,6 +236,15 @@ class BufferPool:
 
     Pinned pages (``pin_count > 0``) are never evicted; callers must balance
     :meth:`fetch_page`/:meth:`new_page` with :meth:`unpin_page`.
+
+    Every public method takes the pool's one re-entrant lock.  The serving
+    layer (:mod:`repro.server`) keeps several engines alive at once — one
+    per pinned generation plus the refresh builder — and while admission
+    serializes query execution per engine, the pool stays structurally
+    sound if two threads ever reach it together (a stats probe racing the
+    executor).  Under any serial schedule the locked operations are the
+    single-threaded ones, so simulated I/O is unchanged; an uncontended
+    acquire costs well under a microsecond.
     """
 
     def __init__(
@@ -283,13 +274,16 @@ class BufferPool:
         self._sticky: Set[int] = set()
         #: Decoded-column side-cache; survives page eviction, guarded by
         #: the per-page content versions below.
-        self.column_cache = DecodedColumnCache(  # repro: guarded-by(SharedBufferPool._lock)
-            column_cache_capacity()
+        self.column_cache = DecodedColumnCache(  # repro: guarded-by(BufferPool._lock)
+            current().column_cache_pages
         )
         #: Content generation per page id; bumped on dirtying unpins,
         #: reallocation, and discard so the column cache can never serve
         #: a decode of superseded page contents.
         self._page_versions: Dict[int, int] = {}
+        # Guards every structure above across server threads; re-entrant
+        # because flush and clear call sibling public methods.
+        self._lock = threading.RLock()  # repro: guarded-by(self._lock)
 
     # ------------------------------------------------------------------
     # page access
@@ -306,74 +300,84 @@ class BufferPool:
         because the demand fetch behind a read-ahead is one logical
         access, not evidence of reuse.
         """
-        page = self._frames.get(page_id)
-        if page is not None:
-            self.stats.hits += 1
-            _OBS_HITS.value += 1
-            self._frames.move_to_end(page_id)
-        elif (page := self._probation.get(page_id)) is not None:
-            self.stats.hits += 1
-            _OBS_HITS.value += 1
-            if not scan:
-                del self._probation[page_id]
-                self._frames[page_id] = page
-                self.stats.promotions += 1
-                _OBS_PROMOTIONS.value += 1
-        else:
-            self.stats.misses += 1
-            _OBS_MISSES.value += 1
-            data = self.disk.read_page(page_id)
-            page = Page(page_id, data)
-            self._admit(page, scan=scan)
-        page.pin_count += 1
-        return page
+        with self._lock:
+            page = self._frames.get(page_id)
+            if page is not None:
+                self.stats.hits += 1
+                _OBS_HITS.value += 1
+                self._frames.move_to_end(page_id)
+            elif (page := self._probation.get(page_id)) is not None:
+                self.stats.hits += 1
+                _OBS_HITS.value += 1
+                if not scan:
+                    del self._probation[page_id]
+                    self._frames[page_id] = page
+                    self.stats.promotions += 1
+                    _OBS_PROMOTIONS.value += 1
+            else:
+                self.stats.misses += 1
+                _OBS_MISSES.value += 1
+                data = self.disk.read_page(page_id)
+                page = Page(page_id, data)
+                self._admit(page, scan=scan)
+            page.pin_count += 1
+            return page
 
     def new_page(self) -> Page:
         """Allocate a fresh page on disk and return it pinned.
 
         The new page is *not* read from disk (it has no contents yet).
         """
-        page_id = self.disk.allocate_page()
-        page = Page(page_id)
-        self._admit(page)
-        page.pin_count += 1
-        self.stats.new_pages += 1
-        _OBS_NEW_PAGES.value += 1
-        # The disk reuses freed page ids: a reallocated id is new
-        # contents, so any cached decode of its old life must die.
-        self._bump_version(page_id)
-        return page
+        with self._lock:
+            page_id = self.disk.allocate_page()
+            page = Page(page_id)
+            self._admit(page)
+            page.pin_count += 1
+            self.stats.new_pages += 1
+            _OBS_NEW_PAGES.value += 1
+            # The disk reuses freed page ids: a reallocated id is new
+            # contents, so any cached decode of its old life must die.
+            self._bump_version(page_id)
+            return page
 
     def unpin_page(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin; optionally mark the page dirty."""
-        page = self._frames.get(page_id)
-        if page is None:
-            page = self._probation.get(page_id)
-        if page is None:
-            raise StorageError(f"unpin of page {page_id} not in pool")
-        if page.pin_count <= 0:
-            raise StorageError(f"page {page_id} is not pinned")
-        page.pin_count -= 1
-        if dirty:
-            page.dirty = True
-            self._bump_version(page_id)
-        self.stats.unpins += 1
-        _OBS_UNPINS.value += 1
+        with self._lock:
+            page = self._frames.get(page_id)
+            if page is None:
+                page = self._probation.get(page_id)
+            if page is None:
+                raise StorageError(f"unpin of page {page_id} not in pool")
+            if page.pin_count <= 0:
+                raise StorageError(f"page {page_id} is not pinned")
+            page.pin_count -= 1
+            if dirty:
+                page.dirty = True
+                self._bump_version(page_id)
+            self.stats.unpins += 1
+            _OBS_UNPINS.value += 1
 
     # ------------------------------------------------------------------
     # decoded-column side-cache
     # ------------------------------------------------------------------
     def page_version(self, page_id: int) -> int:
         """Content generation of a page (0 until it is first rewritten)."""
-        return self._page_versions.get(page_id, 0)
+        with self._lock:
+            return self._page_versions.get(page_id, 0)
 
     def cached_columns(self, page_id: int) -> Optional[object]:
         """Decoded object for the page's *current* contents, if cached."""
-        return self.column_cache.get(page_id, self.page_version(page_id))
+        with self._lock:
+            return self.column_cache.get(
+                page_id, self._page_versions.get(page_id, 0)
+            )
 
     def store_columns(self, page_id: int, obj: object, nbytes: int) -> None:
         """Admit a decoded object for the page's current contents."""
-        self.column_cache.put(page_id, self.page_version(page_id), obj, nbytes)
+        with self._lock:
+            self.column_cache.put(
+                page_id, self._page_versions.get(page_id, 0), obj, nbytes
+            )
 
     def _bump_version(self, page_id: int) -> None:
         self._page_versions[page_id] = (
@@ -394,16 +398,17 @@ class BufferPool:
         demand :meth:`fetch_page` that follows then hits in memory.
         Returns the number of pages actually read.
         """
-        read = 0
-        for page_id in page_ids:
-            if page_id in self._frames or page_id in self._probation:
-                continue
-            data = self.disk.read_page(page_id)
-            self._admit(Page(page_id, data), scan=True)
-            read += 1
-        self.stats.readahead_pages += read
-        _OBS_READAHEAD.value += read
-        return read
+        with self._lock:
+            read = 0
+            for page_id in page_ids:
+                if page_id in self._frames or page_id in self._probation:
+                    continue
+                data = self.disk.read_page(page_id)
+                self._admit(Page(page_id, data), scan=True)
+                read += 1
+            self.stats.readahead_pages += read
+            _OBS_READAHEAD.value += read
+            return read
 
     def protect_page(self, page_id: int) -> None:
         """Shelter a page id from eviction while other victims exist.
@@ -414,11 +419,13 @@ class BufferPool:
         read.  Protection is advisory — when every other page is pinned
         or protected, protected pages become evictable again rather than
         failing the admission."""
-        self._sticky.add(page_id)
+        with self._lock:
+            self._sticky.add(page_id)
 
     def unprotect_page(self, page_id: int) -> None:
         """Remove eviction shelter from a page id (missing ids are fine)."""
-        self._sticky.discard(page_id)
+        with self._lock:
+            self._sticky.discard(page_id)
 
     @property
     def protected_page_ids(self) -> FrozenSet[int]:
@@ -430,35 +437,38 @@ class BufferPool:
     # ------------------------------------------------------------------
     def flush_page(self, page_id: int) -> None:
         """Write one dirty page back to disk."""
-        page = self._frames.get(page_id)
-        if page is None:
-            page = self._probation.get(page_id)
-        if page is None:
-            return
-        if page.dirty:
-            self.disk.write_page(page.page_id, bytes(page.data))
-            page.dirty = False
+        with self._lock:
+            page = self._frames.get(page_id)
+            if page is None:
+                page = self._probation.get(page_id)
+            if page is None:
+                return
+            if page.dirty:
+                self.disk.write_page(page.page_id, bytes(page.data))
+                page.dirty = False
 
     def flush_all(self) -> None:
         """Write every dirty page back to disk in page-id order (pages
         stay cached; ordering keeps the flush burst sequential)."""
-        for page_id in sorted(self._all_page_ids()):
-            self.flush_page(page_id)
+        with self._lock:
+            for page_id in sorted(self._all_page_ids()):
+                self.flush_page(page_id)
 
     def clear(self) -> None:
         """Flush everything and empty the pool (simulates a cold cache)."""
-        self.flush_all()
-        for page in self._all_pages():
-            if page.pin_count > 0:
-                raise StorageError(
-                    f"cannot clear pool: page {page.page_id} is pinned"
-                )
-        self._frames.clear()
-        self._probation.clear()
-        # A cold restart loses in-memory decodes too; page versions are
-        # kept — they describe on-disk content generations, and the
-        # cache entries they guard are gone anyway.
-        self.column_cache.clear()
+        with self._lock:
+            self.flush_all()
+            for page in self._all_pages():
+                if page.pin_count > 0:
+                    raise StorageError(
+                        f"cannot clear pool: page {page.page_id} is pinned"
+                    )
+            self._frames.clear()
+            self._probation.clear()
+            # A cold restart loses in-memory decodes too; page versions are
+            # kept — they describe on-disk content generations, and the
+            # cache entries they guard are gone anyway.
+            self.column_cache.clear()
 
     def discard_page(self, page_id: int) -> None:
         """Drop a page from the pool *without* writing it back.
@@ -466,19 +476,20 @@ class BufferPool:
         Used when the page is being freed on disk (e.g. retiring an old
         Cubetree after a merge-pack), so flushing would be wasted work.
         """
-        page = self._frames.pop(page_id, None)
-        if page is None:
-            page = self._probation.pop(page_id, None)
-            segment = self._probation
-        else:
-            segment = self._frames
-        if page is not None and page.pin_count > 0:
-            segment[page_id] = page
-            raise StorageError(f"cannot discard pinned page {page_id}")
-        self._sticky.discard(page_id)
-        # The page is being freed on disk; its id may be reallocated
-        # with different contents, so its cached decode must die now.
-        self._bump_version(page_id)
+        with self._lock:
+            page = self._frames.pop(page_id, None)
+            if page is None:
+                page = self._probation.pop(page_id, None)
+                segment = self._probation
+            else:
+                segment = self._frames
+            if page is not None and page.pin_count > 0:
+                segment[page_id] = page
+                raise StorageError(f"cannot discard pinned page {page_id}")
+            self._sticky.discard(page_id)
+            # The page is being freed on disk; its id may be reallocated
+            # with different contents, so its cached decode must die now.
+            self._bump_version(page_id)
 
     # ------------------------------------------------------------------
     @property
@@ -543,83 +554,3 @@ class BufferPool:
             (v for v in victims if v.dirty), key=lambda p: p.page_id
         ):
             self.disk.write_page(victim.page_id, bytes(victim.data))
-
-
-class SharedBufferPool(BufferPool):
-    """A :class:`BufferPool` whose public surface is guarded by one lock.
-
-    The serving layer (:mod:`repro.server`) keeps several engines alive at
-    once — one per pinned generation plus the refresh builder — and while
-    the admission queue serializes *query execution* per engine, defence
-    in depth demands the pool itself stay structurally sound if two
-    threads ever reach it concurrently (an HTTP stats probe racing the
-    executor, a future sharded executor).  Every mutating entry point
-    takes the pool's re-entrant lock; the wrapped operations are exactly
-    the single-threaded ones, so simulated I/O is byte-identical to a
-    plain :class:`BufferPool` under any serial schedule.
-
-    The lock is re-entrant because flush/eviction paths call back into
-    sibling public methods (``flush_all`` -> ``flush_page``).
-    """
-
-    def __init__(
-        self,
-        disk: DiskManager,
-        capacity: int = DEFAULT_BUFFER_PAGES,
-        eviction_batch: int = 64,
-    ) -> None:
-        super().__init__(disk, capacity=capacity, eviction_batch=eviction_batch)
-        # Guards _frames/_probation/_sticky/stats across server threads.
-        self._lock = threading.RLock()  # repro: guarded-by(self._lock)
-
-    def fetch_page(self, page_id: int, scan: bool = False) -> Page:
-        with self._lock:
-            return super().fetch_page(page_id, scan=scan)
-
-    def new_page(self) -> Page:
-        with self._lock:
-            return super().new_page()
-
-    def unpin_page(self, page_id: int, dirty: bool = False) -> None:
-        with self._lock:
-            super().unpin_page(page_id, dirty=dirty)
-
-    def prefetch_run(self, page_ids: Sequence[int]) -> int:
-        with self._lock:
-            return super().prefetch_run(page_ids)
-
-    def protect_page(self, page_id: int) -> None:
-        with self._lock:
-            super().protect_page(page_id)
-
-    def unprotect_page(self, page_id: int) -> None:
-        with self._lock:
-            super().unprotect_page(page_id)
-
-    def flush_page(self, page_id: int) -> None:
-        with self._lock:
-            super().flush_page(page_id)
-
-    def flush_all(self) -> None:
-        with self._lock:
-            super().flush_all()
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-
-    def discard_page(self, page_id: int) -> None:
-        with self._lock:
-            super().discard_page(page_id)
-
-    def page_version(self, page_id: int) -> int:
-        with self._lock:
-            return super().page_version(page_id)
-
-    def cached_columns(self, page_id: int) -> Optional[object]:
-        with self._lock:
-            return super().cached_columns(page_id)
-
-    def store_columns(self, page_id: int, obj: object, nbytes: int) -> None:
-        with self._lock:
-            super().store_columns(page_id, obj, nbytes)

@@ -12,23 +12,17 @@ from repro.analysis.fsck import (
     FsckReport,
     check_cubetree,
     check_tree,
-    debug_checks_enabled,
-    set_debug_checks,
     verify_tree,
 )
 from repro.errors import IntegrityError
 from repro.relational.view import ViewDefinition
 from repro.rtree.geometry import Rect
 from repro.rtree.merge import merge_pack
-from repro.rtree.node import (
-    RInteriorNode,
-    RLeafNode,
-    leaf_capacity,
-    set_leaf_format,
-)
+from repro.rtree.node import RInteriorNode, RLeafNode, leaf_capacity
 from repro.rtree.packing import PackedRun, pack_rtree
 from repro.rtree.tree import RTree
 from repro.core.cubetree import Cubetree
+from repro.settings import Settings, current, override
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -41,9 +35,8 @@ CAP2 = leaf_capacity(2, 1)  # arity-2 leaves
 def _row_leaves():
     """The fixtures below count leaf slots (CAP1/CAP2), so they pin the
     row format; fsck's columnar walk is tests/rtree/test_columnar_leaf."""
-    set_leaf_format("row")
-    yield
-    set_leaf_format(None)
+    with override(leaf_format="row"):
+        yield
 
 
 def make_pool(capacity=2048):
@@ -252,14 +245,12 @@ def test_unregistered_view_is_reported():
 # ----------------------------------------------------------------------
 # debug flag + merge-pack post-condition
 # ----------------------------------------------------------------------
-def test_debug_flag_defaults_off(monkeypatch):
-    monkeypatch.delenv("REPRO_DEBUG_CHECKS", raising=False)
-    set_debug_checks(None)
-    assert not debug_checks_enabled()
-    monkeypatch.setenv("REPRO_DEBUG_CHECKS", "1")
-    assert debug_checks_enabled()
-    monkeypatch.setenv("REPRO_DEBUG_CHECKS", "false")
-    assert not debug_checks_enabled()
+def test_debug_flag_defaults_off():
+    assert not Settings.from_env({}).debug_checks
+    assert Settings.from_env({"REPRO_DEBUG_CHECKS": "1"}).debug_checks
+    assert not Settings.from_env({"REPRO_DEBUG_CHECKS": "false"}).debug_checks
+    with override(debug_checks=True):
+        assert current().debug_checks
 
 
 def test_merge_pack_verifies_under_debug_flag():
@@ -268,23 +259,17 @@ def test_merge_pack_verifies_under_debug_flag():
     delta = [
         PackedRun(1, 1, 1, [((i,), (2.0,)) for i in range(250, 351)])
     ]
-    set_debug_checks(True)
-    try:
+    with override(debug_checks=True):
         merged = merge_pack(pool, DIMS, tree, delta)
-    finally:
-        set_debug_checks(None)
     assert check_tree(merged).ok
     assert merged.count == 300 + 100 + 101 - 51  # 51 keys overlap
 
 
 def test_cubetree_build_verifies_under_debug_flag():
     _disk, pool = make_pool()
-    set_debug_checks(True)
-    try:
+    with override(debug_checks=True):
         cube = cubetree_fixture(pool)
         cube.update({"V_a": [(100, 1.0)]})
-    finally:
-        set_debug_checks(None)
     assert check_cubetree(cube).ok
 
 

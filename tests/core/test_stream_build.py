@@ -11,20 +11,12 @@ import random
 import pytest
 
 from repro.core.cubetree import Cubetree
-from repro.core.extsort import (
-    ExternalRunSorter,
-    build_memory_budget,
-    set_build_memory,
-)
+from repro.core.extsort import ExternalRunSorter
+from repro.errors import ConfigError
 from repro.relational.view import ViewDefinition
+from repro.settings import Settings, current, override
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
-
-
-@pytest.fixture(autouse=True)
-def _reset_budget():
-    yield
-    set_build_memory(None)
 
 
 def make_pool(capacity=256):
@@ -103,31 +95,29 @@ def test_sorter_rejects_bad_budget():
 # ----------------------------------------------------------------------
 # budget configuration
 # ----------------------------------------------------------------------
-def test_budget_env_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_BUILD_MEMORY", raising=False)
-    assert build_memory_budget() is None
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "4096")
-    assert build_memory_budget() == 4096
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "8k")
-    assert build_memory_budget() == 8000
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "2m")
-    assert build_memory_budget() == 2_000_000
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "off")
-    assert build_memory_budget() is None
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "lots")
-    with pytest.raises(ValueError):
-        build_memory_budget()
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "-5")
-    with pytest.raises(ValueError):
-        build_memory_budget()
+def budget_from(raw):
+    return Settings.from_env({"REPRO_BUILD_MEMORY": raw}).build_memory
 
 
-def test_budget_override_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BUILD_MEMORY", "4096")
-    set_build_memory(32)
-    assert build_memory_budget() == 32
-    set_build_memory(None)
-    assert build_memory_budget() == 4096
+def test_budget_env_parsing():
+    assert Settings.from_env({}).build_memory is None
+    assert budget_from("4096") == 4096
+    assert budget_from("8k") == 8000
+    assert budget_from("2m") == 2_000_000
+    assert budget_from("off") is None
+    for bad in ("lots", "-5"):
+        with pytest.raises(ConfigError, match="REPRO_BUILD_MEMORY"):
+            budget_from(bad)
+
+
+def test_budget_override_beats_env():
+    with override(build_memory=4096):
+        with override(build_memory=32):
+            assert current().build_memory == 32
+        assert current().build_memory == 4096
+    with pytest.raises(ConfigError):
+        with override(build_memory=0):
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -167,11 +157,10 @@ def test_streaming_build_charges_identical_io():
 
 def test_build_gates_on_budget():
     data = make_data(n_1d=400, n_2d=500)
-    set_build_memory(64)
     _d, pool = make_pool()
     gated = Cubetree(pool, 3, make_views())
-    gated.build(data)  # takes the streaming path
-    set_build_memory(None)
+    with override(build_memory=64):
+        gated.build(data)  # takes the streaming path
 
     _d2, pool2 = make_pool()
     classic = Cubetree(pool2, 3, make_views())

@@ -23,7 +23,7 @@ from repro.core.persistence import (
 )
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
-from repro.rtree.node import set_leaf_format
+from repro.settings import override
 from repro.warehouse.tpcd import TPCDGenerator
 
 from tests.core.test_persistence import (
@@ -41,22 +41,13 @@ VIEWS = [
 PROBE = SliceQuery(group_by=("partkey",), bindings=(("suppkey", 3),))
 
 
-@pytest.fixture(autouse=True)
-def _reset_leaf_format():
-    yield
-    set_leaf_format(None)
-
-
 def _build_engine(columnar=False):
     data = TPCDGenerator(scale_factor=0.0005, seed=23).generate()
     # Pinned either way: v2 checkpoints (and the size baseline below)
     # are row pages whatever the shipped default is.
-    set_leaf_format("columnar" if columnar else "row")
-    try:
+    with override(leaf_format="columnar" if columnar else "row"):
         engine = CubetreeEngine(data.schema, buffer_pages=128)
         engine.materialize(VIEWS, data.facts)
-    finally:
-        set_leaf_format(None)
     return engine
 
 

@@ -26,6 +26,7 @@ from repro.experiments.common import (
     paper_replicas,
     paper_views,
 )
+from repro.settings import Settings, override
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +58,11 @@ def test_fmt_helpers():
     assert node_label(()) == "none"
 
 
-def test_config_env_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "0.123")
-    monkeypatch.setenv("REPRO_QUERIES", "7")
-    config = ExperimentConfig()
+def test_config_env_overrides():
+    parsed = Settings.from_env({"REPRO_SCALE": "0.123", "REPRO_QUERIES": "7"})
+    assert (parsed.scale, parsed.queries) == (0.123, 7)
+    with override(scale=parsed.scale, queries=parsed.queries):
+        config = ExperimentConfig()
     assert config.scale_factor == 0.123
     assert config.queries_per_node == 7
 
@@ -135,12 +137,12 @@ def test_ablation_replication(tiny_config):
     assert result["with replicas"]["pages"] > result["no replicas"]["pages"]
 
 
-def test_runner_smoke(tiny_config, monkeypatch, capsys):
+def test_runner_smoke(tiny_config, capsys):
     """The command-line runner executes end to end at a tiny scale."""
-    monkeypatch.setenv("REPRO_QUERIES", "3")
     from repro.experiments import runner
 
-    runner.main(["0.0003"])
+    with override(queries=3):
+        runner.main(["0.0003"])
     out = capsys.readouterr().out
     for marker in ("Table 5", "Table 6", "Figure 12", "Figure 13",
                    "Figure 14", "Table 7", "Ablation"):

@@ -2,30 +2,29 @@
 
 import pytest
 
-from repro.obs import get_registry, set_tracing, trace, tracing_enabled
-from repro.obs.trace import _NOOP, tracing_override
-
-
-@pytest.fixture(autouse=True)
-def _restore_tracing():
-    """Leave the process-wide tracing switch the way we found it."""
-    before = tracing_override()
-    yield
-    set_tracing(before)
+from repro.obs import get_registry, trace
+from repro.obs.trace import _NOOP
+from repro.settings import Settings, current, override
 
 
 def test_disabled_returns_shared_noop():
-    set_tracing(False)
-    assert not tracing_enabled()
-    span = trace("anything", pages=5)
+    with override(trace=False):
+        assert not current().trace
+        span = trace("anything", pages=5)
     assert span is _NOOP
     # And it is a working no-op context manager.
     with span:
         pass
 
 
-def test_enabled_records_duration_and_count():
-    set_tracing(True)
+@pytest.fixture
+def tracing():
+    """Span recording on for one test; the prior setting comes back."""
+    with override(trace=True):
+        yield
+
+
+def test_enabled_records_duration_and_count(tracing):
     registry = get_registry()
     registry.counter("span.test.op.count").reset()
     registry.histogram("span.test.op.ms").reset()
@@ -41,8 +40,7 @@ def test_enabled_records_duration_and_count():
     assert hist["max"] >= 0.0
 
 
-def test_numeric_tags_accumulate_as_counters():
-    set_tracing(True)
+def test_numeric_tags_accumulate_as_counters(tracing):
     registry = get_registry()
     registry.counter("span.test.tags.pages").reset()
 
@@ -57,8 +55,7 @@ def test_numeric_tags_accumulate_as_counters():
     assert registry.get("span.test.tags.flag") is None
 
 
-def test_span_records_even_when_body_raises():
-    set_tracing(True)
+def test_span_records_even_when_body_raises(tracing):
     registry = get_registry()
     registry.counter("span.test.err.count").reset()
     with pytest.raises(RuntimeError):
@@ -67,22 +64,15 @@ def test_span_records_even_when_body_raises():
     assert registry.counter("span.test.err.count").snapshot() == 1
 
 
-def test_set_tracing_none_defers_to_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    set_tracing(None)
-    assert not tracing_enabled()
-
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    set_tracing(None)  # re-resolve
-    assert tracing_enabled()
-
-    monkeypatch.setenv("REPRO_TRACE", "false")
-    set_tracing(None)
-    assert not tracing_enabled()
+def test_set_tracing_none_defers_to_environment():
+    assert not Settings.from_env({}).trace
+    assert Settings.from_env({"REPRO_TRACE": "1"}).trace
+    assert not Settings.from_env({"REPRO_TRACE": "false"}).trace
+    assert not Settings.from_env({"REPRO_TRACE": "off"}).trace
 
 
-def test_override_wins_over_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    set_tracing(False)
-    assert not tracing_enabled()
-    assert tracing_override() is False
+def test_override_wins_over_environment():
+    with override(trace=True):
+        with override(trace=False):
+            assert trace("anything") is _NOOP
+        assert trace("anything") is not _NOOP

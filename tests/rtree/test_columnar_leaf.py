@@ -17,27 +17,20 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
 
 from repro.analysis.fsck import check_tree
 from repro.constants import PAGE_SIZE
-from repro.errors import InvalidRecordError, StorageError
+from repro.errors import ConfigError, InvalidRecordError, StorageError
 from repro.rtree.node import (
     LEAF_COLUMNAR_TYPE,
     LEAF_TYPE,
     RLeafNode,
     columnar_leaf_size,
-    leaf_format,
-    set_leaf_format,
 )
 from repro.rtree.packing import PackedRun, pack_rtree, sort_key
 from repro.rtree.tree import EMPTY_EXTENT
+from repro.settings import Settings, current, override
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
 INT64_MAX = 2**63 - 1
-
-
-@pytest.fixture(autouse=True)
-def _reset_leaf_format():
-    yield
-    set_leaf_format(None)
 
 
 def make_pool(capacity=256):
@@ -61,21 +54,25 @@ def two_view_runs(dims=3, n_1d=600, n_2d=24):
 # ----------------------------------------------------------------------
 # gate
 # ----------------------------------------------------------------------
-def test_format_gate_defaults_to_columnar(monkeypatch):
-    monkeypatch.delenv("REPRO_LEAF_FORMAT", raising=False)
-    assert leaf_format() == "columnar"
+def test_format_gate_defaults_to_columnar():
+    assert Settings.from_env({}).leaf_format == "columnar"
 
 
-def test_format_gate_env(monkeypatch):
-    monkeypatch.setenv("REPRO_LEAF_FORMAT", "row")  # the explicit pin
-    assert leaf_format() == "row"
-    set_leaf_format("columnar")  # override beats the environment
-    assert leaf_format() == "columnar"
+def test_format_gate_env():
+    pinned = Settings.from_env({"REPRO_LEAF_FORMAT": "row"})  # explicit pin
+    assert pinned.leaf_format == "row"
+    with override(leaf_format="row"):
+        with override(leaf_format="columnar"):  # innermost override wins
+            assert current().leaf_format == "columnar"
+        assert current().leaf_format == "row"
 
 
 def test_format_gate_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_leaf_format("parquet")
+    with pytest.raises(ConfigError):
+        with override(leaf_format="parquet"):
+            pass
+    with pytest.raises(ConfigError, match="REPRO_LEAF_FORMAT"):
+        Settings.from_env({"REPRO_LEAF_FORMAT": "parquet"})
 
 
 # ----------------------------------------------------------------------
@@ -163,13 +160,13 @@ def _scan(tree):
 
 def test_columnar_pack_matches_row_pack_and_shrinks():
     dims = 3
-    set_leaf_format("row")
     _disk, pool_row = make_pool()
-    row_tree = pack_rtree(pool_row, dims, two_view_runs(dims))
+    with override(leaf_format="row"):
+        row_tree = pack_rtree(pool_row, dims, two_view_runs(dims))
 
-    set_leaf_format("columnar")
     _disk2, pool_col = make_pool()
-    col_tree = pack_rtree(pool_col, dims, two_view_runs(dims))
+    with override(leaf_format="columnar"):
+        col_tree = pack_rtree(pool_col, dims, two_view_runs(dims))
 
     assert _scan(row_tree) == _scan(col_tree)
     assert col_tree.num_pages < row_tree.num_pages
@@ -182,21 +179,21 @@ def test_columnar_pack_matches_row_pack_and_shrinks():
 
 
 def test_fsck_accepts_columnar_tree():
-    set_leaf_format("columnar")
     _disk, pool = make_pool()
-    tree = pack_rtree(pool, 3, two_view_runs())
+    with override(leaf_format="columnar"):
+        tree = pack_rtree(pool, 3, two_view_runs())
     report = check_tree(tree)
     assert report.ok, report.format()
 
 
 def test_run_scan_identical_across_formats():
     dims = 3
-    set_leaf_format("row")
     _disk, pool_row = make_pool()
-    row_tree = pack_rtree(pool_row, dims, two_view_runs(dims))
-    set_leaf_format("columnar")
+    with override(leaf_format="row"):
+        row_tree = pack_rtree(pool_row, dims, two_view_runs(dims))
     _disk2, pool_col = make_pool()
-    col_tree = pack_rtree(pool_col, dims, two_view_runs(dims))
+    with override(leaf_format="columnar"):
+        col_tree = pack_rtree(pool_col, dims, two_view_runs(dims))
     def run_entries(tree, view_id):
         return [
             (point, values)

@@ -36,11 +36,10 @@ from repro.rtree.kernels import (
     LeafColumns,
     leaf_columns,
     select_rows,
-    set_vector_kernels,
-    vector_kernels_enabled,
 )
-from repro.rtree.node import leaf_capacity, set_leaf_format
+from repro.rtree.node import leaf_capacity
 from repro.rtree.packing import PackedRun, pack_rtree
+from repro.settings import Settings, current, override
 from repro.storage.buffer import BufferPool, DecodedColumnCache
 from repro.storage.disk import DiskManager
 from repro.warehouse.star import Dimension, StarSchema
@@ -95,8 +94,8 @@ def view_rect(view_arity, bounds=None):
 
 def columnar_packed_tree(pool, **kwargs):
     """A packed tree whose leaves must be decoded from columnar pages."""
-    set_leaf_format("columnar")
-    tree = packed_tree(pool, **kwargs)
+    with override(leaf_format="columnar"):
+        tree = packed_tree(pool, **kwargs)
     pool.clear()  # drop in-memory nodes: fetches decode columnar bytes
     return tree
 
@@ -275,51 +274,39 @@ SLICES = [
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
 def test_search_run_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     _disk, pool = make_pool()
-    try:
-        tree = columnar_packed_tree(pool)
-        rect = view_rect(arity, bounds)
-        set_vector_kernels(False)
+    tree = columnar_packed_tree(pool)
+    rect = view_rect(arity, bounds)
+    with override(vector_kernels=False):
         expected = list(tree.search_run(arity, rect, lo_key, hi_key))
-        set_vector_kernels(True)
+    with override(vector_kernels=True):
         got = list(tree.search_run(arity, rect, lo_key, hi_key))
-        assert got == expected  # same matches, same order
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
+    assert got == expected  # same matches, same order
 
 
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
 def test_descent_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     _disk, pool = make_pool()
-    try:
-        tree = columnar_packed_tree(pool)
-        rect = view_rect(arity, bounds)
-        set_vector_kernels(False)
+    tree = columnar_packed_tree(pool)
+    rect = view_rect(arity, bounds)
+    with override(vector_kernels=False):
         expected = list(tree.search(rect))
-        set_vector_kernels(True)
+    with override(vector_kernels=True):
         assert list(tree.search(rect)) == expected
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
 
 
 def test_search_run_group_vectorized_equals_scalar():
     _disk, pool = make_pool()
-    try:
-        tree = columnar_packed_tree(pool)
-        requests = [
-            (view_rect(2), (), ()),
-            (view_rect(2, {1: (5, 5)}), (5,), (5,)),
-            (view_rect(2, {1: (2, 8)}), (2,), (8,)),
-            (view_rect(2, {0: (3, 3)}), (), ()),
-        ]
-        set_vector_kernels(False)
+    tree = columnar_packed_tree(pool)
+    requests = [
+        (view_rect(2), (), ()),
+        (view_rect(2, {1: (5, 5)}), (5,), (5,)),
+        (view_rect(2, {1: (2, 8)}), (2,), (8,)),
+        (view_rect(2, {0: (3, 3)}), (), ()),
+    ]
+    with override(vector_kernels=False):
         expected = tree.search_run_group(2, requests)
-        set_vector_kernels(True)
+    with override(vector_kernels=True):
         assert tree.search_run_group(2, requests) == expected
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
 
 
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
@@ -328,41 +315,32 @@ def test_search_run_fold_equals_folding_matches(
     arity, bounds, lo_key, hi_key, kernels
 ):
     _disk, pool = make_pool()
-    try:
-        tree = columnar_packed_tree(pool)
-        rect = view_rect(arity, bounds)
-        set_vector_kernels(kernels)
+    tree = columnar_packed_tree(pool)
+    rect = view_rect(arity, bounds)
+    with override(vector_kernels=kernels):
         expected = FoldAccumulator(("add",))
         for _vid, _pt, values in tree.search_run(arity, rect, lo_key, hi_key):
             expected.add(values)
         acc = FoldAccumulator(("add",))
         tree.search_run_fold(arity, rect, acc, lo_key, hi_key)
-        assert acc.states == expected.states
-        assert acc.rows == expected.rows
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
+    assert acc.states == expected.states
+    assert acc.rows == expected.rows
 
 
 def test_dynamic_leaves_fall_back_to_scalar():
     """Dynamic inserts wipe the extents, so the descent must not bisect
     (possibly unsorted, possibly zero-coordinate) dynamic leaves."""
-    _disk, pool = make_pool()
-    try:
-        set_leaf_format("columnar")
-        set_vector_kernels(True)
-        from repro.rtree.tree import RTree
+    from repro.rtree.tree import RTree
 
+    _disk, pool = make_pool()
+    with override(leaf_format="columnar", vector_kernels=True):
         tree = RTree(pool, dims=2, n_aggs=1)
         for point in [(5, 5), (1, 2), (0, 3), (4, 0)]:  # unsorted, zeros
             tree.insert(point, (1.0,))
         pool.clear()
         rect = Rect((0, 0), (4, BIG))
         got = sorted(pt for _vid, pt, _vals in tree.search(rect))
-        assert got == [(0, 3), (1, 2), (4, 0)]
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
+    assert got == [(0, 3), (1, 2), (4, 0)]
 
 
 # ----------------------------------------------------------------------
@@ -399,16 +377,12 @@ def test_column_cache_survives_page_eviction():
     # churns its own pages out, and the rescan re-fetches them — and
     # finds their decoded leaves still in the side-cache.
     _disk, pool = make_pool(capacity=12)
-    try:
-        tree = columnar_packed_tree(pool, n1=24 * CAP1)
-        set_vector_kernels(True)
+    tree = columnar_packed_tree(pool, n1=24 * CAP1)
+    with override(vector_kernels=True):
         list(tree.search_run(1, view_rect(1)))
         before = pool.column_cache.stats.hits
         list(tree.search_run(1, view_rect(1)))
-        assert pool.column_cache.stats.hits > before
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
+    assert pool.column_cache.stats.hits > before
 
 
 def test_column_cache_invalidated_by_dirty_unpin():
@@ -475,31 +449,25 @@ def test_total_query_takes_the_aggregate_pushdown():
     engine = _small_engine()
     total = SliceQuery((), (("ka", 2),), ())
     counter = get_registry().counter("query.cubetree.pushdowns")
-    try:
-        set_vector_kernels(False)
+    with override(vector_kernels=False):
         expected = engine.query(total, fast=True)
-        before = counter.value
-        set_vector_kernels(True)
+    before = counter.value
+    with override(vector_kernels=True):
         got = engine.query(total, fast=True)
-        assert counter.value == before + 1
-        assert got.rows == expected.rows
-        assert got.plan == expected.plan
-        assert got.io.simulated_ms == expected.io.simulated_ms
-    finally:
-        set_vector_kernels(None)
+    assert counter.value == before + 1
+    assert got.rows == expected.rows
+    assert got.plan == expected.plan
+    assert got.io.simulated_ms == expected.io.simulated_ms
 
 
 def test_group_by_query_skips_the_pushdown():
     engine = _small_engine()
     grouped = SliceQuery(("ka",), (("kb", 3),), ())
     counter = get_registry().counter("query.cubetree.pushdowns")
-    try:
-        set_vector_kernels(True)
-        before = counter.value
+    before = counter.value
+    with override(vector_kernels=True):
         engine.query(grouped, fast=True)
-        assert counter.value == before
-    finally:
-        set_vector_kernels(None)
+    assert counter.value == before
 
 
 @st.composite
@@ -578,49 +546,38 @@ def test_row_scalar_columnar_scalar_and_vectorized_agree(case):
     """row-scalar == columnar-scalar == columnar-vectorized (and batch)."""
     domain_sizes, facts, views, queries = case
     schema = _make_schema(domain_sizes)
-    try:
-        set_vector_kernels(False)
-        set_leaf_format("row")
+    with override(vector_kernels=False, leaf_format="row"):
         row_engine = CubetreeEngine(schema, buffer_pages=64)
         row_engine.materialize(views, facts)
         reference = [
             sorted(row_engine.query(q, fast=True).rows) for q in queries
         ]
 
-        set_leaf_format("columnar")
+    with override(vector_kernels=False, leaf_format="columnar"):
         col_engine = CubetreeEngine(schema, buffer_pages=64)
         col_engine.materialize(views, facts)
         col_engine.pool.clear()  # force columnar decode on first touch
         scalar = [col_engine.query(q, fast=True).rows for q in queries]
 
-        set_vector_kernels(True)
+    with override(vector_kernels=True):
         vector = [col_engine.query(q, fast=True).rows for q in queries]
         batch = [
             result.rows for result in col_engine.query_batch(queries).results
         ]
 
-        assert vector == scalar  # identical rows, identical order
-        assert batch == scalar
-        assert [sorted(rows) for rows in scalar] == reference
-    finally:
-        set_vector_kernels(None)
-        set_leaf_format(None)
+    assert vector == scalar  # identical rows, identical order
+    assert batch == scalar
+    assert [sorted(rows) for rows in scalar] == reference
 
 
 def test_kernel_dispatch_gate_resolution():
-    try:
-        set_vector_kernels(True)
-        assert vector_kernels_enabled()
-        set_vector_kernels(False)
-        assert not vector_kernels_enabled()
-        set_vector_kernels(None)
-        os.environ["REPRO_VECTOR_KERNELS"] = "0"
-        assert not vector_kernels_enabled()
-        os.environ["REPRO_VECTOR_KERNELS"] = "1"
-        assert vector_kernels_enabled()
-    finally:
-        os.environ.pop("REPRO_VECTOR_KERNELS", None)
-        set_vector_kernels(None)
+    with override(vector_kernels=True):
+        assert current().vector_kernels
+        with override(vector_kernels=False):
+            assert not current().vector_kernels
+    assert Settings.from_env({}).vector_kernels
+    assert not Settings.from_env({"REPRO_VECTOR_KERNELS": "0"}).vector_kernels
+    assert Settings.from_env({"REPRO_VECTOR_KERNELS": "1"}).vector_kernels
 
 
 def test_leaf_columns_builds_and_stashes_for_row_leaves():

@@ -19,7 +19,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a test dependency
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
-from repro.analysis.fsck import check_tree, set_debug_checks, verify_tree
+from repro.analysis.fsck import check_tree, verify_tree
 from repro.constants import PAGE_SIZE
 from repro.errors import InvalidRecordError
 from repro.rtree.merge import add_combiner, merge_pack
@@ -28,7 +28,6 @@ from repro.rtree.node import (
     RLeafNode,
     columnar_header_size,
     leaf_capacity,
-    pinned_leaf_format,
 )
 from repro.rtree.packing import (
     PackedRun,
@@ -38,6 +37,7 @@ from repro.rtree.packing import (
     sort_key,
 )
 from repro.rtree.tree import EMPTY_EXTENT, RTree
+from repro.settings import override
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import (
     decode_delta_column,
@@ -204,23 +204,20 @@ def test_pack_and_merge_pack_match_the_tuple_reference(fmt, forest, capacity):
     pool = BufferPool(disk, capacity=capacity)
     ref_disk = DiskManager()
     ref_pool = BufferPool(ref_disk, capacity=capacity)
-    set_debug_checks(True)  # the merge-pack post-condition still runs
-    try:
-        with pinned_leaf_format(fmt):
-            tree = pack_rtree(pool, DIMS, old_runs)
-            ref_tree = reference_pack(ref_pool, old_runs, columnar)
-            assert _snapshot(disk, pool, tree) == _snapshot(
-                ref_disk, ref_pool, ref_tree
-            )
-            # fsck reads through the pool, so both sides get one
-            assert check_tree(tree).ok and check_tree(ref_tree).ok
+    # debug_checks=True: the merge-pack post-condition still runs.
+    with override(leaf_format=fmt, debug_checks=True):
+        tree = pack_rtree(pool, DIMS, old_runs)
+        ref_tree = reference_pack(ref_pool, old_runs, columnar)
+        assert _snapshot(disk, pool, tree) == _snapshot(
+            ref_disk, ref_pool, ref_tree
+        )
+        # fsck reads through the pool, so both sides get one
+        assert check_tree(tree).ok and check_tree(ref_tree).ok
 
-            tree = merge_pack(pool, DIMS, tree, delta_runs)
-            ref_tree = reference_merge(
-                ref_pool, ref_tree, delta_runs, columnar
-            )
-    finally:
-        set_debug_checks(None)
+        tree = merge_pack(pool, DIMS, tree, delta_runs)
+        ref_tree = reference_merge(
+            ref_pool, ref_tree, delta_runs, columnar
+        )
     assert _snapshot(disk, pool, tree) == _snapshot(
         ref_disk, ref_pool, ref_tree
     )

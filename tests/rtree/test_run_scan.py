@@ -11,9 +11,10 @@ import pytest
 
 from repro.rtree.geometry import Rect
 from repro.rtree.merge import merge_pack
-from repro.rtree.node import leaf_capacity, set_leaf_format
+from repro.rtree.node import leaf_capacity
 from repro.rtree.packing import PackedRun, pack_rtree
 from repro.rtree.tree import RTree
+from repro.settings import override
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -113,11 +114,8 @@ def test_dynamic_insert_clears_extents():
     run = PackedRun(
         2, 2, 1, [((x, 1), (1.0,)) for x in range(1, 2 * CAP2 + 10)]
     )
-    set_leaf_format("row")
-    try:
+    with override(leaf_format="row"):
         tree = pack_rtree(pool, DIMS, [run])
-    finally:
-        set_leaf_format(None)
     assert tree.view_extents
     tree.insert((500_000, 1), (1.0,))
     assert tree.view_extents == {}

@@ -1,5 +1,9 @@
 """Tests for the LRU buffer pool."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.constants import PAGE_SIZE
@@ -299,3 +303,60 @@ def test_point_workload_is_plain_lru():
     assert not pool._probation
     assert ids[1] not in pool._frames
     assert ids[0] in pool._frames
+
+
+def test_concurrent_threads_keep_the_pool_consistent():
+    """Eight threads hammer one pool smaller than the page set: every
+    public call takes the pool's lock, so pins balance, every fetch is
+    counted exactly once, and no eviction trips over a concurrent
+    mutation."""
+    threads, rounds, pages = 8, 1500, 96
+    disk = DiskManager()
+    pool = BufferPool(disk, capacity=24, eviction_batch=4)
+    ids = _flushed_pages(pool, pages)
+    setup_unpins = pool.stats.unpins
+    errors = []
+    fetches = [0] * threads
+    start = threading.Barrier(threads)
+
+    def worker(index):
+        rng = random.Random(index)
+        start.wait()
+        try:
+            for _ in range(rounds):
+                page_id = rng.choice(ids)
+                if rng.random() < 0.2:
+                    first = ids.index(page_id)
+                    pool.prefetch_run(ids[first:first + 4])
+                page = pool.fetch_page(page_id, scan=rng.random() < 0.5)
+                fetches[index] += 1
+                if page.data[0] != ids.index(page_id) + 1:
+                    raise AssertionError(f"page {page_id} has wrong bytes")
+                pool.store_columns(page_id, ("decoded", page_id), 8)
+                pool.cached_columns(page_id)
+                pool.unpin_page(page_id)
+        except Exception as exc:  # surfaced by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        workers = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(threads)
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in workers)
+    assert errors == []
+    total = sum(fetches)
+    assert total == threads * rounds
+    assert pool.stats.hits + pool.stats.misses == total
+    assert pool.stats.unpins - setup_unpins == total
+    assert all(page.pin_count == 0 for page in pool._all_pages())
+    assert pool.num_cached <= pool.capacity

@@ -1,4 +1,4 @@
-"""Tests for the REPRO_WORKERS parallel helpers and their gating.
+"""Tests for the worker-count (REPRO_WORKERS) parallel helpers and their gating.
 
 The load-bearing properties are the *fallbacks*: every configuration —
 any worker count, any input size — must produce results identical to the
@@ -12,8 +12,10 @@ import pytest
 
 from repro.cube.computation import CubeComputation
 from repro.cube.parallel import ParallelCubeComputation, _compute_step
-from repro.parallel import MIN_PARALLEL_ROWS, run_tasks, worker_count
+from repro.errors import ConfigError
+from repro.parallel import MIN_PARALLEL_ROWS, run_tasks
 from repro.relational.view import ViewDefinition
+from repro.settings import Settings, override
 from repro.warehouse.star import Dimension, StarSchema
 
 
@@ -43,18 +45,17 @@ def views():
 
 
 # ----------------------------------------------------------------------
-# worker_count / run_tasks
+# worker count / run_tasks
 # ----------------------------------------------------------------------
-def test_worker_count_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(default=3) == 3
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("REPRO_WORKERS", "0")
-    assert worker_count() == 1  # clamped to at least one
-    monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-    assert worker_count() == 1
+def test_worker_count_reads_env():
+    assert Settings.from_env({}).workers == 1
+    assert Settings.from_env({"REPRO_WORKERS": "4"}).workers == 4
+    for bad in ("0", "not-a-number"):
+        with pytest.raises(ConfigError, match="REPRO_WORKERS"):
+            Settings.from_env({"REPRO_WORKERS": bad})
+    with override(workers=3):
+        assert ParallelCubeComputation(small_schema()).workers == 3
+    assert ParallelCubeComputation(small_schema(), workers=0).workers == 1
 
 
 def test_run_tasks_serial_inline():

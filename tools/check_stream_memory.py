@@ -3,8 +3,8 @@
 
 Builds the paper configuration twice over the same warehouse — once
 through the classic in-memory pack, once through the bounded-memory
-streaming path (``REPRO_BUILD_MEMORY``-style budget, forced via
-:func:`repro.core.extsort.set_build_memory`) — and requires:
+streaming path (a ``build_memory`` budget, forced via
+``repro.settings.override``) — and requires:
 
 * identical storage (page count) and simulated load cost,
 * the external sorter's peak buffer at or below the budget,
@@ -25,28 +25,26 @@ SEED = 42
 
 
 def main() -> int:
-    from repro.core.extsort import set_build_memory
     from repro.experiments.common import (
         ExperimentConfig,
         build_cubetree_engine,
         build_warehouse,
     )
     from repro.obs import get_registry
+    from repro.settings import override
 
     config = ExperimentConfig(scale_factor=SCALE, seed=SEED)
     _generator, data = build_warehouse(config)
 
-    classic, _ = build_cubetree_engine(config, data)
+    with override(build_memory=None):
+        classic, _ = build_cubetree_engine(config, data)
     classic_pages = classic.forest.num_pages
     classic_ms = classic.disk.cost_model.stats.simulated_ms
 
     registry = get_registry()
     registry.reset()
-    set_build_memory(BUDGET)
-    try:
+    with override(build_memory=BUDGET):
         streamed, _ = build_cubetree_engine(config, data)
-    finally:
-        set_build_memory(None)
     streamed_pages = streamed.forest.num_pages
     streamed_ms = streamed.disk.cost_model.stats.simulated_ms
 
