@@ -4,9 +4,12 @@ Engines are expensive to build, so query-side benches share one loaded
 pair per session; load/update benches build their own fresh instances
 (they time construction or mutate state).
 
-Scale is controlled by ``REPRO_SCALE`` (default 0.01 = ~60k fact rows) and
-query counts by ``REPRO_QUERIES`` (default 100 per view, as in the paper).
+Scale is set by ``--scale`` (default 0.01 = ~60k fact rows) and query
+counts by ``--queries`` (default 100 per view, as in the paper), e.g.
+``pytest benchmarks --scale 0.002 --queries 20``.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,9 +30,28 @@ def _paper_leaf_format():
         yield
 
 
+def pytest_addoption(parser):
+    group = parser.getgroup("repro benchmarks")
+    group.addoption(
+        "--scale", type=float, default=None,
+        help="TPC-D scale factor (default: ExperimentConfig's 0.01)",
+    )
+    group.addoption(
+        "--queries", type=int, default=None,
+        help="queries per lattice node (default: ExperimentConfig's 100)",
+    )
+
+
 @pytest.fixture(scope="session")
-def config():
-    return ExperimentConfig()
+def config(pytestconfig):
+    config = ExperimentConfig()
+    scale = pytestconfig.getoption("--scale")
+    if scale is not None:
+        config = replace(config, scale_factor=scale)
+    queries = pytestconfig.getoption("--queries")
+    if queries is not None:
+        config = replace(config, queries_per_node=queries)
+    return config
 
 
 @pytest.fixture(scope="session")

@@ -61,6 +61,7 @@ from __future__ import annotations
 import ast
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -1377,8 +1378,9 @@ def findings_payload(findings: Sequence[LintFinding]) -> dict:
     }
 
 
-def load_baseline(path: str) -> Set[Tuple[str, str, str]]:
-    """Fingerprints accepted by a committed baseline file."""
+def load_baseline(path: str) -> "Counter[Tuple[str, str, str]]":
+    """Fingerprints accepted by a committed baseline file, each counted
+    once per entry (an entry accepts exactly one finding)."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("schema_version") != BASELINE_SCHEMA_VERSION:
@@ -1386,28 +1388,45 @@ def load_baseline(path: str) -> Set[Tuple[str, str, str]]:
             f"unsupported flow baseline schema "
             f"{payload.get('schema_version')!r} in {path!r}"
         )
-    return {
+    return Counter(
         (
             str(entry["rule"]),
             canonical_path(str(entry["path"])),
             str(entry["message"]),
         )
         for entry in payload.get("findings", [])
-    }
+    )
 
 
 def apply_baseline(
     findings: Sequence[LintFinding],
-    baseline: Set[Tuple[str, str, str]],
+    baseline: Iterable[Tuple[str, str, str]],
 ) -> Tuple[List[LintFinding], int]:
-    """Split findings into (new, count suppressed by the baseline)."""
+    """Split findings into (new, count suppressed by the baseline).
+
+    Matching is by count: a fingerprint listed twice accepts two
+    findings, and a third identical one is new.  An entry no finding
+    uses is stale and comes back as a new finding of its own (line 0),
+    so the baseline has to shrink with the code it excuses.
+    """
+    remaining = Counter(baseline)
     fresh: List[LintFinding] = []
     suppressed = 0
     for finding in findings:
-        if finding_fingerprint(finding) in baseline:
+        key = finding_fingerprint(finding)
+        if remaining[key] > 0:
+            remaining[key] -= 1
             suppressed += 1
         else:
             fresh.append(finding)
+    for (rule, path, message), unused in sorted(remaining.items()):
+        fresh.extend(
+            LintFinding(
+                rule, path, 0, 0,
+                f"stale baseline entry (matches no finding): {message}",
+            )
+            for _ in range(unused)
+        )
     return fresh, suppressed
 
 

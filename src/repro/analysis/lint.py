@@ -33,12 +33,11 @@ linter knows about:
     No per-entry loops over ``leaf.points`` / ``leaf.values`` in the
     query path (``repro/query/`` and ``repro/rtree/tree.py``; see
     ``PATH_RESTRICTIONS``).  Leaf consumption belongs in the column
-    kernels (:mod:`repro.rtree.kernels`) or one of the sanctioned
-    scalar-fallback helpers, so columnar leaves keep their vectorized
-    fast path.  The intentional scalar fallbacks are recorded in
-    ``tools/lint-baseline.json``; new sites must justify themselves or
-    go through the kernels.  Attribute loops only — ``dict.values()``
-    method calls never match.
+    kernels (:mod:`repro.rtree.kernels`), which every search runs
+    through.  The one accepted site, the dynamic-insertion leaf split,
+    is recorded in ``tools/lint-baseline.json``; new sites must justify
+    themselves or go through the kernels.  Attribute loops only —
+    ``dict.values()`` method calls never match.
 
 Findings can be suppressed per line with ``# lint: ignore[rule-id]``.
 The runner for CI and pre-commit use is ``tools/lint.py``.
@@ -93,8 +92,7 @@ RULES: Dict[str, str] = {  # repro: read-only
     ),
     "leaf-entry-loop": (
         "per-entry loop over leaf.points/leaf.values in the query path; "
-        "go through the column kernels (repro.rtree.kernels) or a "
-        "baselined scalar-fallback helper"
+        "go through the column kernels (repro.rtree.kernels)"
     ),
 }
 
@@ -417,8 +415,7 @@ class _LintVisitor(ast.NodeVisitor):
                     "leaf-entry-loop",
                     node,
                     f"per-entry loop over leaf .{attr}; go through the "
-                    f"column kernels (repro.rtree.kernels) or a "
-                    f"scalar-fallback helper",
+                    f"column kernels (repro.rtree.kernels)",
                 )
                 return
 

@@ -20,7 +20,8 @@ Commands
 ``bench``
     Run a named benchmark suite and write a schema-versioned JSON
     document (``BENCH_<suite>.json``); ``--compare`` diffs against a
-    previous document and exits non-zero on a simulated-time regression.
+    previous document and exits non-zero when a phase's I/O counters
+    changed or its simulated time regressed past ``--threshold``.
 ``info``
     Print the library version and the simulated-device parameters.
 """
@@ -52,8 +53,9 @@ def _positive_int(raw: str) -> int:
     """argparse type for counts that must be whole numbers >= 1.
 
     Rejects ``0``, negatives and non-integers (``2.5``, ``two``) at
-    parse time, so every subcommand taking ``--shards`` fails fast with
-    a clear usage error (exit status 2) instead of misbehaving later.
+    parse time, so every subcommand taking ``--shards`` or ``--queries``
+    fails fast with a clear usage error (exit status 2) instead of
+    misbehaving later.
     """
     try:
         value = int(raw)
@@ -64,6 +66,22 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer >= 1, got {raw!r}"
+        )
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    """argparse type for scale factors: a finite number > 0 (usage
+    error, exit status 2, otherwise)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {raw!r}"
+        ) from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number > 0, got {raw!r}"
         )
     return value
 
@@ -79,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit TPC-D-style CSV data")
-    gen.add_argument("--scale", type=float, default=0.001)
+    gen.add_argument("--scale", type=_positive_float, default=0.001)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", default=".", help="output directory")
     gen.add_argument("--increment", type=float, default=None,
@@ -87,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
     exp.add_argument("name", choices=EXPERIMENTS)
-    exp.add_argument("--scale", type=float, default=None)
-    exp.add_argument("--queries", type=int, default=None)
+    exp.add_argument("--scale", type=_positive_float, default=None)
+    exp.add_argument("--queries", type=_positive_int, default=None)
 
     qry = sub.add_parser("query", help="answer an ad-hoc SQL slice query")
     qry.add_argument("sql", help='e.g. "select partkey, sum(quantity) '
                      'from F where suppkey = 3 group by partkey"; with '
                      '--batch, several queries separated by ";"')
-    qry.add_argument("--scale", type=float, default=0.002)
+    qry.add_argument("--scale", type=_positive_float, default=0.002)
     qry.add_argument("--seed", type=int, default=42)
     qry.add_argument("--engine", choices=("cubetree", "conventional"),
                      default="cubetree")
@@ -113,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="verify Cubetree structural invariants (cubetree fsck)",
     )
-    chk.add_argument("--scale", type=float, default=0.002)
+    chk.add_argument("--scale", type=_positive_float, default=0.002)
     chk.add_argument("--seed", type=int, default=42)
     chk.add_argument(
         "--increment", type=float, default=None,
@@ -162,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "the comparison (default 0.2 = +20%%)")
     ben.add_argument("--report", action="store_true",
                      help="print a phase table to stdout")
-    ben.add_argument("--scale", type=float, default=None)
+    ben.add_argument("--scale", type=_positive_float, default=None)
     ben.add_argument("--seed", type=int, default=42)
-    ben.add_argument("--queries", type=int, default=None,
+    ben.add_argument("--queries", type=_positive_int, default=None,
                      help="queries per lattice node in query phases "
                      "(default: per-suite, 5 except 50 for queries)")
 
@@ -185,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-depth", type=int, default=1024,
                      help="admission queue bound; past it requests get "
                      "HTTP 503 (default 1024)")
-    srv.add_argument("--bootstrap-scale", type=float, default=None,
+    srv.add_argument("--bootstrap-scale", type=_positive_float, default=None,
                      metavar="SCALE",
                      help="when the directory has no committed "
                      "generation, build one at this TPC-D scale first")
@@ -460,17 +478,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         regressions = compare(baseline, result, threshold=args.threshold)
         if regressions:
             print(f"REGRESSION vs {args.compare} "
-                  f"(threshold +{args.threshold:.0%}):")
+                  f"(threshold +{args.threshold:.0%}, I/O counters exact):")
             for reg in regressions:
-                print(
+                line = (
                     f"  {reg['phase']}: "
                     f"{reg['old_simulated_ms']:.1f} ms -> "
-                    f"{reg['new_simulated_ms']:.1f} ms "
-                    f"({reg['ratio']:.2f}x)"
+                    f"{reg['new_simulated_ms']:.1f} ms"
                 )
+                if reg["ratio"] is not None:
+                    line += f" ({reg['ratio']:.2f}x)"
+                if reg["old_io"] != reg["new_io"]:
+                    line += f"; I/O {reg['old_io']} -> {reg['new_io']}"
+                print(line)
             return 1
         print(f"no regression vs {args.compare} "
-              f"(threshold +{args.threshold:.0%})")
+              f"(threshold +{args.threshold:.0%}, I/O counters exact)")
     return 0
 
 

@@ -40,7 +40,7 @@ from typing import (
 )
 
 from repro.constants import DEFAULT_BUFFER_PAGES, PAGE_SIZE
-from repro.core.answer import finalize_fold, finalize_matches, split_bindings
+from repro.core.answer import finalize_matches, split_bindings
 from repro.core.mapping import select_mapping
 from repro.core.replication import permute_state_rows, replica_definition
 from repro.core.reports import LoadReport, PhaseReport, UpdateReport
@@ -72,7 +72,6 @@ _OBS_QUERY_SIM_MS = _REG.histogram("query.cubetree.simulated_ms")
 _OBS_QUERY_WALL_MS = _REG.histogram("query.cubetree.wall_ms")
 _OBS_BATCHES = _REG.counter("query.cubetree.batches")
 _OBS_BATCHED_QUERIES = _REG.counter("query.cubetree.batched_queries")
-_OBS_PUSHDOWNS = _REG.counter("query.cubetree.pushdowns")
 
 
 class CubetreeEngine:
@@ -86,7 +85,6 @@ class CubetreeEngine:
         sort_chunk_rows: int = 100_000,
         disks: Optional[Sequence[DiskManager]] = None,
         workers: Optional[int] = None,
-        fast_scans: Optional[bool] = None,
         shards: int = 1,
     ) -> None:
         """``shards`` residue partitions (default 1) each get their own
@@ -97,21 +95,12 @@ class CubetreeEngine:
         ``workers`` (default: ``REPRO_WORKERS``, i.e. 1) parallelizes
         the pure-CPU stages — cube-computation branches and merge-pack run
         preparation — across processes; all simulated I/O stays in this
-        process in serial order, so costs are identical at any count.
-
-        ``fast_scans`` (default: ``REPRO_FAST_SCANS``, i.e. off) makes
-        single queries execute through the packed-run fast path and the
-        router cost plans accordingly; off, :meth:`query` keeps the
-        classic interior descent and its exact simulated I/O.  Batched
-        execution (:meth:`query_batch`) always uses the run pass."""
+        process in serial order, so costs are identical at any count."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if disks is not None and len(disks) != shards:
             raise ValueError(f"{len(disks)} disk(s) for {shards} shard(s)")
         self.schema = schema
-        self.fast_scans = (
-            current().fast_scans if fast_scans is None else fast_scans
-        )
         self.shards = [
             Shard(
                 index,
@@ -146,7 +135,6 @@ class CubetreeEngine:
                 attr: float(schema.distinct_count(attr))
                 for attr in schema.groupable_attributes()
             },
-            fast_scans=self.fast_scans,
         )
         self.forest: Optional[ShardedForest] = None
         self.base_views: List[ViewDefinition] = []
@@ -263,51 +251,27 @@ class CubetreeEngine:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def query(
-        self, query: SliceQuery, fast: Optional[bool] = None
-    ) -> QueryResult:
+    def query(self, query: SliceQuery) -> QueryResult:
         """Answer one slice query through the forest.
 
-        ``fast`` overrides the engine's ``fast_scans`` default for this
-        query: True plans with the fast cost model, which prices the
-        packed-run execution (binary seek + sequential scan; identical
-        rows) against the classic interior descent and takes whichever
-        is cheaper; False forces classic planning and descent.
+        The router plans with the descent cost model: the query takes
+        its cheapest view and sort order and reads it through the
+        classic interior descent (the paper's R-tree search).  Run
+        seeks, run scans and the aggregate pushdown belong to
+        :meth:`query_batch`; ``query_batch([query]).results[0]`` answers
+        one query with them, with identical rows.
         """
         forest = self._require_forest()
-        use_fast = self.fast_scans if fast is None else fast
-        if use_fast:
-            forest.protect_index_pages()
         wall_start = time.perf_counter()
         snapshots = self.io_snapshot()
 
-        decision = self.router.route(
-            query, forest.access_paths(), fast_scans=use_fast
-        )
+        decision = self.router.route(query, forest.access_paths())
         view = decision.path.view
         direct, residual = split_bindings(view, query, self.hierarchies)
-        if (
-            decision.use_run
-            and not query.group_by
-            and not residual
-            and current().vector_kernels
-            and forest.has_run(view.name)
-        ):
-            # Aggregate pushdown: a total query with no residual filter
-            # needs only the slice's combined states, so the run pass
-            # folds measure columns in place of materializing matches.
-            # Same leaves scanned, same simulated I/O, same answer.
-            rows = finalize_fold(
-                view, forest.query_view_aggregate(view.name, direct)
-            )
-            _OBS_PUSHDOWNS.value += 1
-        else:
-            matches = forest.query_view(
-                view.name, direct, fast=decision.use_run
-            )
-            rows = finalize_matches(
-                matches, view, query, self.hierarchies, residual
-            )
+        matches = forest.query_view(view.name, direct)
+        rows = finalize_matches(
+            matches, view, query, self.hierarchies, residual
+        )
         io = self.io_delta(snapshots)
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
         _OBS_QUERIES.value += 1

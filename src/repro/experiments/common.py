@@ -3,14 +3,13 @@ paper's selected views/indexes/replicas, and formatting helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conventional import ConventionalEngine
 from repro.core.engine import CubetreeEngine
 from repro.core.reports import LoadReport
 from repro.relational.view import ViewDefinition
-from repro.settings import current
 from repro.warehouse.tpcd import TPCDGenerator, WarehouseData
 
 #: The paper's selected view set V (Sec. 3, from GHRU 1-greedy).
@@ -56,17 +55,15 @@ class ExperimentConfig:
     The defaults reproduce the paper's setup scaled to laptop size:
     TPC-D at ``scale_factor`` of SF 1 with a buffer pool that is small
     relative to the data (the paper's 32 MB vs. ~600 MB regime).
-
-    Environment overrides: ``REPRO_SCALE`` and ``REPRO_QUERIES``.
+    ``python -m repro experiment <name> --scale s --queries n`` runs an
+    experiment at another size.
     """
 
-    scale_factor: float = field(default_factory=lambda: current().scale)
+    scale_factor: float = 0.01
     seed: int = 42
     query_seed: int = 7
     buffer_pages: int = 256
-    queries_per_node: int = field(
-        default_factory=lambda: current().queries
-    )
+    queries_per_node: int = 100
     increment_fraction: float = 0.1
     sort_chunk_rows: int = 100_000
 

@@ -24,7 +24,7 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import __version__
 from repro.constants import (
@@ -336,10 +336,11 @@ def _suite_queries(scale: float, seed: int, queries: int) -> Dict[str, object]:
 
     Per node the same query set runs three ways from a cold cache:
     ``serial:<node>`` through the classic interior descent (the guarded
-    baseline), ``fast:<node>`` through the packed-run fast path, and
+    baseline, :meth:`CubetreeEngine.query`), ``fast:<node>`` one query
+    at a time with the run-aware plans (a one-query batch each), and
     ``batch:<node>`` through one shared run pass.  The mode phases answer
     identical queries with identical rows, so their simulated-ms ratio
-    *is* the fast-path/batching win.
+    *is* the run-plan/batching win.
     """
     from repro.experiments.common import (
         FIG12_NODES,
@@ -364,12 +365,12 @@ def _suite_queries(scale: float, seed: int, queries: int) -> Dict[str, object]:
         engine.pool.clear()
         with run.phase(f"serial:{label}", engine.pool):
             for query in node_queries:
-                engine.query(query, fast=False)
+                engine.query(query)
 
         engine.pool.clear()
         with run.phase(f"fast:{label}", engine.pool):
             for query in node_queries:
-                engine.query(query, fast=True)
+                engine.query_batch([query])
 
         engine.pool.clear()
         with run.phase(f"batch:{label}", engine.pool):
@@ -740,7 +741,7 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
         wall_start = time.perf_counter()
         for query in point_queries:
             routed_before = [s.routed_queries for s in engine.shards]
-            engine.query(query, fast=True)
+            engine.query_batch([query])
             touched = sum(
                 1
                 for before, shard in zip(routed_before, engine.shards)
@@ -791,28 +792,21 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
 
     The original five phases stand: ``load_row`` / ``queries_row`` with
     the classic row-major leaves, ``load_columnar`` /
-    ``queries_columnar`` with delta+varint columnar leaves (queried
-    through the vectorized kernels), and ``load_stream`` — a columnar
-    load through the bounded-memory external sort.  The row/columnar
-    query phases answer the identical workload (row equality is
-    asserted), so their page counts and simulated-ms ratio *are* the
-    columnar win.
+    ``queries_columnar`` with delta+varint columnar leaves, and
+    ``load_stream`` — a columnar load through the bounded-memory
+    external sort.  Both formats are queried through the column kernels.
+    The row/columnar query phases answer the identical workload (row
+    equality is asserted), so their page counts and simulated-ms ratio
+    *are* the columnar win.
 
-    The kernel phases then answer the same workload both ways over the
-    same columnar engine: ``queries_columnar_scalar`` against
-    ``queries_columnar_vector`` (several cold-start passes each, so one
-    20-query pass's timing noise can't swamp the ratio), and
-    ``batch_columnar_scalar`` / ``batch_columnar_vector`` for the
-    shared-pass executor.  Scalar and vectorized execution scan the same
-    leaves, so their page counts are identical by construction — the
-    wall-ms ratio is the vectorization win, reported in
-    ``columnar_summary`` (wall-clock never gates a comparison).
-    Finally ``load_columnar_small`` / ``queries_small_scalar`` /
-    ``queries_small_vector`` rerun the workload several passes under a
-    buffer pool too small to hold the leaf run, where scan churn makes
-    the decoded-column side-cache earn its keep — pass one populates it,
-    later passes hit it while the scalar side re-decodes every evicted
-    page; the hit/miss counters land in the summary.
+    ``queries_columnar_vector`` then reruns the workload several
+    cold-start passes over the columnar engine, and
+    ``batch_columnar_vector`` answers it through the shared-pass
+    executor.  Finally ``load_columnar_small`` / ``queries_small_vector``
+    rerun the workload several passes under a buffer pool too small to
+    hold the leaf run, where scan churn makes the decoded-column
+    side-cache earn its keep — pass one populates it, later passes hit
+    it; the hit/miss counters land in ``columnar_summary``.
     """
     from dataclasses import replace
 
@@ -829,12 +823,10 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     #: Small-pool pages for the decoded-cache showcase — far below the
     #: columnar leaf-run size, so every pass re-fetches evicted pages.
     small_pool_pages = 24
-    #: Workload passes in the small-pool phases: pass 1 populates the
-    #: decoded-column cache, later passes hit it (the scalar side
-    #: re-decodes every evicted page each pass).
+    #: Workload passes in the small-pool phase: pass 1 populates the
+    #: decoded-column cache, later passes hit it.
     small_pool_passes = 3
-    #: Workload passes in the scalar-vs-vector phases — enough wall
-    #: time that the ratio reflects execution mode, not timer noise.
+    #: Workload passes in the repeated columnar phase.
     kernel_passes = 5
 
     config, run = _make_config("columnar", scale, seed, queries)
@@ -846,10 +838,16 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
         for query in qgen.generate_for_node(node, queries)
     ]
 
-    # Pin kernel dispatch on for the suite so the phases measure the
-    # same thing regardless of the ambient REPRO_VECTOR_KERNELS; builds
-    # pack columnar unless a phase pins its own format.
-    with override(vector_kernels=True, leaf_format="columnar"):
+    def answer(engine) -> List[Tuple[object, ...]]:
+        """The workload's sorted rows, each query run on its own with
+        the run-aware plans (a one-query batch)."""
+        return [
+            tuple(sorted(engine.query_batch([query]).results[0].rows))
+            for query in workload
+        ]
+
+    # Builds pack columnar unless a phase pins its own format.
+    with override(leaf_format="columnar"):
         results: Dict[str, object] = {}
         pages: Dict[str, int] = {}
         engine = None
@@ -866,11 +864,7 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             pages[mode] = engine.forest.num_pages
             engine.pool.clear()
             with run.phase(f"queries_{mode}", engine.pool):
-                answers = [
-                    tuple(sorted(engine.query(query, fast=True).rows))
-                    for query in workload
-                ]
-            results[mode] = answers
+                results[mode] = answer(engine)
         columnar_engine = engine
 
         if results["row"] != results["columnar"]:
@@ -894,62 +888,24 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 "page count than the in-memory columnar build"
             )
 
-        # -- vectorized vs scalar, single-query path -------------------
-        # Both sides run the identical multi-pass protocol (cold pool,
-        # then kernel_passes passes over the workload) so the wall
-        # ratio compares execution modes, not pool temperatures, and a
-        # single 20-query pass's timing noise doesn't swamp it.
-        kernel_answers: Dict[str, object] = {}
-        for kernel_mode, enabled in (
-            ("queries_columnar_scalar", False),
-            ("queries_columnar_vector", True),
-        ):
-            columnar_engine.pool.clear()
-            with override(vector_kernels=enabled), run.phase(
-                kernel_mode, columnar_engine.pool
-            ):
-                for _ in range(kernel_passes):
-                    kernel_answers[kernel_mode] = [
-                        tuple(
-                            sorted(
-                                columnar_engine.query(
-                                    query, fast=True
-                                ).rows
-                            )
-                        )
-                        for query in workload
-                    ]
-        if (
-            kernel_answers["queries_columnar_scalar"]
-            != kernel_answers["queries_columnar_vector"]
-            or kernel_answers["queries_columnar_vector"]
-            != results["columnar"]
-        ):
+        # -- repeated passes, single-query path ------------------------
+        columnar_engine.pool.clear()
+        with run.phase("queries_columnar_vector", columnar_engine.pool):
+            for _ in range(kernel_passes):
+                repeated = answer(columnar_engine)
+        if repeated != results["columnar"]:
             raise RuntimeError(
-                "columnar bench: scalar and vectorized kernels answered "
-                "the same workload differently"
+                "columnar bench: repeated passes answered the workload "
+                "differently"
             )
 
-        # -- vectorized vs scalar, batch executor ----------------------
-        batch_answers: Dict[str, object] = {}
-        for kernel_mode, enabled in (
-            ("batch_columnar_scalar", False),
-            ("batch_columnar_vector", True),
-        ):
-            columnar_engine.pool.clear()
-            with override(vector_kernels=enabled), run.phase(
-                kernel_mode, columnar_engine.pool
-            ):
-                batch = columnar_engine.query_batch(workload)
-            batch_answers[kernel_mode] = [
-                tuple(sorted(result.rows)) for result in batch.results
-            ]
-        if (
-            batch_answers["batch_columnar_scalar"]
-            != batch_answers["batch_columnar_vector"]
-            or batch_answers["batch_columnar_vector"]
-            != results["columnar"]
-        ):
+        # -- batch executor --------------------------------------------
+        columnar_engine.pool.clear()
+        with run.phase("batch_columnar_vector", columnar_engine.pool):
+            batch = columnar_engine.query_batch(workload)
+        if [
+            tuple(sorted(result.rows)) for result in batch.results
+        ] != results["columnar"]:
             raise RuntimeError(
                 "columnar bench: batched execution disagreed with the "
                 "serial answers"
@@ -965,50 +921,15 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 (time.perf_counter() - wall_start) * 1000.0,
             )
         )
-        small_answers: Dict[str, object] = {}
-        for kernel_mode, enabled in (
-            ("queries_small_scalar", False),
-            ("queries_small_vector", True),
-        ):
-            small_engine.pool.clear()
-            with override(vector_kernels=enabled), run.phase(
-                kernel_mode, small_engine.pool
-            ):
-                for _ in range(small_pool_passes):
-                    small_answers[kernel_mode] = [
-                        tuple(
-                            sorted(
-                                small_engine.query(query, fast=True).rows
-                            )
-                        )
-                        for query in workload
-                    ]
-        if (
-            small_answers["queries_small_scalar"]
-            != small_answers["queries_small_vector"]
-            or small_answers["queries_small_vector"] != results["columnar"]
-        ):
+        small_engine.pool.clear()
+        with run.phase("queries_small_vector", small_engine.pool):
+            for _ in range(small_pool_passes):
+                small_answers = answer(small_engine)
+        if small_answers != results["columnar"]:
             raise RuntimeError(
                 "columnar bench: small-pool runs disagreed with the "
                 "full-pool answers"
             )
-        # Kernel dispatch must not move a single page: compare the
-        # integer I/O counts (simulated_ms deltas of back-to-back phases
-        # differ in the last float ulp because the shared cost model's
-        # running total sits at a different value when each starts).
-        phase_by_name = {p["name"]: p for p in run.phases}
-        if (
-            phase_by_name["queries_small_scalar"]["io"]
-            != phase_by_name["queries_small_vector"]["io"]
-            or phase_by_name["queries_columnar_scalar"]["io"]
-            != phase_by_name["queries_columnar_vector"]["io"]
-        ):
-            raise RuntimeError(
-                "columnar bench: kernel dispatch changed simulated I/O"
-            )
-
-        def _wall(name: str) -> float:
-            return float(phase_by_name[name]["wall_ms"])
 
         metrics = get_registry().snapshot()
         counters = metrics.get("counters", {})
@@ -1029,22 +950,7 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             "stream_spilled_entries": counters.get(
                 "extsort.spilled_entries", 0
             ),
-            # Wall-clock ratios (report-only): >1 means vectorized wins.
-            "vector_speedup_wall": (
-                _wall("queries_columnar_scalar")
-                / _wall("queries_columnar_vector")
-                if _wall("queries_columnar_vector") else 0.0
-            ),
             "kernel_passes": kernel_passes,
-            "batch_vector_speedup_wall": (
-                _wall("batch_columnar_scalar")
-                / _wall("batch_columnar_vector")
-                if _wall("batch_columnar_vector") else 0.0
-            ),
-            "small_pool_vector_speedup_wall": (
-                _wall("queries_small_scalar") / _wall("queries_small_vector")
-                if _wall("queries_small_vector") else 0.0
-            ),
             "small_pool_passes": small_pool_passes,
             "aggregate_pushdowns": counters.get(
                 "query.cubetree.pushdowns", 0
@@ -1071,12 +977,16 @@ def compare(
     new: Dict[str, object],
     threshold: float = 0.2,
 ) -> List[Dict[str, object]]:
-    """Flag phases whose simulated time regressed past ``threshold``.
+    """Flag phases whose simulated I/O changed or regressed.
 
     Phases are matched by name; phases present on only one side are
-    ignored (renames should not fail CI), and near-zero baselines are
-    skipped (a 0.1 ms phase tripling is noise, not a regression).
-    Returns one record per regression; empty list means "no worse".
+    ignored (renames should not fail CI), and so are ``wall_only``
+    phases.  A matched phase is flagged when its integer I/O counters
+    differ in either direction (the simulated figures are deterministic,
+    so any moved page is reported), or when its simulated time rose
+    past ``threshold`` over a baseline of at least 1 ms (a 0.1 ms phase
+    tripling is noise, not a regression).  Returns one record per
+    flagged phase; empty list means "no change, no worse".
     """
     if old.get("suite") != new.get("suite"):
         raise ValueError(
@@ -1096,15 +1006,18 @@ def compare(
             continue
         old_ms = float(base["simulated_ms"])  # type: ignore[index, arg-type]
         new_ms = float(phase["simulated_ms"])  # type: ignore[index, arg-type]
-        if old_ms < 1.0:
-            continue
-        if new_ms > old_ms * (1.0 + threshold):
+        old_io = base.get("io")  # type: ignore[union-attr]
+        new_io = phase.get("io")  # type: ignore[union-attr]
+        slower = old_ms >= 1.0 and new_ms > old_ms * (1.0 + threshold)
+        if slower or old_io != new_io:
             regressions.append(
                 {
                     "phase": name,
                     "old_simulated_ms": old_ms,
                     "new_simulated_ms": new_ms,
-                    "ratio": new_ms / old_ms,
+                    "ratio": new_ms / old_ms if old_ms else None,
+                    "old_io": old_io,
+                    "new_io": new_io,
                 }
             )
     return regressions

@@ -5,9 +5,9 @@ same small set of materialized views.  Executed one at a time, every query
 pays its own descent (or run seek) over a view whose leaves its neighbours
 are about to read again.  This module instead:
 
-1. routes every query of a batch exactly as single-query execution would
-   (same router, same cost model — so each query is answered by the same
-   view either way);
+1. routes every query of a batch with the run-aware cost model
+   (``QueryRouter.route(..., runs=True)``), which also prices run scans
+   and binary run seeks next to the classic descent;
 2. groups the queries by the view the router assigned them to, then
    merges groups whose views are sort-order replicas of the same data —
    single-query routing picks the replica whose clustering matches each
@@ -26,9 +26,15 @@ are about to read again.  This module instead:
 Per-query answers are byte-identical to serial execution: the shared pass
 yields every query its own matches in run order — the same points, in the
 same order, that a solo :meth:`search`/:meth:`search_run` produces — and
-:func:`finalize_matches` folds and sorts them per query as usual.  Views
-without a recorded leaf-run extent (dynamic trees, checkpoints predating
-the field) fall back to per-query execution inside the batch.
+:func:`finalize_matches` folds and sorts them per query as usual.  A total
+query with no residual filter folds its measure columns inside the pass
+(aggregate pushdown) instead.  Views without a recorded leaf-run extent
+(dynamic trees, checkpoints predating the field) fall back to per-query
+execution inside the batch.
+
+A one-query batch never passes the shared-pass gate (its estimate adds
+seek probes to a run scan the router already priced), so
+``query_batch([q])`` runs ``q``'s own cheapest run-aware plan.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from repro.query.router import (
     run_seek_probes,
 )
 from repro.query.slice import SliceQuery
-from repro.settings import current
 from repro.storage.iomodel import IOStats
 
 _OBS_PUSHDOWNS = get_registry().counter("query.cubetree.pushdowns")
@@ -82,15 +87,12 @@ def route_batch(
 ) -> Tuple[List[RoutingDecision], Dict[str, List[int]]]:
     """Route every query and group query indices by assigned view.
 
-    Routing is identical to fast single-query execution (the fast cost
-    model is engaged, as batch execution can always use the runs), so
-    batching never changes *which* view answers a query — only how its
-    leaves are read.  Group lists preserve input order; callers re-sort
-    into run order.
+    Every query is priced with the run-aware cost model, as batch
+    execution can always use the runs; the shared pass then changes only
+    how a group's leaves are read, never which view answers a query.
+    Group lists preserve input order; callers re-sort into run order.
     """
-    decisions = [
-        router.route(query, paths, fast_scans=True) for query in queries
-    ]
+    decisions = [router.route(query, paths, runs=True) for query in queries]
     groups: Dict[str, List[int]] = {}
     for index, decision in enumerate(decisions):
         groups.setdefault(decision.view_name, []).append(index)
@@ -111,7 +113,6 @@ def execute_batch(
     batch = BatchResult(results=[QueryResult() for _ in queries])
     if not queries:
         return batch
-    use_pushdown = current().vector_kernels
     decisions, groups = route_batch(router, forest.access_paths(), queries)
     for view_names in _merge_replica_groups(decisions, groups):
         indices = sorted(i for name in view_names for i in groups[name])
@@ -130,9 +131,7 @@ def execute_batch(
             # shared pass (aggregate pushdown) instead of materializing
             # their matches; same leaves read, same rows out.
             fold = [
-                use_pushdown
-                and not queries[i].group_by
-                and not residual
+                not queries[i].group_by and not residual
                 for i, (_direct, residual) in zip(indices, splits)
             ]
             match_lists = forest.query_view_group(
@@ -159,8 +158,7 @@ def execute_batch(
             match_lists = []
             for i, (direct, residual) in zip(view_indices, splits):
                 if (
-                    use_pushdown
-                    and not queries[i].group_by
+                    not queries[i].group_by
                     and not residual
                     and decisions[i].use_run
                     and forest.has_run(view_name)

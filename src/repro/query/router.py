@@ -14,6 +14,13 @@ router automates that choice with a page-level cost model:
   *random* page per match otherwise (the unclustered-index case that makes
   two of the conventional configuration's three composite indexes
   expensive).
+
+Each entry point keeps one routing rule.  A single query is priced with
+the descent cost model (``route(query, paths)``), so it reads its view
+through the classic interior descent.  Batched execution
+(:func:`repro.query.batch.route_batch`) also prices the packed-run
+executions (``runs=True``): a run scan for an unbound access and a
+binary seek over the run's leaves for a clustered prefix.
 """
 
 from __future__ import annotations
@@ -83,8 +90,8 @@ class AccessPath:
     clustered: Optional[Tuple[str, ...]] = None
     #: Leaves in the view's packed Cubetree run, when a leaf-run extent
     #: is recorded (None for conventional paths and legacy trees).  Lets
-    #: a fast-scan-aware router price run scans and binary-seek prefix
-    #: access instead of the generic descent.
+    #: batch routing price run scans and binary-seek prefix access
+    #: instead of the generic descent.
     run_leaves: Optional[int] = None
 
 
@@ -99,7 +106,8 @@ class RoutingDecision:
     needs_reaggregation: bool         # view is finer than the query node
     #: Execute through the packed leaf run (binary seek / run scan)
     #: instead of the classic interior descent.  Only set on plans the
-    #: fast cost model generated *and* priced cheaper than the descent.
+    #: run-aware cost model generated *and* priced cheaper than the
+    #: descent.
     use_run: bool = False
 
     def describe(self) -> str:
@@ -123,40 +131,33 @@ class QueryRouter:
         distinct_counts: Mapping[str, float],
         random_ms: float = RANDOM_IO_MS,
         sequential_ms: float = SEQUENTIAL_IO_MS,
-        fast_scans: bool = False,
     ) -> None:
-        """``fast_scans=True`` makes the cost model price paths with a
-        recorded leaf-run extent (:attr:`AccessPath.run_leaves`) as the
-        packed-run fast path executes them: an unbound access is one
-        positioning seek plus a sequential run scan, and a prefix access
-        is a binary seek over the run's leaves instead of a fixed-depth
-        interior descent.  Off by default so existing single-query plans
-        (and their simulated-I/O estimates) are unchanged."""
         self.lattice = lattice
         self.distinct = dict(distinct_counts)
         self.random_ms = random_ms
         self.sequential_ms = sequential_ms
-        self.fast_scans = fast_scans
 
     def route(
         self,
         query: SliceQuery,
         paths: Sequence[AccessPath],
-        fast_scans: Optional[bool] = None,
+        runs: bool = False,
     ) -> RoutingDecision:
         """Choose the cheapest plan, or raise QueryError if nothing answers.
 
-        ``fast_scans`` overrides the router's default for this one call —
-        the engine passes its per-query ``fast`` flag through so a fast
-        execution is planned with the fast cost model even on a router
-        constructed with ``fast_scans=False``.
+        ``runs`` also prices paths with a recorded leaf-run extent
+        (:attr:`AccessPath.run_leaves`) as the packed-run executions
+        read them: an unbound access is one positioning seek plus a
+        sequential run scan, and a clustered prefix access is a binary
+        seek over the run's leaves instead of a fixed-depth interior
+        descent.  Only batch routing sets it.
         """
         best: Optional[RoutingDecision] = None
         node = tuple(query.node)
         for path in paths:
             if not self.lattice.derives_from(node, path.view.group_by):
                 continue
-            decision = self._best_plan_for(path, query, fast_scans)
+            decision = self._best_plan_for(path, query, runs)
             if best is None or self._better(decision, best):
                 best = decision
         if best is None:
@@ -186,33 +187,31 @@ class QueryRouter:
         self,
         path: AccessPath,
         query: SliceQuery,
-        fast_scans: Optional[bool] = None,
+        runs: bool = False,
     ) -> List[RoutingDecision]:
         """Every plan the cost model considers for one path.
 
         The scan plan comes first, then one plan per order with a usable
         prefix — the enumeration :meth:`route` minimizes over, exposed so
         tests can check the choice against the brute-force minimum.  With
-        the fast cost model engaged (``fast_scans``, defaulting to the
-        router's flag) and a recorded run extent, each physical
-        alternative appears as its own candidate — classic descent *and*
-        run seek/scan — so minimizing picks the cheaper execution, not
-        just the cheaper view.
+        ``runs`` and a recorded run extent, each physical alternative
+        appears as its own candidate — classic descent *and* run
+        seek/scan — so minimizing picks the cheaper execution, not just
+        the cheaper view.
         """
         needs_reagg = frozenset(path.view.group_by) != query.node
         data_pages = max(1.0, path.size / max(path.rows_per_page, 1))
         equality = set(query.binding_map)
         ranged = set(query.range_map)
-        use_fast = self.fast_scans if fast_scans is None else fast_scans
-        fast_run = use_fast and path.run_leaves is not None
+        run_plans = runs and path.run_leaves is not None
         run_pages = float(path.run_leaves or 0)
 
         # Plan 0: sequential scan (classic: descend, then walk every
         # leaf; pages estimated from the view size).
         scan_cost = self.random_ms + data_pages * self.sequential_ms
         plans = [RoutingDecision(path, None, (), scan_cost, needs_reagg)]
-        if fast_run:
-            # Fast alternative: the recorded extent bounds the scan to
+        if run_plans:
+            # Run alternative: the recorded extent bounds the scan to
             # exactly the view's own leaves, read sequentially.
             plans.append(
                 RoutingDecision(
@@ -260,8 +259,8 @@ class QueryRouter:
                     path, order, tuple(prefix), cost, needs_reagg
                 )
             )
-            if fast_run and clustered:
-                # Fast alternative: binary seek over the run's leaf
+            if run_plans and clustered:
+                # Run alternative: binary seek over the run's leaf
                 # first-keys replaces the fixed-depth interior descent;
                 # the matches then stream sequentially from the first
                 # qualifying leaf.  Enumerated *after* the descent plan,
@@ -281,9 +280,9 @@ class QueryRouter:
         self,
         path: AccessPath,
         query: SliceQuery,
-        fast_scans: Optional[bool] = None,
+        runs: bool = False,
     ) -> RoutingDecision:
-        plans = self.candidate_plans(path, query, fast_scans)
+        plans = self.candidate_plans(path, query, runs)
         # First strictly-cheaper plan wins, so ties keep the scan plan —
         # the enumeration order candidate_plans guarantees.
         best = plans[0]

@@ -1,10 +1,11 @@
-"""Vectorized query kernels over columnar (type 3) leaves.
+"""Vectorized query kernels: every leaf a search reads is evaluated here.
 
-Leaves decode column-at-a-time (:meth:`RLeafNode.from_bytes`); these
-kernels keep those decoded columns — coordinates as ``array('q')``, measures as
-``array('d')`` — and evaluate slice rectangles against whole columns
-instead of building one reversed-key tuple and one ``contains_point``
-call per entry:
+Leaves decode column-at-a-time (:meth:`RLeafNode.from_bytes`, row and
+columnar layouts alike); these kernels keep those decoded columns —
+coordinates as ``array('q')``, measures as ``array('d')`` — and evaluate
+slice rectangles against whole columns instead of building one
+reversed-key tuple and one ``contains_point`` call per entry.  On a
+packed leaf (``packed=True``):
 
 * the *leading* run-key column (coordinate ``arity - 1``; packed runs
   are sorted by reversed coordinates, so that column is non-decreasing
@@ -16,15 +17,16 @@ call per entry:
   ``[1, INT64_MAX]`` bound (what ``slice_spec`` emits for an unbound
   attribute) can never reject a point.
 
+A leaf of a tree with no recorded run extents (dynamic inserts, or a
+checkpoint that predates extents) may be unsorted and may hold
+coordinate 0, so ``packed=False`` makes one full comparison pass over
+every bound dimension instead, with no bisect and no skip.
+
 The selection comes back as an index ``range`` whenever it is
 contiguous (the common case for prefix-bounded slices), which lets the
 aggregate pushdown (:class:`FoldAccumulator`) consume measure columns
-as slices while preserving the exact serial float fold order of the
-row-at-a-time path.
-
-Scalar row-leaf traversal stays in :mod:`repro.rtree.tree`; per-leaf
-dispatch picks the kernel only for columnar leaves and only while the
-``vector_kernels`` setting (``REPRO_VECTOR_KERNELS``, default on) holds.
+as slices while preserving the exact serial float fold order of a
+row-at-a-time fold.
 """
 
 from __future__ import annotations
@@ -76,14 +78,15 @@ def leaf_columns(leaf) -> LeafColumns:
 
 
 def select_rows(
-    cols: LeafColumns, rect: Rect, dims: int
+    cols: LeafColumns, rect: Rect, dims: int, packed: bool
 ) -> Optional[Selection]:
     """Indices of the leaf entries whose padded points lie in ``rect``.
 
     Returns a ``range`` when the selection is contiguous, an index list
-    otherwise, or ``None`` when no entry qualifies.  Equivalent — on a
-    sorted packed leaf with strictly positive coordinates — to testing
-    ``rect.contains_point`` on every padded point in order.
+    otherwise, or ``None`` when no entry qualifies — the entries
+    ``rect.contains_point`` accepts, in leaf order.  ``packed`` says the
+    leaf belongs to a packed run (lead column sorted, coordinates
+    ``>= MIN_COORD``); without it every bound dimension is compared.
     """
     lows = rect.lows
     highs = rect.highs
@@ -97,19 +100,25 @@ def select_rows(
         return None
     if arity == 0:
         return range(count)
-    lead = arity - 1
-    col = cols.coords[lead]
-    lo = lows[lead]
-    hi = highs[lead]
-    start = bisect_left(col, lo) if col[0] < lo else 0
-    stop = bisect_right(col, hi, start) if col[count - 1] > hi else count
-    if start >= stop:
-        return None
+    start, stop = 0, count
+    filtered = range(arity)
+    if packed:
+        lead = arity - 1
+        col = cols.coords[lead]
+        lo = lows[lead]
+        hi = highs[lead]
+        if col[0] < lo:
+            start = bisect_left(col, lo)
+        if col[count - 1] > hi:
+            stop = bisect_right(col, hi, start)
+        if start >= stop:
+            return None
+        filtered = range(lead)
     selected: Optional[List[int]] = None
-    for dim in range(lead):
+    for dim in filtered:
         lo = lows[dim]
         hi = highs[dim]
-        if lo <= MIN_COORD and hi >= INT64_MAX:
+        if packed and lo <= MIN_COORD and hi >= INT64_MAX:
             continue  # unconstrained: packed coordinates are >= 1
         col = cols.coords[dim]
         if selected is None:
@@ -143,7 +152,8 @@ class FoldAccumulator:
         self.rows = 0
 
     def add(self, values: Sequence[float]) -> None:
-        """Fold one matching row (the scalar row-leaf path)."""
+        """Fold one matching row (the multi-shard fold combines each
+        shard's states through this)."""
         self.rows += 1
         states = self.states
         if states is None:

@@ -30,7 +30,6 @@ from repro.rtree.node import (
     leaf_header,
     node_type_of,
 )
-from repro.settings import current
 from repro.storage.buffer import BufferPool
 from repro.storage.page import Page
 
@@ -60,19 +59,6 @@ RunKey = Tuple[int, ...]
 #: A slice request against one view's leaf run: the full filter rect plus
 #: lower/upper bounds on the leading run-key prefix (empty = unbounded).
 RunRequest = Tuple[Rect, RunKey, RunKey]
-
-
-def _discriminating_dim(rect: Rect) -> Optional[int]:
-    """A dimension whose equality bound can index a run request.
-
-    Zero is the padding value every point of a run shares, so a ``0==0``
-    bound carries no information; returns None for pure scans and
-    all-range requests, which must be tested against every point.
-    """
-    for dim, (lo, hi) in enumerate(zip(rect.lows, rect.highs)):
-        if lo == hi and lo != 0:
-            return dim
-    return None
 
 
 class RTree:
@@ -111,7 +97,8 @@ class RTree:
         #: page ids, recorded by the packer and persisted in the catalog.
         #: Empty for dynamically built trees and for trees restored from
         #: checkpoints that predate the field — run fast paths then fall
-        #: back to the interior descent.
+        #: back to the interior descent, and leaves are searched with the
+        #: kernels' unsorted full comparison pass.
         self.view_extents: Dict[int, Tuple[int, int]] = {}
         #: Lazily resolved ``view_id -> (lo, hi)`` positions of each
         #: extent inside :attr:`leaf_page_ids`.
@@ -239,15 +226,13 @@ class RTree:
         full ``rect``, so the match set (and its order) is identical to
         :meth:`search` restricted to this view.
 
-        Columnar (type 3) leaves are evaluated through the vectorized
-        kernels (:mod:`repro.rtree.kernels`) while they are enabled: the
-        rectangle alone selects the entries column-at-a-time.  That is
-        equivalent to the scalar key-then-rect filtering — the slice
-        compiler derives ``lo_key``/``hi_key`` *from* the rectangle's
-        per-dimension bounds, and componentwise containment implies the
-        lexicographic prefix bounds — so the per-point key checks are
-        redundant within a scanned leaf.  Row leaves (and a disabled
-        gate) keep the scalar path.
+        Each scanned leaf is evaluated through the column kernels
+        (:mod:`repro.rtree.kernels`): the rectangle alone selects the
+        entries column-at-a-time.  The slice compiler derives
+        ``lo_key``/``hi_key`` *from* the rectangle's per-dimension
+        bounds, and componentwise containment implies the lexicographic
+        prefix bounds, so per-point key checks would be redundant within
+        a scanned leaf; the keys only position the scan.
         """
         if rect.dims != self.dims:
             raise ValueError(
@@ -263,37 +248,17 @@ class RTree:
         lo = tuple(lo_key)
         hi = tuple(hi_key)
         start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        use_kernel = current().vector_kernels
         with closing(
-            self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
+            self._scan_leaves(start, hi_idx, view_id, cache=True)
         ) as leaves:
             for leaf in leaves:
                 if not len(leaf):
                     continue
                 if hi and leaf.key_at(0)[: len(hi)] > hi:
                     break
-                if use_kernel and leaf.columnar:
-                    sel = select_rows(leaf_columns(leaf), rect, self.dims)
-                    if sel is not None:
-                        yield from leaf.matches(sel, self.dims)
-                    continue
-                yield from self._scalar_matches(leaf, rect, lo, hi)
-
-    def _scalar_matches(
-        self, leaf: RLeafNode, rect: Rect, lo: RunKey = (), hi: RunKey = ()
-    ) -> Iterator[Match]:
-        """Entry-at-a-time fallback (row leaves, dynamic leaves, kernels
-        off): the run-key prefix bounds, then the full rectangle."""
-        for point, values in zip(leaf.points, leaf.values):
-            if lo or hi:
-                key = tuple(reversed(point))
-                if key[: len(lo)] < lo:
-                    continue
-                if hi and key[: len(hi)] > hi:
-                    break
-            padded = leaf.padded_point(point, self.dims)
-            if rect.contains_point(padded):
-                yield leaf.view_id, padded, values
+                sel = select_rows(leaf_columns(leaf), rect, self.dims, True)
+                if sel is not None:
+                    yield from leaf.matches(sel, self.dims)
 
     def search_run_fold(
         self,
@@ -308,10 +273,9 @@ class RTree:
 
         Scans exactly the leaves :meth:`search_run` would — same seek,
         same early break, same scan admission — so simulated I/O is
-        identical; only the per-match consumption differs.  Columnar
-        leaves fold whole measure-column slices through the kernel
-        selection; row leaves fall back to per-row folds.  Fold order is
-        run order, the same serial order
+        identical; only the per-match consumption differs.  Each leaf
+        folds whole measure-column slices through the kernel selection.
+        Fold order is run order, the same serial order
         :func:`repro.core.answer.finalize_matches` combines matches in.
         """
         if rect.dims != self.dims:
@@ -328,25 +292,18 @@ class RTree:
         lo = tuple(lo_key)
         hi = tuple(hi_key)
         start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        use_kernel = current().vector_kernels
         with closing(
-            self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
+            self._scan_leaves(start, hi_idx, view_id, cache=True)
         ) as leaves:
             for leaf in leaves:
                 if not len(leaf):
                     continue
                 if hi and leaf.key_at(0)[: len(hi)] > hi:
                     break
-                if use_kernel and leaf.columnar:
-                    cols = leaf_columns(leaf)
-                    sel = select_rows(cols, rect, self.dims)
-                    if sel is not None:
-                        acc.add_block(cols.measures, sel)
-                    continue
-                for _view, _point, values in self._scalar_matches(
-                    leaf, rect, lo, hi
-                ):
-                    acc.add(values)
+                cols = leaf_columns(leaf)
+                sel = select_rows(cols, rect, self.dims, True)
+                if sel is not None:
+                    acc.add_block(cols.measures, sel)
 
     def search_run_group(
         self,
@@ -370,10 +327,12 @@ class RTree:
         (the returned list stays empty for them).  Folding never changes
         which leaves are scanned, so a mixed batch costs the same I/O.
 
-        Columnar leaves are evaluated per request through the vectorized
-        kernels while enabled (see :meth:`search_run` for why rectangle
-        selection subsumes the per-point key checks); row leaves keep
-        the scalar point-major pass.
+        Each leaf is evaluated per request through the column kernels
+        (see :meth:`search_run` for why rectangle selection subsumes the
+        per-point key checks).  The run prefix bounds prune at leaf
+        granularity only: a request whose ``hi_key`` lies before a
+        leaf's first key is retired, and the pass stops once every
+        request has retired.
         """
         results: List[List[Match]] = [[] for _ in requests]
         if not requests:
@@ -404,29 +363,10 @@ class RTree:
             start = self._run_seek(
                 lo_idx, hi_idx, min(spec[1] for spec in specs)
             )
-        # Point-major matching: a request with a discriminating equality
-        # bound is indexed by that (dimension, value); each point then
-        # probes the index with its own coordinates, so per-point work
-        # scales with the handful of bound dimensions, not the number of
-        # requests.  Requests with no equality bound (pure scans,
-        # all-range bindings) are tested against every point.  The run
-        # prefix bounds prune at leaf granularity only: a request whose
-        # hi_key lies before a leaf's first key is retired, and the pass
-        # stops once every request has retired.
         active = [True] * len(specs)
         remaining = len(specs)
-        eq_index: Dict[Tuple[int, int], List[int]] = {}
-        residual: List[int] = []
-        for r, (rect, _lo, _hi) in enumerate(specs):
-            dim = _discriminating_dim(rect)
-            if dim is None:
-                residual.append(r)
-            else:
-                eq_index.setdefault((dim, rect.lows[dim]), []).append(r)
-        probe_dims = sorted({dim for dim, _value in eq_index})
-        use_kernel = current().vector_kernels
         with closing(
-            self._scan_leaves(start, hi_idx, view_id, cache=use_kernel)
+            self._scan_leaves(start, hi_idx, view_id, cache=True)
         ) as leaves:
             for leaf in leaves:
                 if not len(leaf):
@@ -438,50 +378,18 @@ class RTree:
                         remaining -= 1
                 if remaining == 0:
                     break
-                if use_kernel and leaf.columnar:
-                    cols = leaf_columns(leaf)
-                    for r in range(len(specs)):
-                        if not active[r]:
-                            continue
-                        sel = select_rows(cols, specs[r][0], self.dims)
-                        if sel is None:
-                            continue
-                        sink = sinks[r]
-                        if sink is not None:
-                            sink.add_block(cols.measures, sel)
-                        else:
-                            results[r].extend(leaf.matches(sel, self.dims))
-                    continue
-                for j, pt in enumerate(leaf.points):
-                    candidates: List[int] = []
-                    for dim in probe_dims:
-                        if dim >= len(pt):
-                            continue  # stored points are arity-truncated
-                        found = eq_index.get((dim, pt[dim]))
-                        if found:
-                            candidates.extend(found)
-                    if not candidates and not residual:
+                cols = leaf_columns(leaf)
+                for r in range(len(specs)):
+                    if not active[r]:
                         continue
-                    point = leaf.padded_point(pt, self.dims)
-                    values = leaf.values[j]
-                    for r in candidates:
-                        if active[r] and specs[r][0].contains_point(point):
-                            sink = sinks[r]
-                            if sink is None:
-                                results[r].append(
-                                    (leaf.view_id, point, values)
-                                )
-                            else:
-                                sink.add(values)
-                    for r in residual:
-                        if active[r] and specs[r][0].contains_point(point):
-                            sink = sinks[r]
-                            if sink is None:
-                                results[r].append(
-                                    (leaf.view_id, point, values)
-                                )
-                            else:
-                                sink.add(values)
+                    sel = select_rows(cols, specs[r][0], self.dims, True)
+                    if sel is None:
+                        continue
+                    sink = sinks[r]
+                    if sink is not None:
+                        sink.add_block(cols.measures, sel)
+                    else:
+                        results[r].extend(leaf.matches(sel, self.dims))
         return results
 
     def _scan_leaves(
@@ -495,7 +403,8 @@ class RTree:
         (probationary) segment, reading ahead a window at a time.
 
         ``cache`` routes columnar-leaf decodes through the buffer pool's
-        decoded-column side-cache (kernel consumers only)."""
+        decoded-column side-cache (the run searches admit; a plain
+        :meth:`scan_run` does not)."""
         run = self.leaf_page_ids
         for idx in range(lo, hi + 1):
             if (idx - lo) % RUN_READAHEAD == 0:
@@ -670,19 +579,14 @@ class RTree:
         node, page = self._fetch_node(page_id)
         try:
             if isinstance(node, RLeafNode):
-                if (
-                    node.columnar
-                    and self.view_extents
-                    and current().vector_kernels
-                ):
-                    # Packed columnar leaf (dynamic inserts wipe the
-                    # extents, so these leaves still satisfy the kernel
-                    # preconditions: lead column sorted, coords >= 1).
-                    sel = select_rows(leaf_columns(node), rect, self.dims)
-                    if sel is not None:
-                        yield from node.matches(sel, self.dims)
-                else:
-                    yield from self._scalar_matches(node, rect)
+                # Recorded extents mean a packed tree (dynamic inserts
+                # wipe them): lead column sorted, coordinates >= 1.
+                sel = select_rows(
+                    leaf_columns(node), rect, self.dims,
+                    bool(self.view_extents),
+                )
+                if sel is not None:
+                    yield from node.matches(sel, self.dims)
             else:
                 children = [
                     child

@@ -83,14 +83,10 @@ class Settings:
     leaf_format: str = _knob(
         "columnar", str.lower, ("row", "columnar").__contains__, "row or columnar"
     )
-    #: Query columnar leaves through the vector kernels (off: scalar path).
-    vector_kernels: bool = _knob(True, _boolean, _is_bool, _BOOLEAN)
     #: Decoded-column cache entries per buffer pool (0 disables it).
     column_cache_pages: int = _knob(
         DEFAULT_COLUMN_CACHE_PAGES, int, _at_least(0), "an integer >= 0"
     )
-    #: Single queries take the packed-run fast path by default.
-    fast_scans: bool = _knob(False, _boolean, _is_bool, _BOOLEAN)
     #: Streaming-build sort buffer in entries (None: in-memory build).
     build_memory: Optional[int] = _knob(
         None,
@@ -104,15 +100,6 @@ class Settings:
     debug_checks: bool = _knob(False, _boolean, _is_bool, _BOOLEAN)
     #: Record span timings into the metrics registry.
     trace: bool = _knob(False, _boolean, _is_bool, _BOOLEAN)
-    #: Default TPC-D scale factor of the paper experiments.
-    scale: float = _knob(
-        0.01,
-        float,
-        lambda value: isinstance(value, (int, float)) and value > 0,
-        "a number > 0",
-    )
-    #: Default queries per lattice node of the paper experiments.
-    queries: int = _knob(100, int, _at_least(1), "an integer >= 1")
 
     def __post_init__(self) -> None:
         for spec in fields(self):
@@ -146,7 +133,7 @@ _active: Optional[Settings] = None  # repro: worker-local
 
 def current() -> Settings:
     """The process-wide settings (parsed from ``os.environ`` on first
-    use; cheap enough for per-leaf checks afterwards)."""
+    use)."""
     global _active
     if _active is None:
         _active = Settings.from_env(os.environ)

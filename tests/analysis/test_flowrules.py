@@ -670,6 +670,48 @@ def test_apply_and_load_baseline_roundtrip(tmp_path):
     assert len(fresh) == 1 and suppressed == 0
 
 
+def test_baseline_entry_accepts_one_finding_not_all(tmp_path):
+    findings = flow(
+        """
+        def f(pool, pid):
+            page = pool.fetch_page(pid)
+            return page.data
+        """
+    )
+    baseline_file = tmp_path / "baseline.json"
+    baseline_file.write_text(json.dumps(findings_payload(findings)))
+    baseline = load_baseline(str(baseline_file))
+    duplicate = findings + findings
+    fresh, suppressed = apply_baseline(duplicate, baseline)
+    assert suppressed == 1
+    assert fresh == findings[:1]  # the one over the entry's count
+    # Listing the fingerprint twice accepts both.
+    twice = findings_payload(duplicate)
+    baseline_file.write_text(json.dumps(twice))
+    fresh, suppressed = apply_baseline(
+        duplicate, load_baseline(str(baseline_file))
+    )
+    assert fresh == [] and suppressed == 2
+
+
+def test_stale_baseline_entry_is_reported(tmp_path):
+    findings = flow(
+        """
+        def f(pool, pid):
+            page = pool.fetch_page(pid)
+            return page.data
+        """
+    )
+    baseline_file = tmp_path / "baseline.json"
+    baseline_file.write_text(json.dumps(findings_payload(findings)))
+    fresh, suppressed = apply_baseline([], load_baseline(str(baseline_file)))
+    assert suppressed == 0
+    (stale,) = fresh
+    assert stale.rule == findings[0].rule
+    assert stale.path == canonical_path(findings[0].path)
+    assert "stale baseline entry" in stale.message
+
+
 def test_load_baseline_rejects_unknown_schema(tmp_path):
     bad = tmp_path / "baseline.json"
     bad.write_text('{"schema_version": 99, "findings": []}')

@@ -447,18 +447,22 @@ def test_view_extents_survive_roundtrip(saved):
     ]
     assert restored == originals
     assert any(extents for extents in restored)  # not vacuously equal
-    # The restored extents drive the fast path to serial-identical rows.
+    # The restored extents drive the run plans to serial-identical rows.
     qgen = RandomQueryGenerator(data.schema, seed=11)
-    for query in qgen.generate_for_node(("suppkey",), 6, include_unbound=True):
-        assert (
-            reopened.query(query, fast=True).rows
-            == original.query(query, fast=False).rows
-        )
+    queries = list(
+        qgen.generate_for_node(("suppkey",), 6, include_unbound=True)
+    )
+    batch = reopened.query_batch(queries)
+    for query, batched in zip(queries, batch.results):
+        serial = original.query(query).rows
+        assert reopened.query(query).rows == serial
+        assert reopened.query_batch([query]).results[0].rows == serial
+        assert batched.rows == serial
 
 
 def test_checkpoint_without_extents_still_loads(saved):
     """Checkpoints written before the field existed lack the key; the
-    loader restores empty extents and fast queries fall back."""
+    loader restores empty extents and run plans fall back."""
     _gen, data, original, directory = saved
 
     def drop_extents(meta):
@@ -472,8 +476,10 @@ def test_checkpoint_without_extents_still_loads(saved):
         for t in reopened.shards[0].forest.cubetrees
     )
     qgen = RandomQueryGenerator(data.schema, seed=11)
-    for query in qgen.generate_for_node(("partkey",), 6):
-        assert (
-            reopened.query(query, fast=True).rows
-            == original.query(query).rows
-        )
+    queries = list(qgen.generate_for_node(("partkey",), 6))
+    batch = reopened.query_batch(queries)
+    for query, batched in zip(queries, batch.results):
+        serial = original.query(query).rows
+        assert reopened.query(query).rows == serial
+        assert reopened.query_batch([query]).results[0].rows == serial
+        assert batched.rows == serial

@@ -140,6 +140,24 @@ class TestCompare:
         new = self._doc([("renamed", 500.0)])
         assert compare(old, new) == []
 
+    def test_one_moved_read_fails(self):
+        # Simulated I/O is deterministic, so any counter change is
+        # reported, in either direction and well inside the threshold.
+        io = {
+            "sequential_reads": 40, "random_reads": 12,
+            "sequential_writes": 0, "random_writes": 0,
+        }
+        old = self._doc([("queries", 100.0), ("load", 50.0)])
+        for phase in old["phases"]:
+            phase["io"] = dict(io)
+        for delta in (1, -1):
+            new = copy.deepcopy(old)
+            new["phases"][0]["io"]["random_reads"] += delta
+            regs = compare(old, new, threshold=0.2)
+            assert [reg["phase"] for reg in regs] == ["queries"]
+            assert regs[0]["new_io"]["random_reads"] == 12 + delta
+        assert compare(old, copy.deepcopy(old)) == []
+
     def test_suite_mismatch_rejected(self):
         old = self._doc([])
         new = dict(self._doc([]), suite="queries")

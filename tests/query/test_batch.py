@@ -4,7 +4,8 @@ The load-bearing property is byte-identity: for ANY warehouse, view
 subset, and query batch, ``engine.query_batch(queries)`` returns for each
 query exactly the rows that serial ``engine.query(query)`` returns —
 whether the batch answered it through a shared run pass or through the
-per-query fallback, and whether serial execution planned classic or fast.
+per-query fallback — and a one-query batch (the query alone on its
+run-aware plan) returns them too.
 The hypothesis sweep proves it over random cases; the unit tests pin the
 grouping, replica merging, and cost-gate mechanics.
 """
@@ -60,7 +61,8 @@ def batch_cases(draw):
 @given(batch_cases())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_batched_answers_are_identical_to_serial(case):
-    """query_batch == one-at-a-time query, classic and fast, always."""
+    """query_batch == query (descent) == a one-query batch (the query's
+    own run-aware plan), always."""
     domain_sizes, facts, views, queries = case
     schema = _make_schema(domain_sizes)
     engine = CubetreeEngine(schema, buffer_pages=64)
@@ -69,9 +71,10 @@ def test_batched_answers_are_identical_to_serial(case):
     batch = engine.query_batch(queries)
     assert len(batch) == len(queries)
     for query, result in zip(queries, batch.results):
-        serial = engine.query(query, fast=False).rows
+        serial = engine.query(query).rows
         assert result.rows == serial, query.describe()
-        assert engine.query(query, fast=True).rows == serial, query.describe()
+        alone = engine.query_batch([query]).results[0]
+        assert alone.rows == serial, query.describe()
 
 
 def _engine(scale=0.001, seed=42, replicate=None):
@@ -118,7 +121,7 @@ def test_unbound_node_queries_share_one_pass():
     batch = engine.query_batch(queries)
     assert batch.batched == len(queries)
     assert all("[batched]" in r.plan for r in batch.results)
-    serial = engine.query(queries[0], fast=False).rows
+    serial = engine.query(queries[0]).rows
     assert all(r.rows == serial for r in batch.results)
 
 

@@ -145,7 +145,7 @@ def test_decision_describe():
 
 
 # ----------------------------------------------------------------------
-# fast (packed-run) costing
+# run-aware (packed-run) costing
 # ----------------------------------------------------------------------
 def run_path(size=6_000_000.0, run_leaves=None,
              clustered=("partkey", "suppkey", "custkey")):
@@ -165,7 +165,7 @@ def test_classic_router_never_emits_run_plans():
 def test_fast_router_enumerates_both_physical_paths():
     q = SliceQuery(("suppkey",), (("partkey", 7),))
     plans = sf1_router().candidate_plans(
-        run_path(run_leaves=50_000), q, fast_scans=True
+        run_path(run_leaves=50_000), q, runs=True
     )
     assert any(plan.use_run for plan in plans)
     assert any(not plan.use_run for plan in plans)
@@ -180,7 +180,7 @@ def test_fast_scan_of_small_run_beats_descent():
     path = AccessPath(v_s, 600.0, (("suppkey",),), rows_per_page=200,
                       clustered=("suppkey",), run_leaves=3)
     q = SliceQuery(("suppkey",), ())
-    decision = router().route(q, [path], fast_scans=True)
+    decision = router().route(q, [path], runs=True)
     assert decision.use_run
     assert decision.est_cost == 8.0 + 2 * 0.8
 
@@ -190,7 +190,7 @@ def test_fast_prefix_seek_loses_on_deep_runs():
     interior descent stays cheaper, so classic execution is kept."""
     q = SliceQuery(("suppkey", "custkey"), (("partkey", 7),))
     decision = sf1_router().route(
-        q, [run_path(run_leaves=50_000)], fast_scans=True
+        q, [run_path(run_leaves=50_000)], runs=True
     )
     assert decision.order is not None
     assert not decision.use_run  # ceil(log2(50000)) = 16 probes > descent
@@ -204,27 +204,13 @@ def test_exact_cost_tie_keeps_classic_execution():
     path = AccessPath(v_s, 1600.0, (("suppkey",),), rows_per_page=200,
                       clustered=("suppkey",), run_leaves=8)
     q = SliceQuery((), (("suppkey", 7),))
-    plans = router().candidate_plans(path, q, fast_scans=True)
+    plans = router().candidate_plans(path, q, runs=True)
     ordered = [p for p in plans if p.order is not None]
     assert len(ordered) == 2
     assert ordered[0].est_cost == ordered[1].est_cost
-    decision = router().route(q, [path], fast_scans=True)
+    decision = router().route(q, [path], runs=True)
     if decision.order is not None:
         assert not decision.use_run
-
-
-def test_route_fast_scans_override_beats_constructor_default():
-    fast_router = QueryRouter(
-        CubeLattice(PSC), PSC_DISTINCT_SF1, fast_scans=True
-    )
-    v_s = ViewDefinition("V_s", ("suppkey",))
-    path = AccessPath(v_s, 600.0, (("suppkey",),), rows_per_page=200,
-                      clustered=("suppkey",), run_leaves=3)
-    q = SliceQuery(("suppkey",), ())
-    assert fast_router.route(q, [path]).use_run
-    assert not fast_router.route(q, [path], fast_scans=False).use_run
-    classic = router()
-    assert classic.route(q, [path], fast_scans=True).use_run
 
 
 def test_decision_describe_marks_run_plans():
@@ -232,7 +218,7 @@ def test_decision_describe_marks_run_plans():
     path = AccessPath(v_s, 600.0, (("suppkey",),), rows_per_page=200,
                       clustered=("suppkey",), run_leaves=3)
     q = SliceQuery(("suppkey",), ())
-    decision = router().route(q, [path], fast_scans=True)
+    decision = router().route(q, [path], runs=True)
     assert "[run]" in decision.describe()
     assert "[run]" not in router().route(q, [path]).describe()
 
@@ -290,15 +276,15 @@ if HAVE_HYPOTHESIS:
                 low = draw(st.integers(1, 100))
                 ranges.append((attr, low, draw(st.integers(low, 200))))
         query = SliceQuery(tuple(node), tuple(bindings), tuple(ranges))
-        fast = draw(st.booleans())
-        return paths, query, fast
+        runs = draw(st.booleans())
+        return paths, query, runs
 
     @given(routed_cases())
     @settings(max_examples=150, deadline=None)
     def test_route_matches_brute_force_minimum(case):
         """route() returns exactly the cheapest plan any derivable path
         offers — the enumeration candidate_plans exposes."""
-        paths, query, fast = case
+        paths, query, runs = case
         r = sf1_router()
         node = tuple(query.node)
         derivable = [
@@ -308,14 +294,14 @@ if HAVE_HYPOTHESIS:
         all_plans = [
             plan
             for path in derivable
-            for plan in r.candidate_plans(path, query, fast_scans=fast)
+            for plan in r.candidate_plans(path, query, runs=runs)
         ]
         if not all_plans:
             with pytest.raises(QueryError):
-                r.route(query, paths, fast_scans=fast)
+                r.route(query, paths, runs=runs)
             return
-        decision = r.route(query, paths, fast_scans=fast)
+        decision = r.route(query, paths, runs=runs)
         best = min(plan.est_cost for plan in all_plans)
         assert decision.est_cost == best
-        if not fast:
+        if not runs:
             assert not decision.use_run

@@ -1,14 +1,18 @@
-"""Vectorized columnar query kernels: units and the differential sweep.
+"""Column query kernels: units and the differential sweep.
 
-Covers: ``select_rows`` against per-point rectangle containment,
-``FoldAccumulator``'s exact serial float semantics, scalar/vectorized
-identity on ``search_run``/``search_run_group``/the classic descent,
-``search_run_fold`` against folding the materialized matches, the
-decoded-column cache (hits across pool eviction, version invalidation,
-capacity bounds), the aggregate pushdown, and a Hypothesis sweep that
-answers random workloads three ways — row-format scalar, columnar
-scalar, columnar vectorized (serial and batched) — and demands
-identical rows.
+Every search reads its leaves through the kernels, so each is checked
+against an independent brute-force oracle: ``rect.contains_point`` over
+the tree's own ``scan_points()`` for the view (in order for run passes,
+as sorted lists for descents).  Covers: ``select_rows`` against
+per-point containment (packed and unsorted leaves),
+``FoldAccumulator``'s exact serial float semantics, ``search_run`` /
+``search_run_group`` / ``search_run_fold`` / the classic descent over
+columnar and row leaves, dynamic trees with unsorted leaves and zero
+coordinates, the decoded-column cache (hits across pool eviction,
+version invalidation, capacity bounds), the aggregate pushdown, and a
+Hypothesis sweep that answers random workloads through ``query``, a
+one-query batch and one whole batch on row- and columnar-leaf engines
+and demands identical rows, equal to the on-the-fly oracle's.
 
 Example count scales with ``REPRO_DIFF_EXAMPLES`` (default 200 locally;
 CI sets a smaller smoke profile).
@@ -27,6 +31,7 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from repro.core.engine import CubetreeEngine
+from repro.core.onthefly import OnTheFlyEngine
 from repro.obs import get_registry
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
@@ -39,7 +44,8 @@ from repro.rtree.kernels import (
 )
 from repro.rtree.node import leaf_capacity
 from repro.rtree.packing import PackedRun, pack_rtree
-from repro.settings import Settings, current, override
+from repro.rtree.tree import RTree
+from repro.settings import override
 from repro.storage.buffer import BufferPool, DecodedColumnCache
 from repro.storage.disk import DiskManager
 from repro.warehouse.star import Dimension, StarSchema
@@ -94,10 +100,26 @@ def view_rect(view_arity, bounds=None):
 
 def columnar_packed_tree(pool, **kwargs):
     """A packed tree whose leaves must be decoded from columnar pages."""
-    with override(leaf_format="columnar"):
+    return decoded_packed_tree(pool, "columnar", **kwargs)
+
+
+def decoded_packed_tree(pool, leaf_format, **kwargs):
+    """A packed tree whose leaves must be decoded from ``leaf_format``
+    pages (row or columnar)."""
+    with override(leaf_format=leaf_format):
         tree = packed_tree(pool, **kwargs)
-    pool.clear()  # drop in-memory nodes: fetches decode columnar bytes
+    pool.clear()  # drop in-memory nodes: fetches decode the page bytes
     return tree
+
+
+def brute_force(tree, view_id, rect):
+    """The oracle: every stored point of the view inside ``rect``, in
+    leaf-chain (= run) order, by per-point containment."""
+    return [
+        match
+        for match in tree.scan_points()
+        if match[0] == view_id and rect.contains_point(match[1])
+    ]
 
 
 def make_cols(points, n_aggs=0):
@@ -128,12 +150,12 @@ def scalar_selection(points, rect, dims):
 def test_select_rows_arity_zero_selects_everything():
     cols = LeafColumns(3, 0, (), ())
     rect = Rect((0, 0), (0, 0))
-    assert select_rows(cols, rect, DIMS) == range(3)
+    assert select_rows(cols, rect, DIMS, True) == range(3)
 
 
 def test_select_rows_empty_leaf_is_none():
     cols = LeafColumns(0, 1, (array("q"),), ())
-    assert select_rows(cols, view_rect(1), DIMS) is None
+    assert select_rows(cols, view_rect(1), DIMS, True) is None
 
 
 def test_select_rows_padding_dim_violation_is_none():
@@ -141,7 +163,7 @@ def test_select_rows_padding_dim_violation_is_none():
     cols = make_cols(points)
     # A rect demanding dim 1 >= 1 can never match an arity-1 leaf.
     rect = Rect((1, 1), (BIG, BIG))
-    assert select_rows(cols, rect, DIMS) is None
+    assert select_rows(cols, rect, DIMS, True) is None
     assert scalar_selection(points, rect, DIMS) == []
 
 
@@ -149,7 +171,7 @@ def test_select_rows_prefix_bounds_come_back_contiguous():
     points = [(i,) for i in range(1, 21)]
     cols = make_cols(points)
     rect = view_rect(1, {0: (5, 11)})
-    sel = select_rows(cols, rect, DIMS)
+    sel = select_rows(cols, rect, DIMS, True)
     assert isinstance(sel, range)
     assert list(sel) == scalar_selection(points, rect, DIMS)
 
@@ -162,7 +184,7 @@ def test_select_rows_secondary_dim_filter_returns_index_list():
     )
     cols = make_cols(points)
     rect = view_rect(2, {1: (2, 4), 0: (3, 3)})
-    sel = select_rows(cols, rect, DIMS)
+    sel = select_rows(cols, rect, DIMS, True)
     assert isinstance(sel, list)
     assert sel == scalar_selection(points, rect, DIMS)
 
@@ -170,7 +192,7 @@ def test_select_rows_secondary_dim_filter_returns_index_list():
 def test_select_rows_no_match_is_none():
     points = [(i,) for i in range(1, 9)]
     cols = make_cols(points)
-    assert select_rows(cols, view_rect(1, {0: (100, 200)}), DIMS) is None
+    assert select_rows(cols, view_rect(1, {0: (100, 200)}), DIMS, True) is None
 
 
 @given(st.data())
@@ -197,10 +219,50 @@ def test_select_rows_matches_scalar_containment(data):
             hi = data.draw(st.integers(min_value=lo, max_value=9))
             bounds[dim] = (lo, hi)
     rect = view_rect(2, bounds or None)
-    sel = select_rows(cols, rect, DIMS)
-    assert list(sel) if sel is not None else [] == scalar_selection(
-        points, rect, DIMS
+    sel = select_rows(cols, rect, DIMS, True)
+    got = list(sel) if sel is not None else []
+    assert got == scalar_selection(points, rect, DIMS)
+
+
+def test_select_rows_unpacked_compares_every_bound_dim():
+    """Unsorted points holding 0 under an unbound ``[1, INT64_MAX]``
+    dimension: no bisect, and the unbound bound still rejects the 0."""
+    points = [(5, 2), (0, 3), (2, 9), (4, 0), (1, 1), (3, 2)]
+    cols = make_cols(points)
+    rect = Rect((1, 1), (INT64_MAX, 3))
+    sel = select_rows(cols, rect, DIMS, False)
+    assert sel == scalar_selection(points, rect, DIMS) == [0, 4, 5]
+
+
+@given(st.data())
+@settings(max_examples=max(20, EXAMPLES // 2), deadline=None)
+def test_select_rows_unpacked_matches_scalar_containment(data):
+    """The full comparison pass == per-point containment on any leaf,
+    unsorted and with zero coordinates."""
+    points = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=9),
+            ),
+            min_size=1,
+            max_size=40,
+        )
     )
+    cols = make_cols(points)
+    lows, highs = [], []
+    for _dim in range(2):
+        if data.draw(st.booleans()):
+            lo = data.draw(st.integers(min_value=0, max_value=9))
+            hi = data.draw(st.integers(min_value=lo, max_value=9))
+        else:
+            lo, hi = 1, INT64_MAX
+        lows.append(lo)
+        highs.append(hi)
+    rect = Rect(tuple(lows), tuple(highs))
+    sel = select_rows(cols, rect, DIMS, False)
+    got = list(sel) if sel is not None else []
+    assert got == scalar_selection(points, rect, DIMS)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +319,7 @@ def test_fold_empty_block_is_noop():
 
 
 # ----------------------------------------------------------------------
-# scalar == vectorized on every tree path
+# every tree path == the brute-force scalar oracle
 # ----------------------------------------------------------------------
 SLICES = [
     (1, None, (), ()),
@@ -270,16 +332,21 @@ SLICES = [
     (2, {0: (2, 2)}, (), ()),
 ]
 
+GROUP_REQUESTS = [
+    (view_rect(2), (), ()),
+    (view_rect(2, {1: (5, 5)}), (5,), (5,)),
+    (view_rect(2, {1: (2, 8)}), (2,), (8,)),
+    (view_rect(2, {0: (3, 3)}), (), ()),
+]
+
 
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
 def test_search_run_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     _disk, pool = make_pool()
     tree = columnar_packed_tree(pool)
     rect = view_rect(arity, bounds)
-    with override(vector_kernels=False):
-        expected = list(tree.search_run(arity, rect, lo_key, hi_key))
-    with override(vector_kernels=True):
-        got = list(tree.search_run(arity, rect, lo_key, hi_key))
+    expected = brute_force(tree, arity, rect)
+    got = list(tree.search_run(arity, rect, lo_key, hi_key))
     assert got == expected  # same matches, same order
 
 
@@ -288,52 +355,56 @@ def test_descent_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     _disk, pool = make_pool()
     tree = columnar_packed_tree(pool)
     rect = view_rect(arity, bounds)
-    with override(vector_kernels=False):
-        expected = list(tree.search(rect))
-    with override(vector_kernels=True):
-        assert list(tree.search(rect)) == expected
+    expected = sorted(brute_force(tree, arity, rect))
+    assert sorted(tree.search(rect)) == expected
 
 
 def test_search_run_group_vectorized_equals_scalar():
     _disk, pool = make_pool()
     tree = columnar_packed_tree(pool)
-    requests = [
-        (view_rect(2), (), ()),
-        (view_rect(2, {1: (5, 5)}), (5,), (5,)),
-        (view_rect(2, {1: (2, 8)}), (2,), (8,)),
-        (view_rect(2, {0: (3, 3)}), (), ()),
-    ]
-    with override(vector_kernels=False):
-        expected = tree.search_run_group(2, requests)
-    with override(vector_kernels=True):
-        assert tree.search_run_group(2, requests) == expected
+    expected = [brute_force(tree, 2, rect) for rect, _lo, _hi in GROUP_REQUESTS]
+    assert tree.search_run_group(2, GROUP_REQUESTS) == expected
 
 
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
-@pytest.mark.parametrize("kernels", [False, True])
+@pytest.mark.parametrize("row_leaves", [False, True])
 def test_search_run_fold_equals_folding_matches(
-    arity, bounds, lo_key, hi_key, kernels
+    arity, bounds, lo_key, hi_key, row_leaves
 ):
     _disk, pool = make_pool()
-    tree = columnar_packed_tree(pool)
+    tree = decoded_packed_tree(pool, "row" if row_leaves else "columnar")
     rect = view_rect(arity, bounds)
-    with override(vector_kernels=kernels):
-        expected = FoldAccumulator(("add",))
-        for _vid, _pt, values in tree.search_run(arity, rect, lo_key, hi_key):
-            expected.add(values)
-        acc = FoldAccumulator(("add",))
-        tree.search_run_fold(arity, rect, acc, lo_key, hi_key)
+    expected = FoldAccumulator(("add",))
+    for _vid, _pt, values in brute_force(tree, arity, rect):
+        expected.add(values)
+    acc = FoldAccumulator(("add",))
+    tree.search_run_fold(arity, rect, acc, lo_key, hi_key)
     assert acc.states == expected.states
     assert acc.rows == expected.rows
 
 
-def test_dynamic_leaves_fall_back_to_scalar():
+@pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
+def test_row_leaves_through_every_entry_point(arity, bounds, lo_key, hi_key):
+    """Packed row (type 1) leaves go through the same kernels."""
+    _disk, pool = make_pool()
+    tree = decoded_packed_tree(pool, "row")
+    rect = view_rect(arity, bounds)
+    expected = brute_force(tree, arity, rect)
+    assert list(tree.search_run(arity, rect, lo_key, hi_key)) == expected
+    assert sorted(tree.search(rect)) == sorted(expected)
+    assert tree.search_run_group(arity, [(rect, lo_key, hi_key)]) == [
+        expected
+    ]
+    folded = FoldAccumulator(("add",))
+    tree.search_run_fold(arity, rect, folded, lo_key, hi_key)
+    assert folded.rows == len(expected)
+
+
+def test_dynamic_leaves_take_the_full_comparison_pass():
     """Dynamic inserts wipe the extents, so the descent must not bisect
     (possibly unsorted, possibly zero-coordinate) dynamic leaves."""
-    from repro.rtree.tree import RTree
-
     _disk, pool = make_pool()
-    with override(leaf_format="columnar", vector_kernels=True):
+    with override(leaf_format="columnar"):
         tree = RTree(pool, dims=2, n_aggs=1)
         for point in [(5, 5), (1, 2), (0, 3), (4, 0)]:  # unsorted, zeros
             tree.insert(point, (1.0,))
@@ -341,6 +412,29 @@ def test_dynamic_leaves_fall_back_to_scalar():
         rect = Rect((0, 0), (4, BIG))
         got = sorted(pt for _vid, pt, _vals in tree.search(rect))
     assert got == [(0, 3), (1, 2), (4, 0)]
+
+
+def test_dynamic_tree_with_zero_under_an_unbound_dimension():
+    """Several unsorted dynamic leaves holding coordinate 0: an unbound
+    ``[1, INT64_MAX]`` dimension rejects the zeros, exactly as
+    per-point containment does."""
+    _disk, pool = make_pool()
+    tree = RTree(pool, dims=2, n_aggs=1)
+    n = 3 * tree.dynamic_leaf_capacity
+    for i in range(n):
+        # A scrambled walk over the grid; every 7th point has x = 0.
+        x = 0 if i % 7 == 0 else (i * 37) % 50 + 1
+        tree.insert((x, (i * 11) % 13), (float(i),))
+    assert not tree.view_extents and len(tree.leaf_page_ids) > 1
+    pool.clear()
+    for rect in (
+        Rect((1, 0), (INT64_MAX, 12)),  # x unbound: zeros rejected
+        Rect((0, 3), (20, 5)),
+        Rect((1, 1), (INT64_MAX, INT64_MAX)),
+    ):
+        expected = sorted(brute_force(tree, -1, rect))
+        assert expected  # not vacuous
+        assert sorted(tree.search(rect)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -378,10 +472,9 @@ def test_column_cache_survives_page_eviction():
     # finds their decoded leaves still in the side-cache.
     _disk, pool = make_pool(capacity=12)
     tree = columnar_packed_tree(pool, n1=24 * CAP1)
-    with override(vector_kernels=True):
-        list(tree.search_run(1, view_rect(1)))
-        before = pool.column_cache.stats.hits
-        list(tree.search_run(1, view_rect(1)))
+    list(tree.search_run(1, view_rect(1)))
+    before = pool.column_cache.stats.hits
+    list(tree.search_run(1, view_rect(1)))
     assert pool.column_cache.stats.hits > before
 
 
@@ -411,7 +504,7 @@ def test_pool_clear_empties_column_cache():
 
 
 # ----------------------------------------------------------------------
-# engine-level: pushdown + the three-way differential sweep
+# engine-level: pushdown + the differential sweep
 # ----------------------------------------------------------------------
 def _make_schema(domain_sizes):
     dimensions = {}
@@ -449,15 +542,12 @@ def test_total_query_takes_the_aggregate_pushdown():
     engine = _small_engine()
     total = SliceQuery((), (("ka", 2),), ())
     counter = get_registry().counter("query.cubetree.pushdowns")
-    with override(vector_kernels=False):
-        expected = engine.query(total, fast=True)
+    expected = engine.query(total)  # descent: matches, then finalize
     before = counter.value
-    with override(vector_kernels=True):
-        got = engine.query(total, fast=True)
+    got = engine.query_batch([total]).results[0]
     assert counter.value == before + 1
+    assert "[run]" in got.plan
     assert got.rows == expected.rows
-    assert got.plan == expected.plan
-    assert got.io.simulated_ms == expected.io.simulated_ms
 
 
 def test_group_by_query_skips_the_pushdown():
@@ -465,8 +555,7 @@ def test_group_by_query_skips_the_pushdown():
     grouped = SliceQuery(("ka",), (("kb", 3),), ())
     counter = get_registry().counter("query.cubetree.pushdowns")
     before = counter.value
-    with override(vector_kernels=True):
-        engine.query(grouped, fast=True)
+    engine.query_batch([grouped])
     assert counter.value == before
 
 
@@ -542,42 +631,26 @@ def sweep_cases(draw):
 
 @given(sweep_cases())
 @settings(max_examples=EXAMPLES, deadline=None)
-def test_row_scalar_columnar_scalar_and_vectorized_agree(case):
-    """row-scalar == columnar-scalar == columnar-vectorized (and batch)."""
+def test_row_and_columnar_leaves_agree_on_every_entry_point(case):
+    """query == a one-query batch == one whole batch, on row and on
+    columnar leaves, and all equal the on-the-fly oracle's rows."""
     domain_sizes, facts, views, queries = case
     schema = _make_schema(domain_sizes)
-    with override(vector_kernels=False, leaf_format="row"):
-        row_engine = CubetreeEngine(schema, buffer_pages=64)
-        row_engine.materialize(views, facts)
-        reference = [
-            sorted(row_engine.query(q, fast=True).rows) for q in queries
-        ]
+    oracle = OnTheFlyEngine(schema, buffer_pages=64)
+    oracle.load_fact(facts)
+    reference = [oracle.query(q).rows for q in queries]
 
-    with override(vector_kernels=False, leaf_format="columnar"):
-        col_engine = CubetreeEngine(schema, buffer_pages=64)
-        col_engine.materialize(views, facts)
-        col_engine.pool.clear()  # force columnar decode on first touch
-        scalar = [col_engine.query(q, fast=True).rows for q in queries]
-
-    with override(vector_kernels=True):
-        vector = [col_engine.query(q, fast=True).rows for q in queries]
-        batch = [
-            result.rows for result in col_engine.query_batch(queries).results
-        ]
-
-    assert vector == scalar  # identical rows, identical order
-    assert batch == scalar
-    assert [sorted(rows) for rows in scalar] == reference
-
-
-def test_kernel_dispatch_gate_resolution():
-    with override(vector_kernels=True):
-        assert current().vector_kernels
-        with override(vector_kernels=False):
-            assert not current().vector_kernels
-    assert Settings.from_env({}).vector_kernels
-    assert not Settings.from_env({"REPRO_VECTOR_KERNELS": "0"}).vector_kernels
-    assert Settings.from_env({"REPRO_VECTOR_KERNELS": "1"}).vector_kernels
+    for leaf_format in ("row", "columnar"):
+        with override(leaf_format=leaf_format):
+            engine = CubetreeEngine(schema, buffer_pages=64)
+            engine.materialize(views, facts)
+        engine.pool.clear()  # force a decode on first touch
+        serial = [engine.query(q).rows for q in queries]
+        alone = [engine.query_batch([q]).results[0].rows for q in queries]
+        batch = [r.rows for r in engine.query_batch(queries).results]
+        assert serial == reference, leaf_format
+        assert alone == reference, leaf_format
+        assert batch == reference, leaf_format
 
 
 def test_leaf_columns_builds_and_stashes_for_row_leaves():

@@ -225,3 +225,26 @@ def test_bad_shards_rejected_at_parse_time(command, bad, capsys):
     err = capsys.readouterr().err
     assert "--shards" in err
     assert "positive integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--scale", "0"],
+    ["check", "--scale", "-0.5"],
+    ["query", "select sum(quantity) from F", "--scale", "0"],
+    ["bench", "--suite", "smoke", "--scale", "-1"],
+    ["serve", "some_db", "--bootstrap-scale", "-1"],
+    ["experiment", "fig12", "--queries", "0"],
+    ["bench", "--queries", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_scale_and_queries_rejected_at_parse_time(argv, tmp_path, capsys,
+                                                      monkeypatch):
+    # Nothing may run: a bad value exits 2 with a usage message before
+    # any corpus is built or file written.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err
+    assert "positive" in err
+    assert os.listdir(tmp_path) == []

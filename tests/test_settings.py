@@ -24,15 +24,11 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Today's defaults, spelled out so a changed default is a visible diff.
 DEFAULTS = {
     "leaf_format": "columnar",
-    "vector_kernels": True,
     "column_cache_pages": 256,
-    "fast_scans": False,
     "build_memory": None,
     "workers": 1,
     "debug_checks": False,
     "trace": False,
-    "scale": 0.01,
-    "queries": 100,
 }
 
 BOOLEAN_FIELDS = [
@@ -45,12 +41,8 @@ MALFORMED = {
     "leaf_format": "rows",
     "column_cache_pages": "abc",
     "build_memory": "abc",
-    "scale": "x",
-    "vector_kernels": "maybe",
-    "fast_scans": "2",
     "debug_checks": "enabled",
     "trace": "offf",
-    "queries": "1.5",
 }
 
 #: Values that parse but fall outside a field's domain.
@@ -58,8 +50,6 @@ OUT_OF_RANGE = {
     "workers": "0",
     "column_cache_pages": "-1",
     "build_memory": "-5",
-    "scale": "0",
-    "queries": "0",
 }
 
 
@@ -84,7 +74,7 @@ def run_python(code, **env):
 # ----------------------------------------------------------------------
 # parse rules
 # ----------------------------------------------------------------------
-def test_settings_has_exactly_the_ten_knobs():
+def test_settings_has_exactly_the_six_knobs():
     assert [spec.name for spec in fields(Settings)] == list(DEFAULTS)
     assert set(MALFORMED) == set(DEFAULTS)
 
@@ -132,16 +122,12 @@ def test_typed_values_parse():
             "REPRO_COLUMN_CACHE_PAGES": "0",
             "REPRO_BUILD_MEMORY": "8K",
             "REPRO_WORKERS": "4",
-            "REPRO_SCALE": "0.002",
-            "REPRO_QUERIES": "7",
         }
     )
     assert parsed.leaf_format == "row"
     assert parsed.column_cache_pages == 0
     assert parsed.build_memory == 8000
     assert parsed.workers == 4
-    assert parsed.scale == 0.002
-    assert parsed.queries == 7
 
 
 def test_config_error_is_a_repro_error():

@@ -7,8 +7,9 @@ N ∈ {1, 2, 3, 5} shards answers bit-for-bit what
 facts, across the full load → query → update → query → checkpoint →
 recover lifecycle; N ∈ {2, 3, 5} additionally agree with N = 1 on every
 row trace.  At every N the whole query set also runs through
-``query_batch``, and each batched result must equal ``query(q)`` and
-``query(q, fast=True)`` for the same query.
+``query_batch``, and each batched result must equal ``query(q)`` (the
+descent) and ``query_batch([q])`` (the query alone on its run-aware plan)
+for the same query.
 
 Until PR 23 this sweep compared a second, sharded engine class against
 the single-tree one (rows at every N, simulated I/O at N = 1); that
@@ -162,8 +163,9 @@ def _io_record(io):
 def _lifecycle(engine, views, initial, delta, queries):
     """One lifecycle; returns (rows trace, io trace, shard-0 io trace).
 
-    Every query phase answers the set three ways — classic, fast, and
-    batched — and requires them to agree before recording the rows.
+    Every query phase answers the set three ways — ``query`` (descent),
+    a one-query batch (run-aware plan), and one batch of the whole set —
+    and requires them to agree before recording the rows.
     """
     rows_trace = []
     io_trace = []
@@ -181,7 +183,8 @@ def _lifecycle(engine, views, initial, delta, queries):
             result = engine.query(query)
             record(result.io, before)
             rows_trace.append(result.rows)
-            assert engine.query(query, fast=True).rows == result.rows
+            alone = engine.query_batch([query]).results[0]
+            assert alone.rows == result.rows
         batch = engine.query_batch(queries)
         assert [r.rows for r in batch.results] == rows_trace[-len(queries):]
 

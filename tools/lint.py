@@ -12,8 +12,10 @@ Usage::
 
 AST findings are baselined the same way flow findings are: the
 committed ``tools/lint-baseline.json`` records the accepted sites
-(e.g. the intentional scalar-fallback loops the ``leaf-entry-loop``
-rule polices) and only NEW findings fail the run.
+(e.g. the dynamic-insertion leaf split the ``leaf-entry-loop`` rule
+polices) and only NEW findings fail the run.  Each entry accepts one
+finding, and an entry that no finding in the linted files matches is
+reported as stale.
 
 Exits 1 when any non-baselined finding is reported, 2 on bad paths.
 """
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,6 +36,7 @@ from repro.analysis.flowrules import (  # noqa: E402 (needs the path insert)
     FLOW_RULES,
     analyze_paths,
     apply_baseline,
+    canonical_path,
     findings_payload,
     format_inventory,
     load_baseline,
@@ -40,6 +44,7 @@ from repro.analysis.flowrules import (  # noqa: E402 (needs the path insert)
 from repro.analysis.lint import (  # noqa: E402
     RULES,
     format_findings,
+    iter_python_files,
     lint_paths,
 )
 
@@ -47,6 +52,18 @@ _DEFAULT_BASELINE = os.path.join(_REPO_ROOT, "tools", "flow-baseline.json")
 _DEFAULT_LINT_BASELINE = os.path.join(
     _REPO_ROOT, "tools", "lint-baseline.json"
 )
+
+
+def _scoped_baseline(path: str, paths: List[str]) -> Counter:
+    """The baseline's entries for files under ``paths``: an entry for a
+    file this run does not read can be neither matched nor stale."""
+    files = {
+        canonical_path(name) for root in paths
+        for name in iter_python_files(root)
+    }
+    return Counter(
+        {key: n for key, n in load_baseline(path).items() if key[1] in files}
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -151,7 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint_suppressed = 0
     if lint_baseline_path is not None:
         findings, lint_suppressed = apply_baseline(
-            findings, load_baseline(lint_baseline_path)
+            findings, _scoped_baseline(lint_baseline_path, paths)
         )
     inventory_text = None
     suppressed = 0
@@ -177,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         flow_findings = flow_report.findings
         if baseline_path is not None:
             flow_findings, suppressed = apply_baseline(
-                flow_findings, load_baseline(baseline_path)
+                flow_findings, _scoped_baseline(baseline_path, paths)
             )
         findings = sorted(
             findings + flow_findings,
