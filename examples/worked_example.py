@@ -12,6 +12,7 @@ Figure 4 against the packed tree.
 
 from repro.core.cubetree import Cubetree
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.rtree.packing import sort_key
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -55,9 +56,9 @@ def main() -> None:
         print(f"   {name}: point {point} -> {values[0]:.0f}")
 
     print("\nFigure 4 — slice queries against the packed tree:")
-    q1 = dict(tree.query("V8", {"partkey": 4}))
+    q1 = dict(block_rows(tree.query("V8", {"partkey": 4})))
     print(f"   sales of part 4 (V8 slice):            {q1[(4,)][0]:.0f}")
-    q2 = dict(tree.query("V9", {"custkey": 3}))
+    q2 = dict(block_rows(tree.query("V9", {"custkey": 3})))
     print("   per-supplier sales to customer 3 (V9):",
           {s: v[0] for (s, _c), v in q2.items()})
 

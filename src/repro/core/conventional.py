@@ -38,6 +38,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.relational.view import MaterializedView, ViewDefinition
+from repro.rtree.kernels import Block
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import float_column, int_column
 from repro.storage.disk import DiskManager
@@ -204,8 +205,7 @@ class ConventionalEngine:
         view = self.views[view_def.name]
         direct, residual = split_bindings(view_def, query, self.hierarchies)
 
-        arity = view_def.arity
-        matches = []
+        matches: List[Row] = []
         if decision.order is not None and decision.prefix:
             tree = view.indexes[decision.order]
             # Equality components pin both key bounds; a trailing range
@@ -224,24 +224,16 @@ class ConventionalEngine:
             for _key, rid in tree.range_scan(low, high):
                 row = view.table.fetch(rid)
                 if self._row_matches(row, view_def, leftover):
-                    matches.append(
-                        (
-                            tuple(int(v) for v in row[:arity]),  # type: ignore[arg-type]
-                            tuple(float(v) for v in row[arity:]),  # type: ignore[arg-type]
-                        )
-                    )
+                    matches.append(row)
         else:
             for row in view.table.scan_rows():
                 if self._row_matches(row, view_def, direct):
-                    matches.append(
-                        (
-                            tuple(int(v) for v in row[:arity]),  # type: ignore[arg-type]
-                            tuple(float(v) for v in row[arity:]),  # type: ignore[arg-type]
-                        )
-                    )
+                    matches.append(row)
 
+        # The matching rows reach the answer layer as one column block.
+        block = Block.of_rows(view_def.arity, view_def.arity, matches)
         rows = finalize_matches(
-            matches, view_def, query, self.hierarchies, residual
+            [block], view_def, query, self.hierarchies, residual
         )
         return QueryResult(
             rows=rows,

@@ -20,7 +20,7 @@ from repro.obs import trace
 from repro.relational.executor import AggFunc, combine_states
 from repro.relational.view import ViewDefinition
 from repro.rtree.geometry import Rect
-from repro.rtree.kernels import FoldAccumulator
+from repro.rtree.kernels import Block, FoldAccumulator
 from repro.rtree.merge import merge_pack
 from repro.rtree.packing import (
     PackedRun,
@@ -57,7 +57,7 @@ class SliceSpec:
 @dataclass(frozen=True)
 class FoldedSlice:
     """A slice answered by aggregate pushdown: per-aggregate combined
-    states instead of a match list (``None`` when nothing matched)."""
+    states instead of a block list (``None`` when nothing matched)."""
 
     states: Optional[Tuple[Values, ...]]
 
@@ -373,29 +373,30 @@ class Cubetree:
         view_name: str,
         bindings: Mapping[str, object],
         fast: bool = False,
-    ) -> Iterator[Tuple[Tuple[int, ...], Values]]:
-        """Slice one view: yields (group coordinates, aggregate states).
+    ) -> Iterator[Block]:
+        """Slice one view: yields column blocks of the view's group
+        coordinates and aggregate states, in packing order.
 
         With ``fast=False`` the query descends the interior nodes from
         the root (the classic R-tree search).  With ``fast=True`` and a
         recorded leaf-run extent, the view's sorted leaf run is searched
         directly — binary seek on the bound prefix, sequential scan
-        otherwise — producing the identical matches in identical order;
+        otherwise — producing the identical blocks in identical order;
         trees without extents (dynamic builds, old checkpoints) fall
-        back to the descent.
+        back to the descent.  Each block's view id is checked once.
         """
         spec = self.slice_spec(view_name, bindings)
         arity = spec.view.arity
         if fast and self.tree.run_bounds(arity) is not None:
-            matches = self.tree.search_run(
+            blocks = self.tree.search_run(
                 arity, spec.rect, spec.lo_key, spec.hi_key
             )
         else:
-            matches = self.tree.search(spec.rect)
-        for matched_id, point, values in matches:
-            if matched_id != arity:  # pragma: no cover - defensive
+            blocks = self.tree.search(spec.rect)
+        for block in blocks:
+            if block.view_id != arity:  # pragma: no cover - defensive
                 raise MappingError("search strayed into another view region")
-            yield point[:arity], values
+            yield block
 
     def query_aggregate(
         self, view_name: str, bindings: Mapping[str, object]
@@ -432,12 +433,12 @@ class Cubetree:
         """Answer several slices of one view in a single shared run pass.
 
         Returns one entry per input binding set, in input order.  By
-        default each entry is the match list :meth:`query` would have
+        default each entry is the block list :meth:`query` would have
         produced for that binding set alone.  ``fold`` (aligned with
         ``bindings_list``) marks slices eligible for aggregate pushdown:
         their entries come back as :class:`FoldedSlice` objects holding
         the combined per-aggregate states (see :meth:`query_aggregate`)
-        instead of match lists.  Requires a recorded leaf-run extent —
+        instead of block lists.  Requires a recorded leaf-run extent —
         callers fall back to per-query execution when :meth:`has_run`
         is false.
         """
@@ -472,10 +473,7 @@ class Cubetree:
                     split_states(specs[i].view, accs[position])
                 )
             else:
-                results[i] = [
-                    (point[:arity], values)
-                    for _, point, values in grouped[position]
-                ]
+                results[i] = grouped[position]
         return results
 
     def has_run(self, view_name: str) -> bool:

@@ -10,6 +10,7 @@ from repro.errors import QueryError
 from repro.parallel import MIN_PARALLEL_ROWS, run_tasks
 from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import Block
 from repro.rtree.packing import PackedRun
 from repro.settings import current
 from repro.storage.buffer import BufferPool
@@ -216,8 +217,8 @@ class CubetreeForest:
         view_name: str,
         bindings: Mapping[str, int],
         fast: bool = False,
-    ) -> Iterator[Tuple[Tuple[int, ...], Tuple[float, ...]]]:
-        """Slice one view (see Cubetree.query)."""
+    ) -> Iterator[Block]:
+        """Slice one view into column blocks (see Cubetree.query)."""
         return self._tree_for(view_name).query(view_name, bindings, fast=fast)
 
     def query_view_aggregate(

@@ -18,15 +18,16 @@ generation manifest (see :func:`repro.core.persistence.save_database`).
 / ``query_view_group`` — and runs each call scatter-gather: the binding
 on the routed view's leading coordinate prunes the shard set (a point
 restriction hits exactly one shard), each target shard executes the
-per-shard plan, and partial match streams are k-way merged back into the
-exact serial packing order, so the float fold order of
-:func:`~repro.core.answer.finalize_matches` is preserved bit-for-bit.
+per-shard plan, and partial block streams are expanded, k-way merged back
+into the exact serial packing order and re-blocked, so the float fold
+order of :func:`~repro.core.answer.finalize_matches` is preserved
+bit-for-bit.
 
 Aggregate pushdown (``query_view_aggregate``, ``fold=``) folds *inside* a
 shard only when the binding targets exactly one shard — always at
 ``N = 1``, and on a point restriction of the leading coordinate at
 ``N > 1``.  A slice that spans several shards is answered from the
-merged match stream instead: folding per shard and combining the partial
+merged block stream instead: folding per shard and combining the partial
 states would reassociate the float additions and break bit-identity with
 the serial answer.
 
@@ -42,6 +43,7 @@ import heapq
 from dataclasses import replace
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -57,14 +59,13 @@ from repro.errors import QueryError
 from repro.obs import get_registry
 from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
-from repro.rtree.kernels import FoldAccumulator
+from repro.rtree.kernels import Block, FoldAccumulator, block_rows
 from repro.rtree.packing import sort_key
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.iomodel import IOStats
 
 Row = Tuple[object, ...]
-Match = Tuple[Tuple[int, ...], Tuple[float, ...]]
 States = Optional[Tuple[Tuple[float, ...], ...]]
 
 _OBS_SHARDS_TOUCHED = get_registry().counter("query.cubetree.shards_touched")
@@ -279,13 +280,20 @@ class ShardedForest:
         ]
 
     def _merge(
-        self, view_name: str, streams: Sequence[Sequence[Match]]
-    ) -> Iterator[Match]:
-        """K-way merge of per-shard partials into global packing order."""
+        self, view_name: str, streams: Sequence[Iterable[Block]]
+    ) -> List[Block]:
+        """K-way merge of per-shard block streams into one block in
+        global packing order (empty list when nothing matched)."""
+        arity = self.view_definition(view_name).arity
         dims = self.shards[0].require_forest().tree_dims(view_name)
-        return heapq.merge(
-            *streams, key=lambda match: sort_key(match[0], dims)
+        merged = heapq.merge(
+            *map(block_rows, streams),
+            key=lambda row: sort_key(row[0], dims),
         )
+        block = Block.of_rows(
+            arity, arity, (coords + values for coords, values in merged)
+        )
+        return [block] if block.count else []
 
     # -- scatter-gather execution ---------------------------------------
     def query_view(
@@ -293,13 +301,14 @@ class ShardedForest:
         view_name: str,
         bindings: Mapping[str, object],
         fast: bool = False,
-    ) -> Iterator[Match]:
+    ) -> Iterator[Block]:
         """Slice one view across its target shards.
 
-        A single target returns that shard's stream untouched (``N = 1``
-        and point restrictions).  Several targets k-way merge on the
-        packing sort key, reproducing the exact order a single tree would
-        have yielded, so downstream float folds are bit-identical.
+        A single target returns that shard's block stream untouched
+        (``N = 1`` and point restrictions).  Several targets k-way merge
+        on the packing sort key into one block, reproducing the exact
+        order a single tree would have yielded, so downstream float folds
+        are bit-identical.
         """
         streams = [
             shard.routed().query_view(view_name, bindings, fast=fast)
@@ -307,7 +316,7 @@ class ShardedForest:
         ]
         if len(streams) == 1:
             return streams[0]
-        return self._merge(view_name, streams)
+        return iter(self._merge(view_name, streams))
 
     def query_view_aggregate(
         self, view_name: str, bindings: Mapping[str, object]
@@ -316,7 +325,7 @@ class ShardedForest:
 
         One target shard with a leaf-run extent folds in place
         (:meth:`CubetreeForest.query_view_aggregate`).  Otherwise the
-        merged match stream is folded here in packing order — the same
+        merged block stream is folded here in packing order — the same
         left fold, so the states are bit-identical either way.
         """
         targets = self.target_shards(view_name, bindings)
@@ -328,10 +337,8 @@ class ShardedForest:
             )
         view = self.view_definition(view_name)
         acc = FoldAccumulator(fold_reducers(view))
-        for _coords, values in self.query_view(
-            view_name, bindings, fast=True
-        ):
-            acc.add(values)
+        for block in self.query_view(view_name, bindings, fast=True):
+            acc.add_block(block.measures, range(block.count))
         return split_states(view, acc)
 
     def query_view_group(
@@ -348,7 +355,7 @@ class ShardedForest:
         common point-restriction batch) skips the merge, and only such a
         binding honours its ``fold`` flag (see the module docstring): its
         entry comes back as a :class:`~repro.core.cubetree.FoldedSlice`,
-        every other entry as a match list.
+        every other entry as a block list.
         """
         targets = [
             self.target_shards(view_name, bindings)
@@ -386,7 +393,7 @@ class ShardedForest:
             if len(streams) == 1:
                 results.append(streams[0])
             else:
-                results.append(list(self._merge(view_name, streams)))
+                results.append(self._merge(view_name, streams))
         return results
 
     def has_run(self, view_name: str) -> bool:

@@ -81,6 +81,12 @@ class SQLError(ReproError):
     """The SQL front end could not tokenize, parse, or bind a statement."""
 
 
+class InvalidDeltaError(ReproError):
+    """A warehouse increment row cannot be merge-packed: wrong width, a
+    fact key outside ``[1, 2**63 - 1]`` or not an integer, or a measure
+    that is not a finite number.  The whole increment is refused."""
+
+
 class UpdateTimeoutError(ReproError):
     """An (simulated) update run exceeded its down-time window deadline."""
 

@@ -186,8 +186,8 @@ def run_mapping_policy(
                 decision = router.route(q, forest.access_paths())
                 view = decision.path.view
                 direct, residual = split_bindings(view, q, {})
-                matches = forest.query_view(view.name, direct)
-                finalize_matches(matches, view, q, {}, residual)
+                blocks = forest.query_view(view.name, direct)
+                finalize_matches(blocks, view, q, {}, residual)
         io = disk.cost_model.stats - before
         results[name] = {
             "trees": forest.num_trees,

@@ -24,9 +24,9 @@ are about to read again.  This module instead:
    per-query execution using each query's own cheapest plan.
 
 Per-query answers are byte-identical to serial execution: the shared pass
-yields every query its own matches in run order — the same points, in the
-same order, that a solo :meth:`search`/:meth:`search_run` produces — and
-:func:`finalize_matches` folds and sorts them per query as usual.  A total
+hands every query its own column blocks in run order — the same entries,
+in the same order, that a solo :meth:`search`/:meth:`search_run` yields —
+and :func:`finalize_matches` folds and sorts them per query as usual.  A total
 query with no residual filter folds its measure columns inside the pass
 (aggregate pushdown) instead.  Views without a recorded leaf-run extent
 (dynamic trees, checkpoints predating the field) fall back to per-query
@@ -134,7 +134,7 @@ def execute_batch(
                 not queries[i].group_by and not residual
                 for i, (_direct, residual) in zip(indices, splits)
             ]
-            match_lists = forest.query_view_group(
+            block_lists = forest.query_view_group(
                 target,
                 [direct for direct, _ in splits],
                 fold=fold if any(fold) else None,
@@ -144,7 +144,7 @@ def execute_batch(
             batch.groups += 1
             _finalize_group(
                 batch, queries, hierarchies, decisions, view,
-                indices, splits, match_lists, " [batched]",
+                indices, splits, block_lists, " [batched]",
             )
             continue
         # Fallback: each routed view's queries run their own best plans.
@@ -155,7 +155,7 @@ def execute_batch(
                 split_bindings(view, queries[i], hierarchies)
                 for i in view_indices
             ]
-            match_lists = []
+            block_lists: List[object] = []
             for i, (direct, residual) in zip(view_indices, splits):
                 if (
                     not queries[i].group_by
@@ -163,14 +163,14 @@ def execute_batch(
                     and decisions[i].use_run
                     and forest.has_run(view_name)
                 ):
-                    match_lists.append(
+                    block_lists.append(
                         FoldedSlice(
                             forest.query_view_aggregate(view_name, direct)
                         )
                     )
                     _OBS_PUSHDOWNS.value += 1
                 else:
-                    match_lists.append(
+                    block_lists.append(
                         list(
                             forest.query_view(
                                 view_name, direct, fast=decisions[i].use_run
@@ -180,7 +180,7 @@ def execute_batch(
             batch.groups += 1
             _finalize_group(
                 batch, queries, hierarchies, decisions, view,
-                view_indices, splits, match_lists, "",
+                view_indices, splits, block_lists, "",
             )
     return batch
 
@@ -193,18 +193,19 @@ def _finalize_group(
     view,
     indices: Sequence[int],
     splits: Sequence[tuple],
-    match_lists: Sequence[list],
+    block_lists: Sequence[object],
     suffix: str,
 ) -> None:
-    """Fold each query's matches into its final rows and store them."""
-    for index, matches, (_direct, residual) in zip(
-        indices, match_lists, splits
+    """Fold each query's blocks (or pushed-down states) into its final
+    rows and store them."""
+    for index, blocks, (_direct, residual) in zip(
+        indices, block_lists, splits
     ):
-        if isinstance(matches, FoldedSlice):
-            rows = finalize_fold(view, matches.states)
+        if isinstance(blocks, FoldedSlice):
+            rows = finalize_fold(view, blocks.states)
         else:
             rows = finalize_matches(
-                matches, view, queries[index], hierarchies, residual
+                blocks, view, queries[index], hierarchies, residual
             )
         batch.results[index] = QueryResult(
             rows=rows, plan=decisions[index].describe() + suffix

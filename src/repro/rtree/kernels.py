@@ -27,13 +27,31 @@ contiguous (the common case for prefix-bounded slices), which lets the
 aggregate pushdown (:class:`FoldAccumulator`) consume measure columns
 as slices while preserving the exact serial float fold order of a
 row-at-a-time fold.
+
+:func:`take` cuts a selection out of a leaf's columns as one
+:class:`Block`: the view's coordinate columns and measure columns of the
+selected entries.  Blocks are what every search yields and what
+:func:`repro.core.answer.finalize_matches` consumes, so no per-entry
+tuple exists between the leaf page and the answer rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from itertools import repeat
+from operator import add
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.rtree.geometry import Rect
 
@@ -44,6 +62,60 @@ MIN_COORD = 1
 
 #: A leaf-entry selection: contiguous range or explicit index list.
 Selection = Union[range, List[int]]
+#: ``(view id, padded point, values)`` — one entry in row form.
+Entry = Tuple[int, Tuple[int, ...], Tuple[float, ...]]
+
+
+class Block(NamedTuple):
+    """Selected entries of one leaf (or one merged stream), column-major.
+
+    ``coords`` holds the stored coordinate columns — a view's ``arity``
+    columns, without the valid mapping's zero padding — and
+    ``measures`` the flattened aggregate-state columns, all ``count``
+    long and in stream (packing) order.  Columns are ``array`` slices
+    for contiguous selections and lists otherwise.
+    """
+
+    view_id: int
+    count: int
+    coords: Tuple[Sequence[int], ...]
+    measures: Tuple[Sequence[float], ...]
+
+    @classmethod
+    def of_rows(
+        cls, view_id: int, arity: int, rows: Iterable[Sequence[object]]
+    ) -> "Block":
+        """Transpose state rows (group values, then flattened states)."""
+        columns = list(zip(*rows))
+        return cls(
+            view_id,
+            len(columns[0]) if columns else 0,
+            tuple(array("q", col) for col in columns[:arity]),
+            tuple(array("d", col) for col in columns[arity:]),
+        )
+
+    def entries(self, dims: int) -> Iterator[Entry]:
+        """Row form of the block: ``(view id, point padded to dims,
+        values)`` per entry."""
+        count = self.count
+        # bytes(n) is n zeros: the valid mapping's padding coordinates.
+        pad = [bytes(count)] * (dims - len(self.coords))
+        return zip(
+            repeat(self.view_id, count),
+            zip(*self.coords, *pad) if self.coords or pad
+            else repeat((), count),
+            zip(*self.measures) if self.measures else repeat((), count),
+        )
+
+
+def block_rows(
+    blocks: Iterable[Block],
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[float, ...]]]:
+    """``(coords, values)`` per entry of a block stream: a view's group
+    coordinates (unpadded) and flattened states, in stream order."""
+    for block in blocks:
+        for _view_id, coords, values in block.entries(len(block.coords)):
+            yield coords, values
 
 
 class LeafColumns:
@@ -74,6 +146,29 @@ def leaf_columns(leaf) -> LeafColumns:
     leaf.coord_cols, leaf.measure_cols = leaf.columns()
     return LeafColumns(
         len(leaf), leaf.arity, leaf.coord_cols, leaf.measure_cols
+    )
+
+
+def take(cols: LeafColumns, sel: Selection, view_id: int) -> Block:
+    """The entries ``sel`` picks out of a leaf's columns, as a block.
+
+    A contiguous selection slices each column (one copy per column); an
+    index list gathers through ``map``.  The block owns its columns, so
+    it outlives the leaf's pin.
+    """
+    if isinstance(sel, range):
+        lo, hi = sel.start, sel.stop
+        return Block(
+            view_id,
+            hi - lo,
+            tuple(col[lo:hi] for col in cols.coords),
+            tuple(col[lo:hi] for col in cols.measures),
+        )
+    return Block(
+        view_id,
+        len(sel),
+        tuple(list(map(col.__getitem__, sel)) for col in cols.coords),
+        tuple(list(map(col.__getitem__, sel)) for col in cols.measures),
     )
 
 
@@ -173,8 +268,9 @@ class FoldAccumulator:
     ) -> None:
         """Fold the selected rows of whole measure columns.
 
-        ``sum(chunk, running)`` performs the identical left fold the
-        row-at-a-time path does, and ``min(running, min(chunk))``
+        ``reduce(add, chunk, running)`` performs the identical left fold
+        the row-at-a-time path does (``sum`` would not: from Python 3.12
+        it compensates float rounding), and ``min(running, min(chunk))``
         preserves its first-seen tie semantics, so states stay
         bit-identical to :meth:`add` called per selected row in order.
         """
@@ -194,7 +290,7 @@ class FoldAccumulator:
             for c, reducer in enumerate(self.reducers):
                 chunk = measures[c][lo:hi]
                 if reducer == "add":
-                    states[c] = sum(chunk, states[c])
+                    states[c] = reduce(add, chunk, states[c])
                 elif reducer == "min":
                     states[c] = min(states[c], min(chunk))
                 else:

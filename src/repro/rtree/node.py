@@ -48,8 +48,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import repeat
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.constants import PAGE_SIZE
 from repro.errors import InvalidRecordError, StorageError
@@ -213,26 +212,6 @@ class RLeafNode:
         if self.coord_cols is None:
             return tuple(reversed(self._points[index]))
         return tuple(col[index] for col in reversed(self.coord_cols))
-
-    def matches(
-        self, sel: "range | List[int]", dims: int
-    ) -> Iterator[Tuple[int, Point, Values]]:
-        """``(view id, padded point, values)`` of the selected entries,
-        zipped straight from the columns."""
-        coords, measures = self.columns()
-        if isinstance(sel, range):
-            coords = [col[sel.start : sel.stop] for col in coords]
-            measures = [col[sel.start : sel.stop] for col in measures]
-        else:
-            coords = [[col[i] for i in sel] for col in coords]
-            measures = [[col[i] for i in sel] for col in measures]
-        # bytes(n) is n zeros: the valid mapping's padding coordinates.
-        pad = [bytes(len(sel))] * (dims - self.arity)
-        return zip(
-            repeat(self.view_id),
-            zip(*coords, *pad),
-            zip(*measures) if measures else repeat((), len(sel)),
-        )
 
     def mbr(self, dims: int) -> Rect:
         """Full-dimensional MBR of this leaf's (padded) points."""

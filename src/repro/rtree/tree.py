@@ -6,6 +6,12 @@ Dynamic insertion with quadratic splits is kept as the ablation baseline
 demonstrating *why*: dynamically-built trees have ~50-70% leaf utilization
 and random write patterns, packed trees have ~100% and sequential writes.
 
+Searches hand back column blocks (:class:`repro.rtree.kernels.Block`):
+one per leaf with a selected entry, cut from the leaf's columns by the
+kernels' ``select_rows`` selection, so no per-match tuple is built on the
+query path.  :meth:`RTree.scan_points` is the row-form view of a whole
+tree, for verification and examples.
+
 Pin protocol: ``_fetch_node`` pins and returns ``(node, page)``; callers
 ``_release`` (read-only) or ``_flush_node`` (write + unpin dirty) once.
 """
@@ -19,7 +25,14 @@ from repro.constants import PAGE_SIZE
 from repro.errors import InvalidCoordinateError, StorageError
 from repro.obs import get_registry
 from repro.rtree.geometry import Rect
-from repro.rtree.kernels import FoldAccumulator, leaf_columns, select_rows
+from repro.rtree.kernels import (
+    Block,
+    Entry,
+    FoldAccumulator,
+    leaf_columns,
+    select_rows,
+    take,
+)
 from repro.rtree.node import (
     LEAF_TYPES,
     RInteriorNode,
@@ -35,8 +48,6 @@ from repro.storage.page import Page
 
 Point = Tuple[int, ...]
 Values = Tuple[float, ...]
-#: (view_id, padded point, aggregate values) — what searches yield.
-Match = Tuple[int, Point, Values]
 
 #: Sentinel extent the packer records for a view that materialized zero
 #: rows.  A real extent is a pair of leaf page ids (both >= 0), so the
@@ -110,8 +121,9 @@ class RTree:
     def __len__(self) -> int:
         return self.count
 
-    def search(self, rect: Rect) -> Iterator[Match]:
-        """Yield every stored point inside ``rect``."""
+    def search(self, rect: Rect) -> Iterator[Block]:
+        """Yield the entries inside ``rect``: one block per leaf that
+        holds any, in descent order."""
         if rect.dims != self.dims:
             raise ValueError(
                 f"query rect has {rect.dims} dims, tree has {self.dims}"
@@ -158,11 +170,13 @@ class RTree:
                 raise StorageError("leaf chain points at a non-leaf page")
             yield view_id, count
 
-    def scan_points(self) -> Iterator[Match]:
-        """Yield every stored point in leaf-chain order."""
+    def scan_points(self) -> Iterator[Entry]:
+        """Yield every stored point in leaf-chain order, as
+        ``(view id, padded point, values)``."""
         with closing(self.scan_leaf_chain()) as leaves:
             for leaf in leaves:
-                yield from leaf.matches(range(len(leaf)), self.dims)
+                block = take(leaf_columns(leaf), range(len(leaf)), leaf.view_id)
+                yield from block.entries(self.dims)
 
     # ------------------------------------------------------------------
     # packed-run fast paths
@@ -214,9 +228,9 @@ class RTree:
         rect: Rect,
         lo_key: RunKey = (),
         hi_key: RunKey = (),
-    ) -> Iterator[Match]:
+    ) -> Iterator[Block]:
         """Answer ``rect`` over the view's leaf run without descending
-        interior nodes.
+        interior nodes, one block per leaf with a selected entry.
 
         ``lo_key``/``hi_key`` bound the leading prefix of the run's
         reversed-coordinate sort key (empty tuples = unbounded).  When a
@@ -256,9 +270,10 @@ class RTree:
                     continue
                 if hi and leaf.key_at(0)[: len(hi)] > hi:
                     break
-                sel = select_rows(leaf_columns(leaf), rect, self.dims, True)
+                cols = leaf_columns(leaf)
+                sel = select_rows(cols, rect, self.dims, True)
                 if sel is not None:
-                    yield from leaf.matches(sel, self.dims)
+                    yield take(cols, sel, view_id)
 
     def search_run_fold(
         self,
@@ -310,14 +325,14 @@ class RTree:
         view_id: int,
         requests: Sequence[RunRequest],
         folds: Optional[Sequence[Optional[FoldAccumulator]]] = None,
-    ) -> List[List[Match]]:
+    ) -> List[List[Block]]:
         """Answer a batch of slice requests in one shared pass over the
         view's leaf run.
 
         ``requests`` holds ``(rect, lo_key, hi_key)`` triples sorted (or
         not — the pass is order-insensitive) by their run-key bounds; the
         scan starts at the earliest lower bound and each request drops
-        out once the run moves past its upper bound.  Per-request match
+        out once the run moves past its upper bound.  Per-request block
         lists come back in run order, exactly as :meth:`search_run`
         would have produced one at a time.
 
@@ -334,7 +349,7 @@ class RTree:
         leaf's first key is retired, and the pass stops once every
         request has retired.
         """
-        results: List[List[Match]] = [[] for _ in requests]
+        results: List[List[Block]] = [[] for _ in requests]
         if not requests:
             return results
         bounds = self.run_bounds(view_id)
@@ -389,7 +404,7 @@ class RTree:
                     if sink is not None:
                         sink.add_block(cols.measures, sel)
                     else:
-                        results[r].extend(leaf.matches(sel, self.dims))
+                        results[r].append(take(cols, sel, view_id))
         return results
 
     def _scan_leaves(
@@ -575,18 +590,18 @@ class RTree:
     # ------------------------------------------------------------------
     # search machinery
     # ------------------------------------------------------------------
-    def _search(self, page_id: int, rect: Rect) -> Iterator[Match]:
+    def _search(self, page_id: int, rect: Rect) -> Iterator[Block]:
         node, page = self._fetch_node(page_id)
         try:
             if isinstance(node, RLeafNode):
                 # Recorded extents mean a packed tree (dynamic inserts
                 # wipe them): lead column sorted, coordinates >= 1.
+                cols = leaf_columns(node)
                 sel = select_rows(
-                    leaf_columns(node), rect, self.dims,
-                    bool(self.view_extents),
+                    cols, rect, self.dims, bool(self.view_extents)
                 )
                 if sel is not None:
-                    yield from node.matches(sel, self.dims)
+                    yield take(cols, sel, node.view_id)
             else:
                 children = [
                     child

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import chain
 from typing import Any, Dict, List, Tuple
 
-from repro.errors import ReproError
+from repro.errors import InvalidDeltaError, ReproError
 from repro.query.result import QueryResult
 from repro.query.slice import SliceQuery
 from repro.server.admission import AdmissionError
@@ -43,6 +44,32 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 class BadRequest(ReproError):
     """The client sent something unparseable (HTTP 400)."""
+
+
+def _json_int(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer; :class:`BadRequest` otherwise.
+
+    ``int()`` would silently answer a different request: it truncates
+    ``1.9`` to 1, reads ``true`` as 1 and ``"7"`` as 7.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise BadRequest(f"{what} must be a JSON integer, got {value!r}")
+
+
+def _json_str(value: Any, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise BadRequest(f"{what} must be a JSON string, got {value!r}")
+
+
+def _content_length(raw: "str | None") -> int:
+    """The request's declared body size: absent is 0; anything but a
+    non-negative decimal integer is a :class:`BadRequest`."""
+    text = (raw or "0").strip()
+    if not (text.isascii() and text.isdigit()):
+        raise BadRequest(f"malformed Content-Length {raw!r}")
+    return int(text)
 
 
 def parse_query_body(
@@ -65,13 +92,19 @@ def parse_query_body(
         if key in body and not isinstance(body[key], (list, tuple)):
             raise BadRequest(f'"{key}" must be a JSON array')
     try:
-        group_by = tuple(str(a) for a in body.get("group_by", ()))
+        group_by = tuple(
+            _json_str(a, "a group_by attribute")
+            for a in body.get("group_by", ())
+        )
         bindings = tuple(
-            (str(attr), int(value))
+            (_json_str(attr, "a binding attribute"),
+             _json_int(value, f"the value bound to {attr!r}"))
             for attr, value in body.get("bindings", ())
         )
         ranges = tuple(
-            (str(attr), int(low), int(high))
+            (_json_str(attr, "a range attribute"),
+             _json_int(low, f"the low end of {attr!r}"),
+             _json_int(high, f"the high end of {attr!r}"))
             for attr, low, high in body.get("ranges", ())
         )
     except (TypeError, ValueError) as exc:
@@ -115,11 +148,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        try:
+            length = _content_length(self.headers.get("Content-Length"))
+            if length > MAX_BODY_BYTES:
+                raise BadRequest(
+                    f"request body exceeds {MAX_BODY_BYTES} bytes"
+                )
+        except BadRequest:
+            # The body stays unread, so the stream cannot be reused.
+            self.close_connection = True
+            raise
+        if length == 0:
             return {}
-        if length > MAX_BODY_BYTES:
-            raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw.decode("utf-8"))
@@ -136,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             status, payload = handler()
-        except BadRequest as exc:
+        except (BadRequest, InvalidDeltaError) as exc:
             self._send_json(400, {"error": str(exc)})
         except AdmissionError as exc:
             self._send_json(503, {"error": str(exc)})
@@ -205,12 +245,14 @@ class _Handler(BaseHTTPRequestHandler):
         raw_rows = body.get("rows")
         if not isinstance(raw_rows, list):
             raise BadRequest('"rows" must be a JSON array of arrays')
-        rows: List[Tuple[int, ...]] = []
-        try:
-            for raw in raw_rows:
-                rows.append(tuple(int(v) for v in raw))
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"malformed delta rows: {exc}") from exc
+        for number, raw in enumerate(raw_rows):
+            if not isinstance(raw, list):
+                raise BadRequest(f"delta row {number} must be a JSON array")
+        if set(map(type, chain.from_iterable(raw_rows))) - {int}:
+            for number, raw in enumerate(raw_rows):
+                for value in raw:
+                    _json_int(value, f"a value of delta row {number}")
+        rows: List[Tuple[int, ...]] = list(map(tuple, raw_rows))
         pending = self.cubetree.submit_delta(rows)
         return 202, {"accepted_rows": len(rows), "pending_rows": pending}
 

@@ -6,6 +6,7 @@ from repro.core.cubetree import Cubetree
 from repro.errors import MappingError, QueryError
 from repro.relational.executor import AggFunc, AggSpec
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -50,11 +51,11 @@ def test_build_and_query_each_view():
     tree.build(small_data())
     assert len(tree) == 6
 
-    got = dict(tree.query("V_ps", {}))
+    got = dict(block_rows(tree.query("V_ps", {})))
     assert got == {(1, 1): (10.0,), (2, 1): (5.0,), (1, 2): (3.0,)}
-    got = dict(tree.query("V_p", {}))
+    got = dict(block_rows(tree.query("V_p", {})))
     assert got == {(1,): (13.0,), (2,): (5.0,)}
-    got = dict(tree.query("V_none", {}))
+    got = dict(block_rows(tree.query("V_none", {})))
     assert got == {(): (18.0,)}
 
 
@@ -62,9 +63,9 @@ def test_query_with_bindings():
     _disk, pool = make_pool()
     tree = Cubetree(pool, 2, views_psc())
     tree.build(small_data())
-    got = dict(tree.query("V_ps", {"suppkey": 1}))
+    got = dict(block_rows(tree.query("V_ps", {"suppkey": 1})))
     assert got == {(1, 1): (10.0,), (2, 1): (5.0,)}
-    got = dict(tree.query("V_ps", {"partkey": 1, "suppkey": 2}))
+    got = dict(block_rows(tree.query("V_ps", {"partkey": 1, "suppkey": 2})))
     assert got == {(1, 2): (3.0,)}
 
 
@@ -73,9 +74,9 @@ def test_query_unknown_view_or_attr():
     tree = Cubetree(pool, 2, views_psc())
     tree.build(small_data())
     with pytest.raises(QueryError):
-        list(tree.query("nope", {}))
+        list(block_rows(tree.query("nope", {})))
     with pytest.raises(QueryError):
-        list(tree.query("V_p", {"custkey": 1}))
+        list(block_rows(tree.query("V_p", {"custkey": 1})))
 
 
 def test_view_sizes():
@@ -94,10 +95,10 @@ def test_update_merges_sum_states():
         "V_p": [(1, 2.0), (9, 1.0)],
         "V_none": [(3.0,)],
     })
-    assert dict(tree.query("V_ps", {}))[(1, 1)] == (12.0,)
-    assert dict(tree.query("V_ps", {}))[(9, 9)] == (1.0,)
-    assert dict(tree.query("V_p", {}))[(9,)] == (1.0,)
-    assert dict(tree.query("V_none", {}))[()] == (21.0,)
+    assert dict(block_rows(tree.query("V_ps", {})))[(1, 1)] == (12.0,)
+    assert dict(block_rows(tree.query("V_ps", {})))[(9, 9)] == (1.0,)
+    assert dict(block_rows(tree.query("V_p", {})))[(9,)] == (1.0,)
+    assert dict(block_rows(tree.query("V_none", {})))[()] == (21.0,)
 
 
 def test_update_min_max_avg_states():
@@ -108,7 +109,7 @@ def test_update_min_max_avg_states():
     tree = Cubetree(pool, 1, [view])
     tree.build({"V_a": [(1, 5.0, 9.0, 14.0, 2.0)]})
     tree.update({"V_a": [(1, 3.0, 7.0, 10.0, 1.0)]})
-    got = dict(tree.query("V_a", {}))
+    got = dict(block_rows(tree.query("V_a", {})))
     assert got[(1,)] == (3.0, 9.0, 24.0, 3.0)
 
 
@@ -117,8 +118,8 @@ def test_partial_update_leaves_other_views_untouched():
     tree = Cubetree(pool, 2, views_psc())
     tree.build(small_data())
     tree.update({"V_p": [(1, 1.0)]})
-    assert dict(tree.query("V_p", {}))[(1,)] == (14.0,)
-    assert dict(tree.query("V_ps", {})) == {
+    assert dict(block_rows(tree.query("V_p", {})))[(1,)] == (14.0,)
+    assert dict(block_rows(tree.query("V_ps", {}))) == {
         (1, 1): (10.0,), (2, 1): (5.0,), (1, 2): (3.0,),
     }
 

@@ -15,6 +15,7 @@ from repro.core.engine import CubetreeEngine
 from repro.query.slice import SliceQuery
 from repro.relational.executor import AggFunc, AggSpec
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.warehouse.tpcd import TPCDGenerator
@@ -35,16 +36,16 @@ def test_views_from_different_fact_tables_share_a_cubetree():
         "V_sales_ps": [(1, 1, 50.0), (2, 1, 30.0)],
         "V_returns_p": [(1, 5.0), (3, 2.0)],
     })
-    assert dict(tree.query("V_sales_ps", {"suppkey": 1})) == {
+    assert dict(block_rows(tree.query("V_sales_ps", {"suppkey": 1}))) == {
         (1, 1): (50.0,), (2, 1): (30.0,),
     }
-    assert dict(tree.query("V_returns_p", {})) == {
+    assert dict(block_rows(tree.query("V_returns_p", {}))) == {
         (1,): (5.0,), (3,): (2.0,),
     }
     # Independent updates per fact table's delta.
     tree.update({"V_returns_p": [(1, 1.0)]})
-    assert dict(tree.query("V_returns_p", {}))[(1,)] == (6.0,)
-    assert dict(tree.query("V_sales_ps", {}))[(1, 1)] == (50.0,)
+    assert dict(block_rows(tree.query("V_returns_p", {})))[(1,)] == (6.0,)
+    assert dict(block_rows(tree.query("V_sales_ps", {})))[(1, 1)] == (50.0,)
 
 
 def test_engine_on_file_backed_disk(tmp_path):

@@ -6,6 +6,7 @@ from repro.core.forest import CubetreeForest
 from repro.core.mapping import select_mapping
 from repro.errors import QueryError
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -56,10 +57,10 @@ def test_build_requires_all_views():
 
 def test_query_view_routes_to_right_tree():
     forest = make_forest()
-    assert dict(forest.query_view("V_b", {})) == {(1,): (10.0,)}
-    assert dict(forest.query_view("V_ab", {"a": 2})) == {(2, 1): (6.0,)}
+    assert dict(block_rows(forest.query_view("V_b", {}))) == {(1,): (10.0,)}
+    assert dict(block_rows(forest.query_view("V_ab", {"a": 2}))) == {(2, 1): (6.0,)}
     with pytest.raises(QueryError):
-        list(forest.query_view("nope", {}))
+        list(block_rows(forest.query_view("nope", {})))
 
 
 def test_view_sizes():
@@ -79,10 +80,14 @@ def test_access_paths_carry_reversed_sort_order():
 def test_update_routes_deltas_per_tree():
     forest = make_forest()
     forest.update({"V_a": [(1, 1.0)], "V_b": [(2, 3.0)]})
-    assert dict(forest.query_view("V_a", {})) == {(1,): (5.0,), (2,): (6.0,)}
-    assert dict(forest.query_view("V_b", {})) == {(1,): (10.0,), (2,): (3.0,)}
+    assert dict(block_rows(forest.query_view("V_a", {}))) == {
+        (1,): (5.0,), (2,): (6.0,)
+    }
+    assert dict(block_rows(forest.query_view("V_b", {}))) == {
+        (1,): (10.0,), (2,): (3.0,)
+    }
     # untouched views stay intact
-    assert dict(forest.query_view("V_ab", {"a": 1})) == {(1, 1): (4.0,)}
+    assert dict(block_rows(forest.query_view("V_ab", {"a": 1}))) == {(1, 1): (4.0,)}
 
 
 def test_leaf_utilization():

@@ -14,6 +14,7 @@ from repro.core.cubetree import Cubetree
 from repro.core.extsort import ExternalRunSorter
 from repro.errors import ConfigError
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.settings import Settings, current, override
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -186,8 +187,8 @@ def test_streaming_build_empty_and_absent_views():
     assert report.entries == 1
     assert cubetree.tree.view_extents[1] == EMPTY_EXTENT
     assert cubetree.has_run("V_ps")
-    assert list(cubetree.query("V_p", {}, fast=True)) == []
-    assert list(cubetree.query("V_ps", {}, fast=True)) == [((1, 2), (3.0,))]
+    assert list(block_rows(cubetree.query("V_p", {}, fast=True))) == []
+    assert list(block_rows(cubetree.query("V_ps", {}, fast=True))) == [((1, 2), (3.0,))]
 
 
 def test_streaming_build_queries_identically():
@@ -200,5 +201,5 @@ def test_streaming_build_queries_identically():
     classic.build(data)
     for fast in (False, True):
         assert list(
-            streamed.query("V_ps", {"partkey": (1, 40)}, fast=fast)
-        ) == list(classic.query("V_ps", {"partkey": (1, 40)}, fast=fast))
+            block_rows(streamed.query("V_ps", {"partkey": (1, 40)}, fast=fast))
+        ) == list(block_rows(classic.query("V_ps", {"partkey": (1, 40)}, fast=fast)))

@@ -10,6 +10,7 @@ and *separation* are checked instead of the exact node boundaries).
 from repro.core.cubetree import Cubetree
 from repro.core.mapping import select_mapping
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.rtree.packing import sort_key
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -76,11 +77,11 @@ def test_figure_8_views_do_not_interleave():
 
 def test_queries_on_the_example():
     tree = build_r3()
-    assert dict(tree.query("V8", {"partkey": 4})) == {(4,): (15.0,)}
-    assert dict(tree.query("V9", {"custkey": 3})) == {
+    assert dict(block_rows(tree.query("V8", {"partkey": 4}))) == {(4,): (15.0,)}
+    assert dict(block_rows(tree.query("V9", {"custkey": 3}))) == {
         (1, 3): (11.0,), (3, 3): (17.0,),
     }
-    assert dict(tree.query("V9", {"suppkey": 3, "custkey": 1})) == {
+    assert dict(block_rows(tree.query("V9", {"suppkey": 3, "custkey": 1}))) == {
         (3, 1): (2.0,),
     }
 

@@ -61,6 +61,11 @@ INT64_MAX = (1 << 63) - 1
 KEY_NAMES = ("ka", "kb", "kc")
 
 
+
+def found(tree, blocks):
+    """A search's blocks in row form: (view id, padded point, values)."""
+    return [entry for block in blocks for entry in block.entries(tree.dims)]
+
 def make_pool(capacity=2048):
     disk = DiskManager()
     return disk, BufferPool(disk, capacity=capacity)
@@ -346,7 +351,7 @@ def test_search_run_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     tree = columnar_packed_tree(pool)
     rect = view_rect(arity, bounds)
     expected = brute_force(tree, arity, rect)
-    got = list(tree.search_run(arity, rect, lo_key, hi_key))
+    got = found(tree, tree.search_run(arity, rect, lo_key, hi_key))
     assert got == expected  # same matches, same order
 
 
@@ -356,14 +361,15 @@ def test_descent_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     tree = columnar_packed_tree(pool)
     rect = view_rect(arity, bounds)
     expected = sorted(brute_force(tree, arity, rect))
-    assert sorted(tree.search(rect)) == expected
+    assert sorted(found(tree, tree.search(rect))) == expected
 
 
 def test_search_run_group_vectorized_equals_scalar():
     _disk, pool = make_pool()
     tree = columnar_packed_tree(pool)
     expected = [brute_force(tree, 2, rect) for rect, _lo, _hi in GROUP_REQUESTS]
-    assert tree.search_run_group(2, GROUP_REQUESTS) == expected
+    grouped = tree.search_run_group(2, GROUP_REQUESTS)
+    assert [found(tree, blocks) for blocks in grouped] == expected
 
 
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
@@ -390,11 +396,10 @@ def test_row_leaves_through_every_entry_point(arity, bounds, lo_key, hi_key):
     tree = decoded_packed_tree(pool, "row")
     rect = view_rect(arity, bounds)
     expected = brute_force(tree, arity, rect)
-    assert list(tree.search_run(arity, rect, lo_key, hi_key)) == expected
-    assert sorted(tree.search(rect)) == sorted(expected)
-    assert tree.search_run_group(arity, [(rect, lo_key, hi_key)]) == [
-        expected
-    ]
+    assert found(tree, tree.search_run(arity, rect, lo_key, hi_key)) == expected
+    assert sorted(found(tree, tree.search(rect))) == sorted(expected)
+    grouped = tree.search_run_group(arity, [(rect, lo_key, hi_key)])
+    assert [found(tree, blocks) for blocks in grouped] == [expected]
     folded = FoldAccumulator(("add",))
     tree.search_run_fold(arity, rect, folded, lo_key, hi_key)
     assert folded.rows == len(expected)
@@ -410,7 +415,7 @@ def test_dynamic_leaves_take_the_full_comparison_pass():
             tree.insert(point, (1.0,))
         pool.clear()
         rect = Rect((0, 0), (4, BIG))
-        got = sorted(pt for _vid, pt, _vals in tree.search(rect))
+        got = sorted(pt for _vid, pt, _vals in found(tree, tree.search(rect)))
     assert got == [(0, 3), (1, 2), (4, 0)]
 
 
@@ -434,7 +439,7 @@ def test_dynamic_tree_with_zero_under_an_unbound_dimension():
     ):
         expected = sorted(brute_force(tree, -1, rect))
         assert expected  # not vacuous
-        assert sorted(tree.search(rect)) == expected
+        assert sorted(found(tree, tree.search(rect))) == expected
 
 
 # ----------------------------------------------------------------------

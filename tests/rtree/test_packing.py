@@ -17,6 +17,11 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
 
+
+def found(tree, blocks):
+    """A search's blocks in row form: (view id, padded point, values)."""
+    return [entry for block in blocks for entry in block.entries(tree.dims)]
+
 def make_pool(capacity=512):
     disk = DiskManager()
     return disk, BufferPool(disk, capacity=capacity)
@@ -62,7 +67,7 @@ def test_pack_single_view():
     tree = pack_rtree(pool, 2, [run])
     assert len(tree) == 2500
     tree.check_invariants()
-    hits = list(tree.search(Rect((10, 10), (12, 12))))
+    hits = found(tree, tree.search(Rect((10, 10), (12, 12))))
     assert len(hits) == 9
     assert all(view == 0 for view, _, _ in hits)
 
@@ -121,11 +126,11 @@ def test_packed_search_views_separately():
     )
     tree = pack_rtree(pool, 2, [v1, v2])
     # V1 lives on the x-axis plane y = 0.
-    v1_hits = list(tree.search(Rect((1, 0), (10**9, 0))))
+    v1_hits = found(tree, tree.search(Rect((1, 0), (10**9, 0))))
     assert len(v1_hits) == 99
     assert all(view == 1 for view, _, _ in v1_hits)
     # V2 occupies y >= 1.
-    v2_hits = list(tree.search(Rect((1, 1), (10**9, 10**9))))
+    v2_hits = found(tree, tree.search(Rect((1, 1), (10**9, 10**9))))
     assert len(v2_hits) == 29 * 29
     assert all(view == 2 for view, _, _ in v2_hits)
 
@@ -203,6 +208,6 @@ def test_pack_then_search_equals_input_property(points):
         [(p, (1.0,)) for p in points], key=lambda e: sort_key(e[0], 2)
     )
     tree = pack_rtree(pool, 2, [PackedRun(0, 2, 1, entries)])
-    got = sorted(p for _, p, _ in tree.search(Rect((1, 1), (200, 200))))
+    got = sorted(p for _, p, _ in found(tree, tree.search(Rect((1, 1), (200, 200)))))
     assert got == sorted(points)
     tree.check_invariants()

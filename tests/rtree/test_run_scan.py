@@ -24,6 +24,11 @@ CAP2 = leaf_capacity(2, 1)
 BIG = 10**9
 
 
+
+def found(tree, blocks):
+    """A search's blocks in row form: (view id, padded point, values)."""
+    return [entry for block in blocks for entry in block.entries(tree.dims)]
+
 def make_pool(capacity=2048):
     disk = DiskManager()
     return disk, BufferPool(disk, capacity=capacity)
@@ -126,7 +131,7 @@ def test_dynamic_insert_clears_extents():
 # search_run == search, restricted to the view
 # ----------------------------------------------------------------------
 def _descent_matches(tree, rect):
-    return list(tree.search(rect))
+    return found(tree, tree.search(rect))
 
 
 @pytest.mark.parametrize(
@@ -147,7 +152,7 @@ def test_search_run_matches_descent(arity, bounds, lo_key, hi_key):
     tree = packed_tree(pool)
     rect = view_rect(arity, bounds)
     expected = _descent_matches(tree, rect)
-    got = list(tree.search_run(arity, rect, lo_key, hi_key))
+    got = found(tree, tree.search_run(arity, rect, lo_key, hi_key))
     assert got == expected  # same matches, same (run) order
     assert_unpinned(pool)
 
@@ -184,8 +189,9 @@ def test_search_run_group_matches_individual_runs():
         (view_rect(2, {0: (3, 3)}), (), ()),  # residual (no prefix)
     ]
     grouped = tree.search_run_group(2, requests)
-    for (rect, lo, hi), got in zip(requests, grouped):
-        assert got == list(tree.search_run(2, rect, lo, hi))
+    for (rect, lo, hi), blocks in zip(requests, grouped):
+        got = found(tree, blocks)
+        assert got == found(tree, tree.search_run(2, rect, lo, hi))
     assert_unpinned(pool)
 
 
@@ -213,8 +219,7 @@ def test_abandoned_run_search_releases_pins():
     _disk, pool = make_pool()
     tree = packed_tree(pool)
     iterator = tree.search_run(1, view_rect(1))
-    for _ in range(3):
-        next(iterator)
+    next(iterator)  # one block per leaf: stop inside the first leaf
     iterator.close()
     assert_unpinned(pool)
 

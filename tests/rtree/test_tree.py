@@ -13,6 +13,11 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
 
+
+def found(tree, blocks):
+    """A search's blocks in row form: (view id, padded point, values)."""
+    return [entry for block in blocks for entry in block.entries(tree.dims)]
+
 def make_tree(dims=2, capacity=512, n_aggs=1):
     disk = DiskManager()
     pool = BufferPool(disk, capacity=capacity)
@@ -21,7 +26,7 @@ def make_tree(dims=2, capacity=512, n_aggs=1):
 
 def test_empty_tree_search():
     _pool, tree = make_tree()
-    assert list(tree.search(Rect((0, 0), (10, 10)))) == []
+    assert found(tree, tree.search(Rect((0, 0), (10, 10)))) == []
     assert len(tree) == 0
     assert tree.num_pages == 0
 
@@ -29,9 +34,9 @@ def test_empty_tree_search():
 def test_single_insert_and_search():
     _pool, tree = make_tree()
     tree.insert((3, 4), (7.0,))
-    hits = list(tree.search(Rect((0, 0), (10, 10))))
+    hits = found(tree, tree.search(Rect((0, 0), (10, 10))))
     assert hits == [(-1, (3, 4), (7.0,))]
-    assert list(tree.search(Rect((4, 4), (10, 10)))) == []
+    assert found(tree, tree.search(Rect((4, 4), (10, 10)))) == []
 
 
 def test_many_inserts_split_and_search_exact():
@@ -42,7 +47,7 @@ def test_many_inserts_split_and_search_exact():
         tree.insert(p, (float(p[0] * p[1]),))
     assert tree.height > 1
     tree.check_invariants()
-    hits = {p for _, p, _ in tree.search(Rect((5, 5), (10, 10)))}
+    hits = {p for _, p, _ in found(tree, tree.search(Rect((5, 5), (10, 10))))}
     expected = {(x, y) for x in range(5, 11) for y in range(5, 11)}
     assert hits == expected
 
@@ -53,7 +58,7 @@ def test_slice_query_shape():
     for x in range(1, 50):
         for y in (1, 2, 3):
             tree.insert((x, y), (1.0,))
-    hits = [p for _, p, _ in tree.search(Rect((1, 2), (10**9, 2)))]
+    hits = [p for _, p, _ in found(tree, tree.search(Rect((1, 2), (10**9, 2))))]
     assert sorted(hits) == [(x, 2) for x in range(1, 50)]
 
 
@@ -68,7 +73,7 @@ def test_wrong_dims_rejected():
     with pytest.raises(ValueError):
         tree.insert((1, 2), (0.0,))
     with pytest.raises(ValueError):
-        list(tree.search(Rect((0, 0), (1, 1))))
+        found(tree, tree.search(Rect((0, 0), (1, 1))))
 
 
 def test_wrong_value_count_rejected():
@@ -81,7 +86,7 @@ def test_duplicate_points_allowed():
     _pool, tree = make_tree()
     tree.insert((5, 5), (1.0,))
     tree.insert((5, 5), (2.0,))
-    hits = list(tree.search(Rect.from_point((5, 5))))
+    hits = found(tree, tree.search(Rect.from_point((5, 5))))
     assert len(hits) == 2
 
 
@@ -95,7 +100,7 @@ def test_survives_tiny_buffer_pool():
         tree.insert(p, (1.0,))
     assert pool.stats.evictions > 0
     tree.check_invariants()
-    assert len(list(tree.search(Rect((1, 1), (40, 40))))) == 1600
+    assert len(found(tree, tree.search(Rect((1, 1), (40, 40))))) == 1600
 
 
 def test_dynamic_leaf_utilization_below_packed():
@@ -115,7 +120,7 @@ def test_three_dimensional():
     for p in pts:
         tree.insert(p, (1.0,))
     tree.check_invariants()
-    hits = list(tree.search(Rect((1, 1, 4), (8, 8, 4))))
+    hits = found(tree, tree.search(Rect((1, 1, 4), (8, 8, 4))))
     assert len(hits) == 64
 
 
@@ -131,6 +136,6 @@ def test_search_matches_naive_property(points, corner_a, corner_b):
     lows = tuple(min(a, b) for a, b in zip(corner_a, corner_b))
     highs = tuple(max(a, b) for a, b in zip(corner_a, corner_b))
     rect = Rect(lows, highs)
-    got = sorted(p for _, p, _ in tree.search(rect))
+    got = sorted(p for _, p, _ in found(tree, tree.search(rect)))
     expected = sorted(p for p in points if rect.contains_point(p))
     assert got == expected

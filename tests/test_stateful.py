@@ -18,6 +18,7 @@ from hypothesis.stateful import (
 from repro.btree.tree import BPlusTree
 from repro.core.cubetree import Cubetree
 from repro.relational.view import ViewDefinition
+from repro.rtree.kernels import block_rows
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import RecordCodec, float_column, int_column
 from repro.storage.disk import DiskManager
@@ -171,7 +172,7 @@ class CubetreeMachine(RuleBasedStateMachine):
 
     @rule(a=st.integers(1, 30))
     def point_query_v1(self, a):
-        got = dict(self.tree.query("V1", {"a": a}))
+        got = dict(block_rows(self.tree.query("V1", {"a": a})))
         expected = (
             {(a,): (self.m1[a],)} if a in self.m1 else {}
         )
@@ -181,7 +182,7 @@ class CubetreeMachine(RuleBasedStateMachine):
     def slice_query_v2(self, b):
         got = {
             point: values[0]
-            for point, values in self.tree.query("V2", {"b": b})
+            for point, values in block_rows(self.tree.query("V2", {"b": b}))
         }
         expected = {
             (a_, b_): total
@@ -192,10 +193,10 @@ class CubetreeMachine(RuleBasedStateMachine):
 
     @invariant()
     def full_contents_match(self):
-        assert dict(self.tree.query("V1", {})) == {
+        assert dict(block_rows(self.tree.query("V1", {}))) == {
             (k,): (v,) for k, v in self.m1.items()
         }
-        assert dict(self.tree.query("V2", {})) == {
+        assert dict(block_rows(self.tree.query("V2", {}))) == {
             k: (v,) for k, v in self.m2.items()
         }
         self.tree.tree.check_invariants()
