@@ -545,12 +545,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"  shard {entry['shard']}: {entry['pages']} pages, "
             f"{entry['rows']} rows"
         )
-    cache_pages = current().column_cache_pages
-    print(
-        f"decoded-column cache: {cache_pages} leaf(s)"
-        if cache_pages > 0
-        else "decoded-column cache: disabled"
-    )
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:

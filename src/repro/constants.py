@@ -16,13 +16,6 @@ PAGE_SIZE = 4096
 #: "buffer is much smaller than the data" regime at our reduced scale.
 DEFAULT_BUFFER_PAGES = 2048
 
-#: Default entry capacity of the buffer pool's decoded-column side-cache
-#: (one entry = one decoded columnar leaf; ``REPRO_COLUMN_CACHE_PAGES``
-#: overrides, 0 disables).  Purely an in-memory CPU optimization — the
-#: cache holds *decoded* objects, so it never changes which pages are
-#: fetched or the simulated I/O they cost.
-DEFAULT_COLUMN_CACHE_PAGES = 256
-
 #: Simulated cost of a random page access (seek + rotational delay +
 #: transfer), in milliseconds.  Late-90s commodity disk (~8 ms average
 #: positioning time).

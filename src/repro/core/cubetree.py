@@ -46,10 +46,12 @@ class SliceSpec:
     sort order (``reversed(group_by)``) made of equality bindings,
     optionally closed by a single range binding; empty tuples mean the
     query has no usable prefix and a fast scan covers the whole run.
+    ``rect`` is ``None`` when a bound is empty once clamped to the
+    coordinate domain ``[1, INT64_MAX]``: the slice matches nothing.
     """
 
     view: ViewDefinition
-    rect: Rect
+    rect: Optional[Rect]
     lo_key: RunKey
     hi_key: RunKey
 
@@ -329,6 +331,10 @@ class Cubetree:
         packing order (last group-by attribute first) that is
         equality-bound, plus at most one trailing range binding — the
         same prefix rule the query router costs with.
+
+        Bounds are clamped to ``[1, INT64_MAX]``: view coordinates are
+        never below 1, and a coordinate of 0 would reach into the zero
+        padding of lower-arity views.
         """
         view = self._by_name.get(view_name)
         if view is None:
@@ -348,8 +354,8 @@ class Cubetree:
                     low, high = int(value[0]), int(value[1])
                 else:
                     low = high = int(value)  # type: ignore[arg-type]
-                lows.append(low)
-                highs.append(high)
+                lows.append(max(low, 1))
+                highs.append(min(high, INT64_MAX))
             else:
                 lows.append(1)
                 highs.append(INT64_MAX)
@@ -363,9 +369,11 @@ class Cubetree:
             hi_key.append(highs[pos])
             if lows[pos] != highs[pos]:
                 break  # a range binding closes the usable prefix
-        lows.extend([0] * (self.dims - arity))
-        highs.extend([0] * (self.dims - arity))
-        rect = Rect(tuple(lows), tuple(highs))
+        rect = None
+        if all(low <= high for low, high in zip(lows, highs)):
+            lows.extend([0] * (self.dims - arity))
+            highs.extend([0] * (self.dims - arity))
+            rect = Rect(tuple(lows), tuple(highs))
         return SliceSpec(view, rect, tuple(lo_key), tuple(hi_key))
 
     def query(
@@ -386,6 +394,8 @@ class Cubetree:
         back to the descent.  Each block's view id is checked once.
         """
         spec = self.slice_spec(view_name, bindings)
+        if spec.rect is None:
+            return
         arity = spec.view.arity
         if fast and self.tree.run_bounds(arity) is not None:
             blocks = self.tree.search_run(
@@ -418,6 +428,8 @@ class Cubetree:
             raise QueryError(
                 f"view {view_name!r} has no leaf-run extent to fold over"
             )
+        if spec.rect is None:
+            return None
         acc = FoldAccumulator(fold_reducers(spec.view))
         self.tree.search_run_fold(
             arity, spec.rect, acc, spec.lo_key, spec.hi_key
@@ -450,10 +462,22 @@ class Cubetree:
                 f"{len(fold)} fold flag(s) for {len(specs)} slice(s)"
             )
         arity = specs[0].view.arity
+        results: List[object] = [
+            FoldedSlice(None) if fold is not None and fold[i] else []
+            for i in range(len(specs))
+        ]
         # Sort the group into run order (unbounded slices first), so the
         # shared pass opens at the earliest qualifying leaf and retires
-        # requests front to back as the scan advances.
-        order = sorted(range(len(specs)), key=lambda i: specs[i].lo_key)
+        # requests front to back as the scan advances.  Slices that match
+        # nothing stay out of the pass.
+        requests = {
+            i: (spec.rect, spec.lo_key, spec.hi_key)
+            for i, spec in enumerate(specs)
+            if spec.rect is not None
+        }
+        order = sorted(requests, key=lambda i: specs[i].lo_key)
+        if not order:
+            return results
         accs: Optional[List[Optional[FoldAccumulator]]] = None
         if fold is not None and any(fold):
             reducers = fold_reducers(specs[0].view)
@@ -462,11 +486,8 @@ class Cubetree:
                 for i in order
             ]
         grouped = self.tree.search_run_group(
-            arity,
-            [(specs[i].rect, specs[i].lo_key, specs[i].hi_key) for i in order],
-            accs,
+            arity, [requests[i] for i in order], accs
         )
-        results: List[object] = [[] for _ in specs]
         for position, i in enumerate(order):
             if accs is not None and accs[position] is not None:
                 results[i] = FoldedSlice(

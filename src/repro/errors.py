@@ -77,6 +77,11 @@ class QueryError(ReproError):
     materialized view."""
 
 
+class UnanswerableQueryError(QueryError):
+    """No materialized view's attributes cover the query's node — the
+    client asked for something the served views cannot answer."""
+
+
 class SQLError(ReproError):
     """The SQL front end could not tokenize, parse, or bind a statement."""
 

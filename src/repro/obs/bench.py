@@ -804,9 +804,8 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     ``batch_columnar_vector`` answers it through the shared-pass
     executor.  Finally ``load_columnar_small`` / ``queries_small_vector``
     rerun the workload several passes under a buffer pool too small to
-    hold the leaf run, where scan churn makes the decoded-column
-    side-cache earn its keep — pass one populates it, later passes hit
-    it; the hit/miss counters land in ``columnar_summary``.
+    hold the leaf run, where scan churn makes every pass re-fetch and
+    re-decode its leaves.
     """
     from dataclasses import replace
 
@@ -820,11 +819,10 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     #: Streaming-build sort buffer (entries) — small enough that the
     #: bench corpus spills several runs.
     stream_budget = 1024
-    #: Small-pool pages for the decoded-cache showcase — far below the
-    #: columnar leaf-run size, so every pass re-fetches evicted pages.
+    #: Small-pool pages — far below the columnar leaf-run size, so every
+    #: pass re-fetches evicted pages.
     small_pool_pages = 24
-    #: Workload passes in the small-pool phase: pass 1 populates the
-    #: decoded-column cache, later passes hit it.
+    #: Workload passes in the small-pool phase.
     small_pool_passes = 3
     #: Workload passes in the repeated columnar phase.
     kernel_passes = 5
@@ -911,7 +909,7 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 "serial answers"
             )
 
-        # -- decoded-column cache under scan churn ---------------------
+        # -- small pool under scan churn -------------------------------
         small_config = replace(config, buffer_pages=small_pool_pages)
         wall_start = time.perf_counter()
         small_engine, _ = build_cubetree_engine(small_config, data)
@@ -955,16 +953,6 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             "aggregate_pushdowns": counters.get(
                 "query.cubetree.pushdowns", 0
             ),
-            "column_cache": {
-                "hits": counters.get("buffer.column_cache.hits", 0),
-                "misses": counters.get("buffer.column_cache.misses", 0),
-                "evictions": counters.get(
-                    "buffer.column_cache.evictions", 0
-                ),
-                "invalidations": counters.get(
-                    "buffer.column_cache.invalidations", 0
-                ),
-            },
         }
         return result
 

@@ -31,7 +31,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.constants import RANDOM_IO_MS, SEQUENTIAL_IO_MS
 from repro.cube.lattice import CubeLattice
-from repro.errors import QueryError
+from repro.errors import UnanswerableQueryError
 from repro.obs import get_registry
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
@@ -143,7 +143,7 @@ class QueryRouter:
         paths: Sequence[AccessPath],
         runs: bool = False,
     ) -> RoutingDecision:
-        """Choose the cheapest plan, or raise QueryError if nothing answers.
+        """Choose the cheapest plan (UnanswerableQueryError if none).
 
         ``runs`` also prices paths with a recorded leaf-run extent
         (:attr:`AccessPath.run_leaves`) as the packed-run executions
@@ -161,7 +161,7 @@ class QueryRouter:
             if best is None or self._better(decision, best):
                 best = decision
         if best is None:
-            raise QueryError(
+            raise UnanswerableQueryError(
                 f"no materialized view answers query over {sorted(node)}"
             )
         _OBS_DECISIONS.value += 1

@@ -262,9 +262,7 @@ class RTree:
         lo = tuple(lo_key)
         hi = tuple(hi_key)
         start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        with closing(
-            self._scan_leaves(start, hi_idx, view_id, cache=True)
-        ) as leaves:
+        with closing(self._scan_leaves(start, hi_idx, view_id)) as leaves:
             for leaf in leaves:
                 if not len(leaf):
                     continue
@@ -307,9 +305,7 @@ class RTree:
         lo = tuple(lo_key)
         hi = tuple(hi_key)
         start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        with closing(
-            self._scan_leaves(start, hi_idx, view_id, cache=True)
-        ) as leaves:
+        with closing(self._scan_leaves(start, hi_idx, view_id)) as leaves:
             for leaf in leaves:
                 if not len(leaf):
                     continue
@@ -380,9 +376,7 @@ class RTree:
             )
         active = [True] * len(specs)
         remaining = len(specs)
-        with closing(
-            self._scan_leaves(start, hi_idx, view_id, cache=True)
-        ) as leaves:
+        with closing(self._scan_leaves(start, hi_idx, view_id)) as leaves:
             for leaf in leaves:
                 if not len(leaf):
                     continue
@@ -412,21 +406,16 @@ class RTree:
         lo: int,
         hi: int,
         view_id: Optional[int] = None,
-        cache: bool = False,
     ) -> Iterator[RLeafNode]:
         """Yield leaves ``leaf_page_ids[lo..hi]`` through the scan
-        (probationary) segment, reading ahead a window at a time.
-
-        ``cache`` routes columnar-leaf decodes through the buffer pool's
-        decoded-column side-cache (the run searches admit; a plain
-        :meth:`scan_run` does not)."""
+        (probationary) segment, reading ahead a window at a time."""
         run = self.leaf_page_ids
         for idx in range(lo, hi + 1):
             if (idx - lo) % RUN_READAHEAD == 0:
                 self.pool.prefetch_run(
                     run[idx : min(idx + RUN_READAHEAD, hi + 1)]
                 )
-            node, page = self._fetch_node(run[idx], scan=True, cache=cache)
+            node, page = self._fetch_node(run[idx], scan=True)
             try:
                 if not isinstance(node, RLeafNode):
                     raise StorageError(
@@ -558,25 +547,14 @@ class RTree:
     # ------------------------------------------------------------------
     # node I/O
     # ------------------------------------------------------------------
-    def _fetch_node(
-        self, page_id: int, scan: bool = False, cache: bool = False
-    ):
+    def _fetch_node(self, page_id: int, scan: bool = False):
         page = self.pool.fetch_page(page_id, scan=scan)
         if page.cached_obj is None:
-            node = self.pool.cached_columns(page_id) if cache else None
-            if node is None:
-                raw = bytes(page.data)
-                if node_type_of(raw) in LEAF_TYPES:
-                    node = RLeafNode.from_bytes(raw)
-                else:
-                    node = RInteriorNode.from_bytes(raw)
-                if cache and isinstance(node, RLeafNode) and node.columnar:
-                    # Scan pages churn out of the (probationary) pool
-                    # quickly; keeping the decoded node in the side-cache
-                    # spares the re-decode without touching simulated I/O.
-                    nbytes = len(node) * 8 * (node.arity + node.n_aggs)
-                    self.pool.store_columns(page_id, node, nbytes)
-            page.cached_obj = node
+            raw = bytes(page.data)
+            if node_type_of(raw) in LEAF_TYPES:
+                page.cached_obj = RLeafNode.from_bytes(raw)
+            else:
+                page.cached_obj = RInteriorNode.from_bytes(raw)
         return page.cached_obj, page
 
     def _release(self, page: Page) -> None:

@@ -227,9 +227,12 @@ class AdmissionQueue:
         queries = [item.query for item in group]
         try:
             batch_result = engine.query_batch(queries)
-        except BaseException as exc:  # noqa: BLE001 - relayed to waiters
+        except BaseException:  # noqa: BLE001 - retried one by one below
+            # The batch routes every query before running any, so one
+            # unanswerable query fails the lot: answer each alone, and
+            # only the waiter whose query is at fault sees an error.
             for item in group:
-                item.finish(None, exc)
+                self._finish_one(item, lambda: engine.query(item.query))
             return
         _OBS_COALESCED.inc(len(group))
         for item, result in zip(group, batch_result.results):

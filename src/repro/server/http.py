@@ -22,7 +22,8 @@ Endpoints
 
 Every query response carries the ``generation`` it was answered from —
 that tag is what the concurrency harness's snapshot checker keys on.
-Admission rejections map to HTTP 503, malformed requests to 400.
+Admission rejections map to HTTP 503; malformed requests and queries no
+served view can answer map to 400.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import chain
 from typing import Any, Dict, List, Tuple
 
-from repro.errors import InvalidDeltaError, ReproError
+from repro.errors import (
+    InvalidDeltaError,
+    ReproError,
+    UnanswerableQueryError,
+)
 from repro.query.result import QueryResult
 from repro.query.slice import SliceQuery
 from repro.server.admission import AdmissionError
@@ -176,7 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             status, payload = handler()
-        except (BadRequest, InvalidDeltaError) as exc:
+        except (BadRequest, InvalidDeltaError, UnanswerableQueryError) as exc:
             self._send_json(400, {"error": str(exc)})
         except AdmissionError as exc:
             self._send_json(503, {"error": str(exc)})

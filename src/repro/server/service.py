@@ -498,24 +498,6 @@ class CubetreeServer:
                 "max_depth": self.admission.max_depth,
             },
             "pending_delta_rows": self.pending_delta_rows,
-            # Decoded-column side-cache economics (process-wide): how
-            # often vectorized run scans reuse a decoded columnar leaf
-            # instead of re-decoding the page bytes.
-            "column_cache": {
-                "hits": reg.counter("buffer.column_cache.hits").snapshot(),
-                "misses": reg.counter(
-                    "buffer.column_cache.misses"
-                ).snapshot(),
-                "evictions": reg.counter(
-                    "buffer.column_cache.evictions"
-                ).snapshot(),
-                "invalidations": reg.counter(
-                    "buffer.column_cache.invalidations"
-                ).snapshot(),
-                "bytes": reg.counter(
-                    "buffer.column_cache.bytes"
-                ).snapshot(),
-            },
             "metrics": {
                 "requests": _OBS_REQUESTS.snapshot(),
                 "request_errors": _OBS_ERRORS.snapshot(),

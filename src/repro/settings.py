@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Mapping, Optional
 
-from repro.constants import DEFAULT_COLUMN_CACHE_PAGES
 from repro.errors import ConfigError
 
 _TRUE = ("1", "true", "yes", "on")
@@ -82,10 +81,6 @@ class Settings:
     #: Leaf layout newly packed trees use (type 3 columnar or type 1 row).
     leaf_format: str = _knob(
         "columnar", str.lower, ("row", "columnar").__contains__, "row or columnar"
-    )
-    #: Decoded-column cache entries per buffer pool (0 disables it).
-    column_cache_pages: int = _knob(
-        DEFAULT_COLUMN_CACHE_PAGES, int, _at_least(0), "an integer >= 0"
     )
     #: Streaming-build sort buffer in entries (None: in-memory build).
     build_memory: Optional[int] = _knob(

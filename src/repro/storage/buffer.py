@@ -32,12 +32,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Sequence, Set
 
 from repro.constants import DEFAULT_BUFFER_PAGES
 from repro.errors import StorageError
 from repro.obs import get_registry
-from repro.settings import current
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page
 
@@ -51,112 +50,6 @@ _OBS_UNPINS = _REG.counter("buffer.unpins")
 _OBS_SCAN_ADMITS = _REG.counter("buffer.scan_admissions")
 _OBS_PROMOTIONS = _REG.counter("buffer.promotions")
 _OBS_READAHEAD = _REG.counter("buffer.readahead_pages")
-_OBS_COL_HITS = _REG.counter("buffer.column_cache.hits")
-_OBS_COL_MISSES = _REG.counter("buffer.column_cache.misses")
-_OBS_COL_EVICTIONS = _REG.counter("buffer.column_cache.evictions")
-_OBS_COL_INVALIDATIONS = _REG.counter("buffer.column_cache.invalidations")
-#: Current decoded bytes held across every pool's column cache (counter
-#: adjusted with +/- deltas so the snapshot reads as a gauge).
-_OBS_COL_BYTES = _REG.counter("buffer.column_cache.bytes")
-
-
-@dataclass
-class ColumnCacheStats:
-    """Counters for one pool's decoded-column side-cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    #: Entries dropped because the page's content version moved on
-    #: (dirtying unpin, page reallocation, discard).
-    invalidations: int = 0
-    #: Decoded payload bytes currently held (estimate: 8 bytes per
-    #: stored coordinate and measure).
-    bytes: int = 0
-
-
-class DecodedColumnCache:
-    """Bounded LRU of decoded leaf objects keyed by page id + version.
-
-    The 2Q pool deliberately lets run scans churn through the
-    probationary segment, so a hot leaf's ``Page.cached_obj`` rarely
-    survives from one query to the next; this side-cache keeps the
-    *decoded* object (points, values, column buffers) across page
-    evictions, making repeated and batched queries skip re-decoding
-    entirely.  Every entry is guarded by the pool's per-page content
-    version: any dirtying unpin, reallocation, or discard bumps the
-    version, so a stale decode can never be served for a rewritten or
-    reused page.  Purely CPU-side — lookups and stores never touch the
-    disk or the page segments, so simulated I/O is unaffected.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.stats = ColumnCacheStats()
-        #: page id -> (content version, decoded object, payload bytes).
-        self._entries: "OrderedDict[int, Tuple[int, object, int]]" = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, page_id: int, version: int) -> Optional[object]:
-        """The decoded object for the page's current contents, if any."""
-        entry = self._entries.get(page_id)
-        if entry is not None and entry[0] != version:
-            self._drop(page_id, entry)
-            self.stats.invalidations += 1
-            _OBS_COL_INVALIDATIONS.value += 1
-            entry = None
-        if entry is None:
-            self.stats.misses += 1
-            _OBS_COL_MISSES.value += 1
-            return None
-        self._entries.move_to_end(page_id)
-        self.stats.hits += 1
-        _OBS_COL_HITS.value += 1
-        return entry[1]
-
-    def put(
-        self, page_id: int, version: int, obj: object, nbytes: int
-    ) -> None:
-        """Admit a decoded object, evicting LRU entries past capacity."""
-        if self.capacity <= 0:
-            return
-        old = self._entries.pop(page_id, None)
-        if old is not None:
-            self.stats.bytes -= old[2]
-            _OBS_COL_BYTES.value -= old[2]
-        self._entries[page_id] = (version, obj, nbytes)
-        self.stats.bytes += nbytes
-        _OBS_COL_BYTES.value += nbytes
-        while len(self._entries) > self.capacity:
-            _pid, (_ver, _obj, freed) = self._entries.popitem(last=False)
-            self.stats.bytes -= freed
-            _OBS_COL_BYTES.value -= freed
-            self.stats.evictions += 1
-            _OBS_COL_EVICTIONS.value += 1
-
-    def invalidate(self, page_id: int) -> None:
-        """Drop the page's entry, if present (its contents moved on)."""
-        entry = self._entries.get(page_id)
-        if entry is not None:
-            self._drop(page_id, entry)
-            self.stats.invalidations += 1
-            _OBS_COL_INVALIDATIONS.value += 1
-
-    def clear(self) -> None:
-        """Drop every entry (pool cleared — a simulated cold restart)."""
-        freed = self.stats.bytes
-        self._entries.clear()
-        self.stats.bytes = 0
-        _OBS_COL_BYTES.value -= freed
-
-    def _drop(self, page_id: int, entry: Tuple[int, object, int]) -> None:
-        del self._entries[page_id]
-        self.stats.bytes -= entry[2]
-        _OBS_COL_BYTES.value -= entry[2]
 
 
 @dataclass
@@ -272,15 +165,6 @@ class BufferPool:
         #: Page ids sheltered from eviction while unprotected victims exist
         #: (interior/root index pages during fast run scans).
         self._sticky: Set[int] = set()
-        #: Decoded-column side-cache; survives page eviction, guarded by
-        #: the per-page content versions below.
-        self.column_cache = DecodedColumnCache(  # repro: guarded-by(BufferPool._lock)
-            current().column_cache_pages
-        )
-        #: Content generation per page id; bumped on dirtying unpins,
-        #: reallocation, and discard so the column cache can never serve
-        #: a decode of superseded page contents.
-        self._page_versions: Dict[int, int] = {}
         # Guards every structure above across server threads; re-entrant
         # because flush and clear call sibling public methods.
         self._lock = threading.RLock()  # repro: guarded-by(self._lock)
@@ -335,9 +219,6 @@ class BufferPool:
             page.pin_count += 1
             self.stats.new_pages += 1
             _OBS_NEW_PAGES.value += 1
-            # The disk reuses freed page ids: a reallocated id is new
-            # contents, so any cached decode of its old life must die.
-            self._bump_version(page_id)
             return page
 
     def unpin_page(self, page_id: int, dirty: bool = False) -> None:
@@ -353,37 +234,8 @@ class BufferPool:
             page.pin_count -= 1
             if dirty:
                 page.dirty = True
-                self._bump_version(page_id)
             self.stats.unpins += 1
             _OBS_UNPINS.value += 1
-
-    # ------------------------------------------------------------------
-    # decoded-column side-cache
-    # ------------------------------------------------------------------
-    def page_version(self, page_id: int) -> int:
-        """Content generation of a page (0 until it is first rewritten)."""
-        with self._lock:
-            return self._page_versions.get(page_id, 0)
-
-    def cached_columns(self, page_id: int) -> Optional[object]:
-        """Decoded object for the page's *current* contents, if cached."""
-        with self._lock:
-            return self.column_cache.get(
-                page_id, self._page_versions.get(page_id, 0)
-            )
-
-    def store_columns(self, page_id: int, obj: object, nbytes: int) -> None:
-        """Admit a decoded object for the page's current contents."""
-        with self._lock:
-            self.column_cache.put(
-                page_id, self._page_versions.get(page_id, 0), obj, nbytes
-            )
-
-    def _bump_version(self, page_id: int) -> None:
-        self._page_versions[page_id] = (
-            self._page_versions.get(page_id, 0) + 1
-        )
-        self.column_cache.invalidate(page_id)
 
     # ------------------------------------------------------------------
     # scan support
@@ -465,10 +317,6 @@ class BufferPool:
                     )
             self._frames.clear()
             self._probation.clear()
-            # A cold restart loses in-memory decodes too; page versions are
-            # kept — they describe on-disk content generations, and the
-            # cache entries they guard are gone anyway.
-            self.column_cache.clear()
 
     def discard_page(self, page_id: int) -> None:
         """Drop a page from the pool *without* writing it back.
@@ -487,9 +335,6 @@ class BufferPool:
                 segment[page_id] = page
                 raise StorageError(f"cannot discard pinned page {page_id}")
             self._sticky.discard(page_id)
-            # The page is being freed on disk; its id may be reallocated
-            # with different contents, so its cached decode must die now.
-            self._bump_version(page_id)
 
     # ------------------------------------------------------------------
     @property

@@ -8,10 +8,15 @@ of range predicates through both engines against a brute-force oracle.
 
 import pytest
 
+from repro.core.engine import CubetreeEngine
+from repro.core.onthefly import OnTheFlyEngine
 from repro.query.generator import RandomQueryGenerator
 from repro.query.slice import SliceQuery
 from repro.sql import parse_query
 from repro.warehouse.tpcd import TPCDGenerator
+
+from tests.core.conftest import PAPER_REPLICA_ORDERS, paper_views
+
 
 def oracle(facts, query: SliceQuery):
     attrs = ("partkey", "suppkey", "custkey")
@@ -96,3 +101,55 @@ def test_full_domain_range_equals_unbound(warehouse, cubetree_engine):
     unbound = SliceQuery((), ())
     assert (cubetree_engine.query(bounded).scalar()
             == cubetree_engine.query(unbound).scalar())
+
+
+#: Bounds at or below 0, wholly negative, and past the populated domain
+#: (up to past ``INT64_MAX``).  View coordinates are never below 1, so
+#: each bound must be clamped, not let reach the zero padding of the
+#: lower-arity views packed into the same Cubetree.
+OUT_OF_DOMAIN = [
+    SliceQuery(("partkey",), (("suppkey", 0),)),
+    SliceQuery(("partkey",), (("suppkey", -3),)),
+    SliceQuery(("partkey",), (), (("suppkey", -5, 2),)),
+    SliceQuery(("partkey",), (), (("suppkey", -5, -1),)),
+    SliceQuery(("suppkey",), (), (("partkey", -(2**40), 3),)),
+    SliceQuery(("custkey",), (("partkey", 10**9),)),
+    SliceQuery((), (("suppkey", 0), ("partkey", 1))),
+    SliceQuery(("partkey", "suppkey"), (), (("custkey", 0, 2**63 + 5),)),
+]
+
+
+@pytest.fixture(scope="module", params=[1, 3], ids=["shards1", "shards3"])
+def sharded_engine(request, warehouse):
+    _gen, data = warehouse
+    engine = CubetreeEngine(
+        data.schema, buffer_pages=512, shards=request.param
+    )
+    engine.materialize(
+        paper_views(), data.facts,
+        replicate={"V_psc": PAPER_REPLICA_ORDERS},
+    )
+    return engine
+
+
+@pytest.fixture(scope="module")
+def onthefly(warehouse):
+    _gen, data = warehouse
+    engine = OnTheFlyEngine(data.schema, buffer_pages=512)
+    engine.load_fact(data.facts)
+    return engine
+
+
+@pytest.mark.parametrize("query", OUT_OF_DOMAIN)
+def test_bounds_outside_the_domain_match_onthefly(
+    query, onthefly, sharded_engine
+):
+    expected = onthefly.query(query).rows
+    assert sharded_engine.query(query).rows == expected
+    assert sharded_engine.query_batch([query]).results[0].rows == expected
+    batch = sharded_engine.query_batch(OUT_OF_DOMAIN)
+    assert batch.results[OUT_OF_DOMAIN.index(query)].rows == expected
+
+
+def test_out_of_domain_cases_are_not_all_empty(onthefly):
+    assert any(onthefly.query(query).rows for query in OUT_OF_DOMAIN)

@@ -8,11 +8,10 @@ per-point containment (packed and unsorted leaves),
 ``FoldAccumulator``'s exact serial float semantics, ``search_run`` /
 ``search_run_group`` / ``search_run_fold`` / the classic descent over
 columnar and row leaves, dynamic trees with unsorted leaves and zero
-coordinates, the decoded-column cache (hits across pool eviction,
-version invalidation, capacity bounds), the aggregate pushdown, and a
-Hypothesis sweep that answers random workloads through ``query``, a
-one-query batch and one whole batch on row- and columnar-leaf engines
-and demands identical rows, equal to the on-the-fly oracle's.
+coordinates, the aggregate pushdown, and a Hypothesis sweep that
+answers random workloads through ``query``, a one-query batch and one
+whole batch on row- and columnar-leaf engines and demands identical
+rows, equal to the on-the-fly oracle's.
 
 Example count scales with ``REPRO_DIFF_EXAMPLES`` (default 200 locally;
 CI sets a smaller smoke profile).
@@ -46,7 +45,7 @@ from repro.rtree.node import leaf_capacity
 from repro.rtree.packing import PackedRun, pack_rtree
 from repro.rtree.tree import RTree
 from repro.settings import override
-from repro.storage.buffer import BufferPool, DecodedColumnCache
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.warehouse.star import Dimension, StarSchema
 
@@ -440,72 +439,6 @@ def test_dynamic_tree_with_zero_under_an_unbound_dimension():
         expected = sorted(brute_force(tree, -1, rect))
         assert expected  # not vacuous
         assert sorted(found(tree, tree.search(rect))) == expected
-
-
-# ----------------------------------------------------------------------
-# decoded-column cache
-# ----------------------------------------------------------------------
-def test_column_cache_unit_hit_miss_invalidate_evict():
-    cache = DecodedColumnCache(capacity=2)
-    assert cache.get(1, 0) is None  # miss
-    cache.put(1, 0, "one", 10)
-    assert cache.get(1, 0) == "one"  # hit
-    assert cache.get(1, 1) is None  # version moved on -> invalidated
-    assert cache.stats.invalidations == 1
-    cache.put(1, 1, "one'", 10)
-    cache.put(2, 0, "two", 10)
-    assert cache.get(1, 1) == "one'"  # LRU refresh: 2 is now coldest
-    cache.put(3, 0, "three", 10)  # capacity 2 -> evicts page 2
-    assert cache.stats.evictions == 1
-    assert cache.get(2, 0) is None
-    assert len(cache) == 2
-    assert cache.stats.bytes == 20
-
-
-def test_column_cache_capacity_zero_disables_admission():
-    cache = DecodedColumnCache(capacity=0)
-    cache.put(1, 0, "one", 10)
-    assert len(cache) == 0
-    assert cache.get(1, 0) is None
-
-
-def test_column_cache_survives_page_eviction():
-    """Rescanning a churned pool serves decodes from the side-cache."""
-    # A pool smaller than view 1's leaf run (columnar leaves hold ~1.5x
-    # the row capacity, so 24*CAP1 entries make ~16 leaves): the scan
-    # churns its own pages out, and the rescan re-fetches them — and
-    # finds their decoded leaves still in the side-cache.
-    _disk, pool = make_pool(capacity=12)
-    tree = columnar_packed_tree(pool, n1=24 * CAP1)
-    list(tree.search_run(1, view_rect(1)))
-    before = pool.column_cache.stats.hits
-    list(tree.search_run(1, view_rect(1)))
-    assert pool.column_cache.stats.hits > before
-
-
-def test_column_cache_invalidated_by_dirty_unpin():
-    _disk, pool = make_pool()
-    page = pool.new_page()
-    pid = page.page_id
-    version = pool.page_version(pid)
-    pool.unpin_page(pid)
-    pool.store_columns(pid, "decoded", 8)
-    assert pool.cached_columns(pid) == "decoded"
-    page = pool.fetch_page(pid)
-    pool.unpin_page(pid, dirty=True)  # rewrite -> version bump
-    assert pool.page_version(pid) == version + 1
-    assert pool.cached_columns(pid) is None
-    assert pool.column_cache.stats.invalidations >= 1
-
-
-def test_pool_clear_empties_column_cache():
-    _disk, pool = make_pool()
-    page = pool.new_page()
-    pool.unpin_page(page.page_id)
-    pool.store_columns(page.page_id, "decoded", 8)
-    pool.clear()
-    assert len(pool.column_cache) == 0
-    assert pool.column_cache.stats.bytes == 0
 
 
 # ----------------------------------------------------------------------

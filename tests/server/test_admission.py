@@ -76,6 +76,48 @@ class TestExecution:
         query = reference_queries(server.schema, per_node=1)[0]
         assert server.admission.submit(pinned, query, timeout=30.0).rows
 
+    def test_bad_query_does_not_fail_its_coalesced_neighbours(
+        self, server, pinned, workload
+    ):
+        """A good and an unanswerable query queued together form one
+        coalesced round: the good one still gets its rows, and only the
+        bad one's waiter sees the error."""
+        from repro.errors import QueryError
+        from repro.query.slice import SliceQuery
+
+        queue = AdmissionQueue(max_depth=8)
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingHandle:
+            number = pinned.number
+
+            class engine:  # noqa: N801 - stub namespace
+                @staticmethod
+                def query(query):
+                    entered.set()
+                    release.wait(30.0)
+                    return pinned.engine.query(query)
+
+        good = workload[0]
+        bad = SliceQuery(group_by=("nonexistent_attr",))
+        expected = pinned.engine.query(good).rows
+        queue.start()
+        try:
+            blocker = queue.submit_nowait(BlockingHandle(), good)
+            assert entered.wait(30.0)
+            good_ticket = queue.submit_nowait(pinned, good)
+            bad_ticket = queue.submit_nowait(pinned, bad)
+            assert queue.depth == 2
+            release.set()
+            assert queue.wait(blocker, timeout=30.0).rows == expected
+            assert queue.wait(good_ticket, timeout=30.0).rows == expected
+            with pytest.raises(QueryError, match="nonexistent_attr"):
+                queue.wait(bad_ticket, timeout=30.0)
+        finally:
+            release.set()
+            queue.close()
+
+
 
 class TestBounds:
     def test_rejects_past_max_depth(self, server, pinned, workload):

@@ -144,6 +144,19 @@ class TestErrors:
         status, _ = _call(base, "/delta", {"rows": [["x", "y"]]})
         assert status == 400
 
+    def test_unanswerable_query_400(self, endpoint):
+        """An unknown attribute, or a schema attribute no served view
+        carries (no hierarchy is configured), is the client's error."""
+        base, _server = endpoint
+        for group_by in (["nope"], ["nation"]):
+            status, payload = _call(base, "/query", {"group_by": group_by})
+            assert status == 400, payload
+            assert "no materialized view answers" in payload["error"]
+        status, payload = _call(
+            base, "/query/batch", {"queries": [{"group_by": ["nope"]}]}
+        )
+        assert status == 400, payload
+
     def test_admission_full_503(self, endpoint, workload):
         base, server = endpoint
         # Choke the queue so the next HTTP query is rejected.
@@ -157,3 +170,39 @@ class TestErrors:
             assert "error" in payload
         finally:
             server.admission.start()
+
+
+class TestBoundsOutsideTheDomain:
+    """View coordinates start at 1: a bound at or below 0 matches no
+    group (or is clamped, for a range), whichever route answers it."""
+
+    def test_binding_at_zero_returns_no_rows(self, endpoint):
+        base, _server = endpoint
+        for body in (
+            {"group_by": ["partkey"], "bindings": [["suppkey", 0]]},
+            {"group_by": ["partkey"], "ranges": [["suppkey", -5, -1]]},
+            {
+                "sql": "select partkey, sum(quantity) from F "
+                "where suppkey = 0 group by partkey"
+            },
+        ):
+            status, payload = _call(base, "/query", body)
+            assert status == 200, payload
+            assert payload["row_count"] == 0
+
+    def test_range_reaching_below_one_is_clamped(self, endpoint):
+        base, _server = endpoint
+        status, clamped = _call(
+            base,
+            "/query",
+            {"group_by": ["partkey"], "ranges": [["suppkey", -5, 2]]},
+        )
+        assert status == 200, clamped
+        status, inside = _call(
+            base,
+            "/query",
+            {"group_by": ["partkey"], "ranges": [["suppkey", 1, 2]]},
+        )
+        assert status == 200, inside
+        assert inside["row_count"] > 0
+        assert clamped["rows"] == inside["rows"]

@@ -332,8 +332,6 @@ def test_concurrent_threads_keep_the_pool_consistent():
                 fetches[index] += 1
                 if page.data[0] != ids.index(page_id) + 1:
                     raise AssertionError(f"page {page_id} has wrong bytes")
-                pool.store_columns(page_id, ("decoded", page_id), 8)
-                pool.cached_columns(page_id)
                 pool.unpin_page(page_id)
         except Exception as exc:  # surfaced by the main thread below
             errors.append(exc)

@@ -113,14 +113,16 @@ def slice_queries(draw, domain_sizes):
     bindings = []
     ranges = []
     for attr in bound:
+        # Bounds reach past the populated domain [1, size] on both sides:
+        # 0 and negatives (never a view coordinate) and values above it.
         size = domain_sizes[attr]
         if draw(st.booleans()):
             bindings.append(
-                (attr, draw(st.integers(min_value=1, max_value=size)))
+                (attr, draw(st.integers(min_value=-2, max_value=size + 2)))
             )
         else:
-            low = draw(st.integers(min_value=1, max_value=size))
-            high = draw(st.integers(min_value=low, max_value=size))
+            low = draw(st.integers(min_value=-2, max_value=size + 2))
+            high = draw(st.integers(min_value=low, max_value=size + 2))
             ranges.append((attr, low, high))
     group_by = tuple(a for a in node if a not in set(bound))
     return SliceQuery(group_by, tuple(bindings), tuple(ranges))

@@ -24,7 +24,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Today's defaults, spelled out so a changed default is a visible diff.
 DEFAULTS = {
     "leaf_format": "columnar",
-    "column_cache_pages": 256,
     "build_memory": None,
     "workers": 1,
     "debug_checks": False,
@@ -35,11 +34,10 @@ BOOLEAN_FIELDS = [
     spec.name for spec in fields(Settings) if isinstance(spec.default, bool)
 ]
 
-#: One malformed value per field (the first five are the reported ones).
+#: One malformed value per field.
 MALFORMED = {
     "workers": "abc",
     "leaf_format": "rows",
-    "column_cache_pages": "abc",
     "build_memory": "abc",
     "debug_checks": "enabled",
     "trace": "offf",
@@ -48,7 +46,6 @@ MALFORMED = {
 #: Values that parse but fall outside a field's domain.
 OUT_OF_RANGE = {
     "workers": "0",
-    "column_cache_pages": "-1",
     "build_memory": "-5",
 }
 
@@ -74,7 +71,7 @@ def run_python(code, **env):
 # ----------------------------------------------------------------------
 # parse rules
 # ----------------------------------------------------------------------
-def test_settings_has_exactly_the_six_knobs():
+def test_settings_has_exactly_the_five_knobs():
     assert [spec.name for spec in fields(Settings)] == list(DEFAULTS)
     assert set(MALFORMED) == set(DEFAULTS)
 
@@ -119,13 +116,11 @@ def test_typed_values_parse():
     parsed = Settings.from_env(
         {
             "REPRO_LEAF_FORMAT": " ROW ",
-            "REPRO_COLUMN_CACHE_PAGES": "0",
             "REPRO_BUILD_MEMORY": "8K",
             "REPRO_WORKERS": "4",
         }
     )
     assert parsed.leaf_format == "row"
-    assert parsed.column_cache_pages == 0
     assert parsed.build_memory == 8000
     assert parsed.workers == 4
 
