@@ -32,7 +32,7 @@ def test_pack_rate_microbench(benchmark):
 
     def pack():
         pool = BufferPool(DiskManager(), capacity=128)
-        return pack_rtree(pool, 1, [PackedRun(0, 1, 1, entries)])
+        return pack_rtree(pool, 1, [PackedRun.from_entries(0, 1, 1, entries)])
 
     tree = benchmark(pack)
     assert len(tree) == 20_000

@@ -72,7 +72,7 @@ def test_rtree_search_rate(benchmark):
         [((x, y), (1.0,)) for x in range(1, 201) for y in range(1, 201)],
         key=lambda e: sort_key(e[0], 2),
     )
-    tree = pack_rtree(pool, 2, [PackedRun(0, 2, 1, points)])
+    tree = pack_rtree(pool, 2, [PackedRun.from_entries(0, 2, 1, points)])
     rng = random.Random(7)
 
     def search():

@@ -10,7 +10,9 @@ merge-packs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.btree.keys import INT64_MAX
@@ -28,6 +30,7 @@ from repro.rtree.packing import (
     pack_rtree,
     pack_rtree_stream,
     sort_key,
+    width_error,
 )
 from repro.rtree.tree import RTree, RunKey
 from repro.settings import current
@@ -101,29 +104,44 @@ def prepare_packed_runs(
     views: Sequence[ViewDefinition],
     data: Mapping[str, Sequence[Row]],
 ) -> List[PackedRun]:
-    """Convert per-view state rows into packing-order runs (pure CPU).
+    """Convert per-view state rows into packing-order column runs (pure
+    CPU).
 
-    This is the compute-heavy half of a build/merge-pack — coordinate and
-    value coercion plus the packing-order sort — and touches no storage,
-    so the forest can run it for several trees in worker processes while
-    the actual (simulated-I/O-charging) pack stays serial in the parent.
+    This is the compute-heavy half of a build/merge-pack — the
+    packing-order sort plus coordinate and value coercion — and touches
+    no storage, so the forest can run it for several trees in worker
+    processes while the actual (simulated-I/O-charging) pack stays
+    serial in the parent.  Each view's rows are sorted once by their
+    group columns last to first: within one view the zero pad of
+    :func:`sort_key` is a constant prefix, so that is the packing order.
+    The sorted rows are then transposed straight into ``int`` coordinate
+    and ``float`` value columns and dropped.
     """
     runs: List[PackedRun] = []
     for view in sorted(views, key=lambda v: v.arity):
         rows = data.get(view.name)
         if rows is None:
             continue
-        arity = view.arity
-        entries = [
-            (
-                tuple(int(value) for value in row[:arity]),
-                tuple(float(value) for value in row[arity:]),
+        arity, n_aggs = view.arity, view.total_state_width
+        rows = list(rows)
+        if set(map(len, rows)) - {arity + n_aggs}:
+            raise width_error(view.name, arity, n_aggs)
+        if arity:
+            rows.sort(key=itemgetter(*range(arity - 1, -1, -1)))
+        runs.append(
+            PackedRun(
+                arity, arity, n_aggs,
+                [_column(rows, c, "q", int) for c in range(arity)],
+                [_column(rows, arity + m, "d", float) for m in range(n_aggs)],
+                len(rows),
             )
-            for row in rows
-        ]
-        entries.sort(key=lambda e: sort_key(e[0], dims))
-        runs.append(PackedRun(arity, arity, view.total_state_width, entries))
+        )
     return runs
+
+
+def _column(rows: Sequence[Row], index: int, typecode: str, kind) -> array:
+    """Field ``index`` of every row, coerced by ``kind``, as an array."""
+    return array(typecode, map(kind, map(itemgetter(index), rows)))
 
 
 class Cubetree:

@@ -42,7 +42,7 @@ from typing import (
 from repro.constants import DEFAULT_BUFFER_PAGES, PAGE_SIZE
 from repro.core.answer import finalize_matches, split_bindings
 from repro.core.mapping import select_mapping
-from repro.core.replication import permute_state_rows, replica_definition
+from repro.core.replication import PermutedRows, replica_definition
 from repro.core.reports import LoadReport, PhaseReport, UpdateReport
 from repro.core.sharded import Shard, ShardedForest, combine_io
 from repro.core.sorting import make_substrate_sorter
@@ -217,7 +217,12 @@ class CubetreeEngine:
             "engine.materialize", views=len(views), shards=self.num_shards
         ):
             self.base_views = list(views)
-            data = self.computation.execute(fact_rows, self.base_views)
+            data: Dict[str, Sequence[Row]] = dict(
+                self.computation.execute(fact_rows, self.base_views)
+            )
+            # A caller that handed over its only reference frees the
+            # facts here, before the trees are prepared.
+            del fact_rows
 
             all_views = list(self.base_views)
             by_name = {view.name: view for view in self.base_views}
@@ -228,8 +233,8 @@ class CubetreeEngine:
                     replica = replica_definition(base, order)
                     all_views.append(replica)
                     self.replicas[replica.name] = base_name
-                    data[replica.name] = list(
-                        permute_state_rows(base, data[base_name], order)
+                    data[replica.name] = PermutedRows(
+                        base, data[base_name], order
                     )
 
             self.forest = ShardedForest(
@@ -323,14 +328,14 @@ class CubetreeEngine:
         with trace(
             "engine.update", rows=len(fact_delta), shards=self.num_shards
         ):
-            deltas = self.computation.execute(fact_delta, self.base_views)
+            deltas: Dict[str, Sequence[Row]] = dict(
+                self.computation.execute(fact_delta, self.base_views)
+            )
             by_name = {view.name: view for view in self.base_views}
             for replica_name, base_name in self.replicas.items():
                 replica = forest.view_definition(replica_name)
-                deltas[replica_name] = list(
-                    permute_state_rows(
-                        by_name[base_name], deltas[base_name], replica.group_by
-                    )
+                deltas[replica_name] = PermutedRows(
+                    by_name[base_name], deltas[base_name], replica.group_by
                 )
             forest.update(deltas, workers=self.workers)
             forest.flush()

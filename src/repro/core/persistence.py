@@ -35,9 +35,11 @@ partials.  Committed generations beyond ``retain`` are pruned only after
 the new commit succeeds.
 
 ``meta.json`` and ``shard.json`` are canonical: every dict is dumped
-with sorted keys and explicitly normalized value types (tuples as lists,
-sizes as ints, names as strings), so ``save -> load -> save`` produces
-byte-identical metadata.
+as compact JSON (no whitespace) with sorted keys and explicitly
+normalized value types (tuples as lists, sizes as ints, names as
+strings), so ``save -> load -> save`` produces byte-identical metadata.
+The reader takes any JSON, so catalogs written indented before the
+compact encoding still load.
 
 Format history
 --------------
@@ -206,9 +208,15 @@ def _tree_state(tree) -> dict:
 
 
 def _meta_bytes(meta: dict) -> bytes:
-    """Canonical encoding: sorted keys, fixed separators, trailing NL."""
+    """Canonical encoding: compact, sorted keys, trailing NL.
+
+    No ``indent``: it forces the pure-Python encoder, and whitespace was
+    three fifths of a catalog.
+    """
     return (
-        json.dumps(meta, indent=1, sort_keys=True, ensure_ascii=True)
+        json.dumps(
+            meta, separators=(",", ":"), sort_keys=True, ensure_ascii=True
+        )
         + "\n"
     ).encode("ascii")
 

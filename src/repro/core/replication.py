@@ -16,7 +16,8 @@ places each one in a different Cubetree.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import abc
+from typing import Iterator, Sequence
 
 from repro.errors import MappingError
 from repro.relational.view import ViewDefinition
@@ -43,11 +44,32 @@ def replica_definition(
     )
 
 
-def permute_state_rows(
-    base: ViewDefinition, rows: Sequence[tuple], order: Sequence[str]
-):
-    """Reorder the group columns of state rows to a replica's order."""
-    positions = [base.group_by.index(attr) for attr in order]
-    arity = base.arity
-    for row in rows:
-        yield tuple(row[i] for i in positions) + tuple(row[arity:])
+class PermutedRows(abc.Sequence):
+    """A replica's state rows: a lazy view over the base view's rows with
+    the group columns reordered to the replica's order.
+
+    Nothing is copied up front; each pass builds the permuted rows one
+    at a time, so a replica's rows exist only while its own tree is
+    being prepared.
+    """
+
+    def __init__(
+        self, base: ViewDefinition, rows: Sequence[tuple], order: Sequence[str]
+    ) -> None:
+        self.rows = rows
+        self.positions = tuple(base.group_by.index(attr) for attr in order)
+        self.arity = base.arity
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._permute(row) for row in self.rows[index]]
+        return self._permute(self.rows[index])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self._permute, self.rows)
+
+    def _permute(self, row: tuple) -> tuple:
+        return tuple(row[i] for i in self.positions) + tuple(row[self.arity:])

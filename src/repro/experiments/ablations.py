@@ -101,7 +101,7 @@ def run_compression(verbose: bool = True) -> Dict:
         """Both views packed in ``fmt`` leaves, ``arity_of`` coords wide."""
         with override(leaf_format=fmt):
             return pack_rtree(_pool()[1], dims, [
-                PackedRun(
+                PackedRun.from_entries(
                     view, arity_of(view), 1,
                     sorted(
                         [(tuple(p) + (0,) * (arity_of(view) - view), v)
@@ -214,7 +214,7 @@ def run_packing(verbose: bool = True) -> Dict:
     disk_p, pool_p = _pool()
     before = disk_p.cost_model.snapshot()
     packed = pack_rtree(pool_p, 2, [
-        PackedRun(0, 2, 1, sorted(points, key=lambda e: sort_key(e[0], 2)))
+        PackedRun.from_entries(0, 2, 1, sorted(points, key=lambda e: sort_key(e[0], 2)))
     ])
     pool_p.flush_all()
     packed_io = disk_p.cost_model.stats - before

@@ -180,38 +180,43 @@ def external_sort(
     writes); the runs are then k-way merged.  Inputs that fit into a
     single chunk are sorted purely in memory.
 
-    The temporary run pages are freed once the merge completes.
+    The temporary run pages are freed on every exit: once the merge
+    completes, when the consumer closes the stream early or raises into
+    it, and when a spill fails part way.
     """
     runs: List[HeapFile] = []
-    chunk: List[Row] = []
+    streams: List[Iterator[Row]] = []
+    try:
+        chunk: List[Row] = []
+        for row in rows:
+            chunk.append(row)
+            if len(chunk) >= chunk_rows:
+                chunk.sort(key=key)
+                run = HeapFile(pool, codec)
+                runs.append(run)  # before its pages: a failed spill frees them
+                run.bulk_append(chunk)
+                chunk = []
 
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= chunk_rows:
+        if not runs:  # everything fits in memory
+            chunk.sort(key=key)
+            yield from chunk
+            return
+
+        if chunk:
             chunk.sort(key=key)
             run = HeapFile(pool, codec)
-            run.bulk_append(chunk)
             runs.append(run)
-            chunk = []
+            run.bulk_append(chunk)
 
-    if not runs:  # everything fits in memory
-        chunk.sort(key=key)
-        yield from chunk
-        return
-
-    if chunk:
-        chunk.sort(key=key)
-        run = HeapFile(pool, codec)
-        run.bulk_append(chunk)
-        runs.append(run)
-
-    streams = [run.scan_records() for run in runs]
-    yield from heapq.merge(*streams, key=key)
-
-    for run in runs:
-        for page_id in run.page_ids:
-            pool.discard_page(page_id)
-            pool.disk.free_page(page_id)
+        streams = [run.scan_records() for run in runs]
+        yield from heapq.merge(*streams, key=key)
+    finally:
+        for stream in streams:  # (unpins a page a scan stopped on)
+            stream.close()
+        for run in runs:
+            for page_id in run.page_ids:
+                pool.discard_page(page_id)
+                pool.disk.free_page(page_id)
 
 
 # ----------------------------------------------------------------------

@@ -77,17 +77,13 @@ def _splice(col: array, hits: Sequence[Tuple[int, int]], inserted) -> array:
 
 
 class _Delta:
-    """One (validated) delta run as columns, consumed front to back."""
+    """One (validated) delta run, consumed front to back."""
 
     def __init__(self, run: PackedRun, dims: int) -> None:
+        deque(column_chunks([run], dims, True), maxlen=0)
         self.run = run
-        self.pos = self.count = 0
-        self.coords = [array("q") for _ in range(run.arity)]
-        self.measures = [array("d") for _ in range(run.n_aggs)]
-        for *_view, coords, measures, count in column_chunks([run], dims, True):
-            for mine, col in zip(self.coords + self.measures, coords + measures):
-                mine.extend(col)
-            self.count += count
+        self.pos, self.count = 0, run.count
+        self.coords, self.measures = run.coords, run.measures
 
     def rest(self) -> Chunk:
         """Everything not merged yet."""
@@ -121,7 +117,7 @@ class _Delta:
         for i in range(start, self.pos):
             key = tuple(col[i] for col in delta_keys)
             at, end = _locate(keycols, key, at, count)
-            delta_values = self.run.entries[i][1]
+            delta_values = tuple(col[i] for col in self.measures)
             if end > at:  # the point exists: combine its aggregates
                 delta_values = combine(
                     leaf.view_id,

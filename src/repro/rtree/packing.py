@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from operator import le
@@ -74,7 +75,8 @@ def sort_key(point: Sequence[int], dims: int) -> Tuple[int, ...]:
 
 @dataclass
 class PackedRun:
-    """One view's worth of sorted data heading into a packed tree.
+    """One view's worth of sorted data heading into a packed tree, as
+    columns.
 
     Attributes
     ----------
@@ -85,27 +87,107 @@ class PackedRun:
         aggregate, which is mapped to the origin).
     n_aggs:
         Aggregate values carried per point.
-    entries:
-        ``(point, values)`` pairs; ``point`` has exactly ``arity``
-        coordinates and the list is sorted by :func:`sort_key`.
+    coords:
+        ``arity`` ``array('q')`` columns, entry ``i`` of column ``c``
+        being coordinate ``c`` of point ``i``; the points are sorted by
+        :func:`sort_key`.
+    measures:
+        ``n_aggs`` ``array('d')`` columns of the aggregate values.
+    count:
+        Number of entries (every column's length).
     """
 
     view_id: int
     arity: int
     n_aggs: int
-    entries: Sequence[Tuple[Point, Values]]
+    coords: Sequence[array]
+    measures: Sequence[array]
+    count: int
 
-    def __iter__(self) -> Iterator[object]:
-        """Unpacks like a :data:`RunStream`."""
-        return iter((self.view_id, self.arity, self.n_aggs, self.entries))
+    def __post_init__(self) -> None:
+        if (
+            len(self.coords) != self.arity
+            or len(self.measures) != self.n_aggs
+            or any(
+                len(col) != self.count
+                for col in (*self.coords, *self.measures)
+            )
+        ):
+            raise width_error(self.view_id, self.arity, self.n_aggs)
+
+    @classmethod
+    def from_entries(
+        cls,
+        view_id: int,
+        arity: int,
+        n_aggs: int,
+        entries: Iterable[Entry],
+    ) -> "PackedRun":
+        """A run from ``(point, values)`` pairs sorted by :func:`sort_key`
+        (each ``point`` exactly ``arity`` coordinates wide)."""
+        entries = list(entries)
+        coords, measures = _entry_columns(view_id, arity, n_aggs, entries)
+        return cls(view_id, arity, n_aggs, coords, measures, len(entries))
+
+
+def width_error(view: object, arity: int, n_aggs: int) -> MappingError:
+    """The error for an entry (or row) not ``arity + n_aggs`` wide."""
+    return MappingError(
+        f"view {view}: every entry must carry {arity} coords and "
+        f"{n_aggs} aggregate values"
+    )
+
+
+def _entry_columns(
+    view_id: int, arity: int, n_aggs: int, entries: Sequence[Entry]
+) -> Tuple[List[array], List[array]]:
+    """Transpose ``(point, values)`` pairs into coordinate and measure
+    columns, rejecting an entry of the wrong width."""
+    # Not zip(*entries): an iterator per entry means thousands of live
+    # containers per block, which sets the cyclic GC off.
+    points = [entry[0] for entry in entries]
+    values = [entry[1] for entry in entries]
+    if set(map(len, points)) - {arity} or set(map(len, values)) - {n_aggs}:
+        raise width_error(view_id, arity, n_aggs)
+    flat = array("q", list(chain.from_iterable(points)))
+    coords = [flat[c::arity] for c in range(arity)]
+    flat = array("d", list(chain.from_iterable(values)))
+    return coords, [flat[m::n_aggs] for m in range(n_aggs)]
+
+
+def _run_blocks(
+    run: "PackedRun | RunStream",
+) -> Iterator[Tuple[Sequence[array], Sequence[array], int]]:
+    """One run as ``(coords, measures, count)`` blocks of at most
+    ``_BLOCK`` entries; an empty run is one empty block.
+
+    A :class:`PackedRun` is sliced; a :data:`RunStream`'s entries are
+    transposed block by block as the stream drains.
+    """
+    if isinstance(run, PackedRun):
+        for start in range(0, max(run.count, 1), _BLOCK):
+            stop = min(start + _BLOCK, run.count)
+            yield (
+                [col[start:stop] for col in run.coords],
+                [col[start:stop] for col in run.measures],
+                stop - start,
+            )
+        return
+    view_id, arity, n_aggs, entries = run
+    entries = iter(entries)
+    block = list(islice(entries, _BLOCK))
+    first = True
+    while block or first:
+        yield (*_entry_columns(view_id, arity, n_aggs, block), len(block))
+        first = False
+        block = list(islice(entries, _BLOCK))
 
 
 def column_chunks(
     runs: Iterable["PackedRun | RunStream"], dims: int, validate: bool
 ) -> Iterator[Chunk]:
-    """The runs' entries as column chunks of at most ``_BLOCK`` entries
-    (an empty run yields one empty chunk), converted as the streams
-    drain.
+    """The runs as column chunks of at most ``_BLOCK`` entries (an empty
+    run yields one empty chunk), streams converted as they drain.
 
     With ``validate`` every chunk is checked on the way — arity, value
     width, coordinate positivity, packing sort order within and across
@@ -113,34 +195,20 @@ def column_chunks(
     """
     last_key: Optional[Tuple[int, ...]] = None
     seen_arity = set()
-    for view_id, arity, n_aggs, entries in runs:
+    for run in runs:
+        if isinstance(run, PackedRun):
+            view_id, arity, n_aggs = run.view_id, run.arity, run.n_aggs
+        else:
+            view_id, arity, n_aggs, _entries = run
         if validate and not 0 <= arity <= dims:
             raise MappingError(
                 f"view {view_id}: arity {arity} does not fit in "
                 f"a {dims}-dimensional Cubetree"
             )
         pad = (0,) * (dims - arity)
-        entries = iter(entries)
-        block = list(islice(entries, _BLOCK))
         first = True
-        while block or first:
-            # Not zip(*block): an iterator per entry means thousands of
-            # live containers per block, which sets the cyclic GC off.
-            points = [entry[0] for entry in block]
-            values = [entry[1] for entry in block]
-            if validate and block and (
-                set(map(len, points)) != {arity}
-                or set(map(len, values)) != {n_aggs}
-            ):
-                raise MappingError(
-                    f"view {view_id}: every entry must carry {arity} "
-                    f"coords and {n_aggs} aggregate values"
-                )
-            flat = array("q", list(chain.from_iterable(points)))
-            coords = [flat[c::arity] for c in range(arity)]
-            flat = array("d", list(chain.from_iterable(values)))
-            measures = [flat[m::n_aggs] for m in range(n_aggs)]
-            if validate and block:
+        for coords, measures, count in _run_blocks(run):
+            if validate and count:
                 if coords and min(map(min, coords)) <= 0:
                     raise InvalidCoordinateError(
                         f"view {view_id}: non-positive coordinate; the "
@@ -168,9 +236,8 @@ def column_chunks(
                     )
                 seen_arity.add(arity)
                 last_key = pad + tuple(col[-1] for col in order)
-            yield view_id, arity, n_aggs, coords, measures, len(block)
+            yield view_id, arity, n_aggs, coords, measures, count
             first = False
-            block = list(islice(entries, _BLOCK))
 
 
 def pack_rtree(
@@ -186,14 +253,15 @@ def pack_rtree(
     globally sorted.  Leaves are filled to capacity, never mix views, and
     are written in strictly increasing page order — i.e. sequentially.
     A run with no entries records the :data:`EMPTY_EXTENT` sentinel so the
-    zero-row view still has an explicit (empty) run.  The runs are
-    converted (and with ``validate`` checked) in full before the first
-    page is allocated: invalid input leaves the pool untouched.
+    zero-row view still has an explicit (empty) run.  With ``validate``
+    the runs are checked in full before the first page is allocated:
+    invalid input leaves the pool untouched.  The leaf writer then takes
+    the runs a block at a time, so packing holds no second copy of them.
     """
     with trace("rtree.pack", runs=len(runs)):
-        return write_chunks(
-            pool, dims, list(column_chunks(runs, dims, validate))
-        )
+        if validate:
+            deque(column_chunks(runs, dims, True), maxlen=0)
+        return write_chunks(pool, dims, column_chunks(runs, dims, False))
 
 
 def pack_rtree_stream(

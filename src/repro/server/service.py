@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.btree.keys import INT64_MAX
+from repro.core.engine import CubetreeEngine
 from repro.core.persistence import (
     DEFAULT_RETAIN,
     load_any_engine,
@@ -547,20 +548,31 @@ def bootstrap_database(
         return BootstrapReport(generation=existing, created=False)
     from repro.experiments.common import (
         ExperimentConfig,
-        build_cubetree_engine,
-        build_warehouse,
+        paper_replicas,
+        paper_views,
     )
+    from repro.warehouse.tpcd import TPCDGenerator
 
     config = ExperimentConfig(scale_factor=scale, seed=seed)
-    _generator, data = build_warehouse(config)
-    engine, report = build_cubetree_engine(
-        config, data, replicate=replicate, shards=shards
+    generator = TPCDGenerator(scale_factor=scale, seed=seed)
+    engine = CubetreeEngine(
+        generator.schema(),
+        buffer_pages=config.buffer_pages,
+        sort_chunk_rows=config.sort_chunk_rows,
+        shards=shards,
+    )
+    # The facts are never bound to a name here: the engine holds their
+    # only reference and frees them once the cube is computed.
+    report = engine.materialize(
+        paper_views(),
+        generator.generate().facts,
+        replicate=paper_replicas() if replicate else None,
     )
     gen_path = save_database(engine, directory, retain=retain)
     number = CubetreeServer._generation_number(gen_path)
     return BootstrapReport(
         generation=number,
         created=True,
-        fact_rows=len(data.facts),
+        fact_rows=generator.num_facts,
         view_rows=report.view_rows,
     )

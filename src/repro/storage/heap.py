@@ -189,16 +189,17 @@ class HeapFile:
         rids: List[RID] = []
         i = 0
         while i < len(rows):
+            take = min(self.slots_per_page, len(rows) - i)
+            # One strided pack covers the slot region (row headers are
+            # the zero pad bytes), and the occupancy bitmap is set in
+            # whole bytes — byte-identical to the per-slot path.  A row
+            # that does not encode raises before its page is allocated.
+            packed = self.codec.encode_strided(
+                rows[i : i + take], ROW_HEADER_BYTES
+            )
             page = self.pool.new_page()
             try:
                 self._init_page(page)
-                take = min(self.slots_per_page, len(rows) - i)
-                # One strided pack covers the slot region (row headers are
-                # the zero pad bytes), and the occupancy bitmap is set in
-                # whole bytes — byte-identical to the per-slot path.
-                packed = self.codec.encode_strided(
-                    rows[i : i + take], ROW_HEADER_BYTES
-                )
                 base = self._record_base
                 page.data[base : base + len(packed)] = packed
                 full_bytes, rem = divmod(take, 8)

@@ -46,7 +46,7 @@ def make_pool(capacity=2048):
 
 def packed_tree(pool, n1=2 * CAP1 + 92, n2=CAP2 + 31):
     """A 2-d packed tree: view 1 (arity 1) then view 2 (arity 2)."""
-    run1 = PackedRun(
+    run1 = PackedRun.from_entries(
         1, 1, 1, [((i,), (1.0,)) for i in range(1, n1 + 1)]
     )
     entries2 = [
@@ -54,7 +54,7 @@ def packed_tree(pool, n1=2 * CAP1 + 92, n2=CAP2 + 31):
         for y in range(1, 21)
         for x in range(1, n2 // 20 + 2)
     ][:n2]
-    run2 = PackedRun(2, 2, 1, entries2)
+    run2 = PackedRun.from_entries(2, 2, 1, entries2)
     return pack_rtree(pool, DIMS, [run1, run2])
 
 
@@ -257,7 +257,7 @@ def test_merge_pack_verifies_under_debug_flag():
     _disk, pool = make_pool()
     tree = packed_tree(pool, n1=300, n2=100)
     delta = [
-        PackedRun(1, 1, 1, [((i,), (2.0,)) for i in range(250, 351)])
+        PackedRun.from_entries(1, 1, 1, [((i,), (2.0,)) for i in range(250, 351)])
     ]
     with override(debug_checks=True):
         merged = merge_pack(pool, DIMS, tree, delta)

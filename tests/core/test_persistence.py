@@ -325,6 +325,26 @@ def test_meta_roundtrip_is_byte_identical(tmp_path, seed):
         assert bytes_a == bytes_b, name
 
 
+def test_indented_catalogs_load_and_resave_compact(saved):
+    """Catalogs are written compact; the indented ones older releases
+    wrote still load, and the next save writes them compact again."""
+    _gen, _data, _engine, directory = saved
+
+    def read(gen_path, name):
+        with open(os.path.join(gen_path, name), "rb") as handle:
+            return handle.read()
+
+    first = _newest_gen(directory)
+    compact = {name: read(first, name) for name in (META_NAME, SHARD0_META)}
+    for name, payload in compact.items():
+        assert payload.count(b"\n") == 1 and b", " not in payload, name
+        _rewrite_meta(first, lambda meta: None, name=name)  # re-indents
+        assert read(first, name) != payload
+    second = save_database(load_any_engine(directory), directory)
+    for name, payload in compact.items():
+        assert read(second, name) == payload, name
+
+
 # ----------------------------------------------------------------------
 # older layouts: v1 is refused by name, pre-PR-23 generations still load
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.replication import (
-    permute_state_rows,
+    PermutedRows,
     replica_definition,
     replica_name,
 )
@@ -35,9 +35,12 @@ def test_replica_not_permutation_rejected():
 
 def test_permute_state_rows():
     rows = [(1, 2, 3, 99.0), (4, 5, 6, 42.0)]
-    out = list(permute_state_rows(BASE, rows,
-                                  ("custkey", "partkey", "suppkey")))
-    assert out == [(3, 1, 2, 99.0), (6, 4, 5, 42.0)]
+    out = PermutedRows(BASE, rows, ("custkey", "partkey", "suppkey"))
+    assert list(out) == [(3, 1, 2, 99.0), (6, 4, 5, 42.0)]
+    assert len(out) == 2
+    assert out[1] == (6, 4, 5, 42.0)
+    assert out[:1] == [(3, 1, 2, 99.0)]
+    assert list(out) == list(out)  # a view: every pass sees the rows
 
 
 def test_replicas_have_same_arity_so_map_to_distinct_trees():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidRecordError
 from repro.relational.executor import (
     AggFunc,
     AggSpec,
@@ -128,6 +129,29 @@ def test_external_sort_spills_and_merges():
     assert out == [(i, float(i)) for i in range(n)]
     # Temporary run pages are freed after the merge.
     assert disk.num_allocated == allocated_before
+
+
+def test_external_sort_frees_runs_when_closed_early():
+    disk, pool = make_pool()
+    codec = RecordCodec([int_column(), float_column()])
+    rows = [(i, float(i)) for i in range(5000)]
+    random.Random(3).shuffle(rows)
+    stream = external_sort(pool, codec, rows, key=lambda r: (r[0],),
+                           chunk_rows=1000)
+    assert next(stream) == (0, 0.0)
+    stream.close()  # mid-merge: every scan still pins a page
+    assert disk.num_allocated == 0
+
+
+def test_external_sort_frees_runs_when_a_spill_fails():
+    disk, pool = make_pool()
+    codec = RecordCodec([int_column()])
+    rows = [(i,) for i in range(5000)]
+    rows[2500] = (2**70,)  # no int64: the third chunk's spill fails
+    with pytest.raises(InvalidRecordError):
+        list(external_sort(pool, codec, rows, key=lambda r: r,
+                           chunk_rows=1000))
+    assert disk.num_allocated == 0
 
 
 def test_external_sort_with_duplicates_is_stable_sorted():

@@ -46,8 +46,12 @@ def two_view_runs(dims=3, n_1d=600, n_2d=24):
         for y in range(1, n_2d + 1)
     ]
     return [
-        PackedRun(1, 1, 1, sorted(one_d, key=lambda e: sort_key(e[0], dims))),
-        PackedRun(2, 2, 1, sorted(two_d, key=lambda e: sort_key(e[0], dims))),
+        PackedRun.from_entries(
+            1, 1, 1, sorted(one_d, key=lambda e: sort_key(e[0], dims))
+        ),
+        PackedRun.from_entries(
+            2, 2, 1, sorted(two_d, key=lambda e: sort_key(e[0], dims))
+        ),
     ]
 
 
@@ -213,7 +217,7 @@ def test_run_scan_identical_across_formats():
 def test_zero_row_view_records_empty_extent():
     _disk, pool = make_pool()
     runs = two_view_runs()
-    runs.insert(0, PackedRun(0, 0, 1, []))  # present but empty apex view
+    runs.insert(0, PackedRun.from_entries(0, 0, 1, []))  # present but empty apex view
     tree = pack_rtree(pool, 3, runs)
     assert tree.view_extents[0] == EMPTY_EXTENT
     assert tree.run_bounds(0) == (0, -1)
@@ -234,7 +238,8 @@ def test_fsck_flags_nonempty_chain_behind_empty_extent():
 def test_all_views_empty_builds_empty_tree():
     _disk, pool = make_pool()
     tree = pack_rtree(
-        pool, 3, [PackedRun(1, 1, 1, []), PackedRun(2, 2, 1, [])]
+        pool, 3,
+        [PackedRun.from_entries(1, 1, 1, []), PackedRun.from_entries(2, 2, 1, [])],
     )
     assert tree.view_extents == {1: EMPTY_EXTENT, 2: EMPTY_EXTENT}
     assert len(tree) == 0

@@ -72,7 +72,9 @@ def make_pool(capacity=2048):
 
 def packed_tree(pool, n1=2 * CAP1 + 92, n2=2 * CAP2 + 31):
     """View 1 (arity 1) then view 2 (arity 2), several leaves each."""
-    run1 = PackedRun(1, 1, 1, [((i,), (float(i),)) for i in range(1, n1 + 1)])
+    run1 = PackedRun.from_entries(
+        1, 1, 1, [((i,), (float(i),)) for i in range(1, n1 + 1)]
+    )
     entries2 = sorted(
         (
             ((x, y), (float(x * y),))
@@ -81,7 +83,7 @@ def packed_tree(pool, n1=2 * CAP1 + 92, n2=2 * CAP2 + 31):
         ),
         key=lambda e: tuple(reversed(e[0])),
     )[:n2]
-    run2 = PackedRun(2, 2, 1, entries2)
+    run2 = PackedRun.from_entries(2, 2, 1, entries2)
     return pack_rtree(pool, DIMS, [run1, run2])
 
 

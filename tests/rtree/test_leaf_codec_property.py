@@ -111,7 +111,7 @@ def test_single_view_packed_tree_round_trips_through_disk(points):
     dims = 2
     points = sorted(points, key=lambda p: sort_key(p, dims))
     entries = [(p, (float(i),)) for i, p in enumerate(points)]
-    run = PackedRun(view_id=2, arity=2, n_aggs=1, entries=entries)
+    run = PackedRun.from_entries(view_id=2, arity=2, n_aggs=1, entries=entries)
 
     pool = BufferPool(DiskManager(), capacity=64)
     tree = pack_rtree(pool, dims, [run])

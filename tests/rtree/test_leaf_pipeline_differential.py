@@ -51,6 +51,17 @@ from repro.storage.disk import DiskManager
 DIMS = 3
 
 
+def run_entries(run):
+    """A column run's ``(point, values)`` pairs."""
+    return [
+        (
+            tuple(col[i] for col in run.coords),
+            tuple(col[i] for col in run.measures),
+        )
+        for i in range(run.count)
+    ]
+
+
 # ----------------------------------------------------------------------
 # the tuple reference: one entry at a time, exactly as it used to be
 # ----------------------------------------------------------------------
@@ -70,7 +81,7 @@ def reference_pack(pool, runs, columnar):
     used = 0
     for run in runs:
         first = None
-        for point, values in run.entries:
+        for point, values in run_entries(run):
             fits = leaf is not None and leaf.view_id == run.view_id
             if fits and columnar:
                 inc = columnar_entry_cost(leaf.points[-1], point, run.n_aggs)
@@ -115,13 +126,15 @@ def reference_merge(pool, old_tree, delta_runs, columnar):
             view[sort_key(point, DIMS)] = (point, values)
     for run in delta_runs:
         view = merged.setdefault((run.arity, run.view_id, run.n_aggs), {})
-        for point, values in run.entries:
+        for point, values in run_entries(run):
             key = sort_key(point, DIMS)
             if key in view:
                 values = add_combiner(run.view_id, view[key][1], values)
             view[key] = (point, values)
     runs = [
-        PackedRun(view_id, arity, n_aggs, [view[k] for k in sorted(view)])
+        PackedRun.from_entries(
+            view_id, arity, n_aggs, [view[k] for k in sorted(view)]
+        )
         for (arity, view_id, n_aggs), view in sorted(merged.items())
         if view
     ]
@@ -145,7 +158,7 @@ def _run(rng, arity, n_aggs, size, domain):
         for cell in chosen
     ]
     points.sort(key=lambda point: sort_key(point, DIMS))
-    return PackedRun(
+    return PackedRun.from_entries(
         arity, arity, n_aggs,
         [
             (point, tuple(float(rng.randint(-9, 99)) for _ in range(n_aggs)))

@@ -22,7 +22,7 @@ def run_of(view_id, arity, pairs, dims):
         [(tuple(p), (float(v),)) for p, v in pairs],
         key=lambda e: sort_key(e[0], dims),
     )
-    return PackedRun(view_id, arity, 1, entries)
+    return PackedRun.from_entries(view_id, arity, 1, entries)
 
 
 def collect(tree):

@@ -63,7 +63,7 @@ def test_pack_single_view():
     _disk, pool = make_pool()
     entries = sorted_entries([(x, y) for x in range(1, 51)
                               for y in range(1, 51)])
-    run = PackedRun(view_id=0, arity=2, n_aggs=1, entries=entries)
+    run = PackedRun.from_entries(view_id=0, arity=2, n_aggs=1, entries=entries)
     tree = pack_rtree(pool, 2, [run])
     assert len(tree) == 2500
     tree.check_invariants()
@@ -81,14 +81,14 @@ def test_pack_empty_is_empty_tree():
 
 def test_pack_multiple_views_no_interleaving():
     _disk, pool = make_pool()
-    super_agg = PackedRun(1, 0, 1, [((), (100.0,))])
-    v1 = PackedRun(2, 1, 1, sorted_entries([(i,) for i in range(1, 300)]))
-    v2 = PackedRun(
+    super_agg = PackedRun.from_entries(1, 0, 1, [((), (100.0,))])
+    v1 = PackedRun.from_entries(2, 1, 1, sorted_entries([(i,) for i in range(1, 300)]))
+    v2 = PackedRun.from_entries(
         3, 2, 1,
         sorted([((x, y), (1.0,)) for x in range(1, 40)
                 for y in range(1, 40)], key=lambda e: sort_key(e[0], 3)),
     )
-    v3 = PackedRun(
+    v3 = PackedRun.from_entries(
         4, 3, 1,
         sorted([((x, y, z), (1.0,)) for x in range(1, 12)
                 for y in range(1, 12) for z in range(1, 12)],
@@ -108,7 +108,7 @@ def test_pack_multiple_views_no_interleaving():
 def test_pack_leaf_utilization_is_full():
     _disk, pool = make_pool()
     entries = sorted_entries([(i,) for i in range(1, 5001)])
-    tree = pack_rtree(pool, 1, [PackedRun(0, 1, 1, entries)])
+    tree = pack_rtree(pool, 1, [PackedRun.from_entries(0, 1, 1, entries)])
     # Only the final leaf of the run may be partially filled (whichever
     # leaf format fills them: by slots or by encoded bytes).
     leaves = len(tree.leaf_page_ids)
@@ -118,8 +118,8 @@ def test_pack_leaf_utilization_is_full():
 def test_packed_search_views_separately():
     """Queries against one view's region never see another view's points."""
     _disk, pool = make_pool()
-    v1 = PackedRun(1, 1, 1, sorted_entries([(i,) for i in range(1, 100)]))
-    v2 = PackedRun(
+    v1 = PackedRun.from_entries(1, 1, 1, sorted_entries([(i,) for i in range(1, 100)]))
+    v2 = PackedRun.from_entries(
         2, 2, 1,
         sorted([((x, y), (2.0,)) for x in range(1, 30)
                 for y in range(1, 30)], key=lambda e: sort_key(e[0], 2)),
@@ -139,45 +139,46 @@ def test_pack_writes_sequentially():
     disk, pool = make_pool(capacity=8)
     entries = sorted_entries([(i,) for i in range(1, 30_000)])
     before = disk.cost_model.snapshot()
-    pack_rtree(pool, 1, [PackedRun(0, 1, 1, entries)])
+    pack_rtree(pool, 1, [PackedRun.from_entries(0, 1, 1, entries)])
     pool.flush_all()
     delta = disk.cost_model.stats - before
     assert delta.sequential_writes > 5 * delta.random_writes
 
 
 def test_pack_rejects_unsorted_run():
-    _disk, pool = make_pool()
-    run = PackedRun(0, 1, 1, [((5,), (1.0,)), ((2,), (1.0,))])
+    disk, pool = make_pool()
+    run = PackedRun.from_entries(0, 1, 1, [((5,), (1.0,)), ((2,), (1.0,))])
     with pytest.raises(MappingError):
         pack_rtree(pool, 1, [run])
+    assert disk.num_allocated == 0  # checked before the first page
 
 
 def test_pack_rejects_nonpositive_coordinates():
-    _disk, pool = make_pool()
-    run = PackedRun(0, 1, 1, [((0,), (1.0,))])
+    disk, pool = make_pool()
+    run = PackedRun.from_entries(0, 1, 1, [((0,), (1.0,))])
     with pytest.raises(InvalidCoordinateError):
         pack_rtree(pool, 1, [run])
+    assert disk.num_allocated == 0  # checked before the first page
 
 
 def test_pack_rejects_same_arity_twice():
-    _disk, pool = make_pool()
-    a = PackedRun(0, 1, 1, sorted_entries([(1,)]))
-    b = PackedRun(1, 1, 1, sorted_entries([(2,)]))
+    disk, pool = make_pool()
+    a = PackedRun.from_entries(0, 1, 1, sorted_entries([(1,)]))
+    b = PackedRun.from_entries(1, 1, 1, sorted_entries([(2,)]))
     with pytest.raises(MappingError):
         pack_rtree(pool, 2, [a, b])
+    assert disk.num_allocated == 0  # checked before the first page
 
 
 def test_pack_rejects_wrong_arity_entries():
-    _disk, pool = make_pool()
-    run = PackedRun(0, 2, 1, [((1,), (1.0,))])
     with pytest.raises(MappingError):
-        pack_rtree(pool, 2, [run])
+        PackedRun.from_entries(0, 2, 1, [((1,), (1.0,))])
 
 
 def test_free_tree_releases_pages():
     disk, pool = make_pool()
     entries = sorted_entries([(i,) for i in range(1, 2000)])
-    tree = pack_rtree(pool, 1, [PackedRun(0, 1, 1, entries)])
+    tree = pack_rtree(pool, 1, [PackedRun.from_entries(0, 1, 1, entries)])
     allocated_before = disk.num_allocated
     freed = free_tree(pool, tree)
     assert freed > 0
@@ -207,7 +208,7 @@ def test_pack_then_search_equals_input_property(points):
     entries = sorted(
         [(p, (1.0,)) for p in points], key=lambda e: sort_key(e[0], 2)
     )
-    tree = pack_rtree(pool, 2, [PackedRun(0, 2, 1, entries)])
+    tree = pack_rtree(pool, 2, [PackedRun.from_entries(0, 2, 1, entries)])
     got = sorted(p for _, p, _ in found(tree, tree.search(Rect((1, 1), (200, 200)))))
     assert got == sorted(points)
     tree.check_invariants()

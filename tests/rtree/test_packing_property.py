@@ -57,8 +57,19 @@ def packing_inputs(draw):
             (point, tuple(float(i + j) for j in range(n_aggs)))
             for i, point in enumerate(points)
         ]
-        runs.append(PackedRun(arity, arity, n_aggs, entries))
+        runs.append(PackedRun.from_entries(arity, arity, n_aggs, entries))
     return dims, runs
+
+
+def run_entries(run):
+    """A column run's ``(point, values)`` pairs."""
+    return [
+        (
+            tuple(col[i] for col in run.coords),
+            tuple(col[i] for col in run.measures),
+        )
+        for i in range(run.count)
+    ]
 
 
 @given(packing_inputs())
@@ -68,7 +79,7 @@ def test_pack_rtree_preserves_order_and_packs_leaves_full(case):
     pool = BufferPool(DiskManager(), capacity=64)
     tree = pack_rtree(pool, dims, runs, validate=True)
 
-    total = sum(len(run.entries) for run in runs)
+    total = sum(run.count for run in runs)
     assert tree.count == total
 
     # 1. Reversed-coordinate sort order over the whole leaf chain, and
@@ -79,7 +90,7 @@ def test_pack_rtree_preserves_order_and_packs_leaves_full(case):
     expected = {
         (run.view_id, tuple(point) + (0,) * (dims - run.arity)): values
         for run in runs
-        for point, values in run.entries
+        for point, values in run_entries(run)
     }
     got = {(vid, point): values for vid, point, values in scanned}
     assert got == expected
@@ -92,7 +103,7 @@ def test_pack_rtree_preserves_order_and_packs_leaves_full(case):
         if not run_order or run_order[-1] != leaf.view_id:
             run_order.append(leaf.view_id)
     assert run_order == sorted(run_order), "view runs interleaved"
-    assert run_order == [run.view_id for run in runs if run.entries]
+    assert run_order == [run.view_id for run in runs if run.count]
     by_view = {}
     for leaf in leaves:
         by_view.setdefault(leaf.view_id, []).append(leaf)

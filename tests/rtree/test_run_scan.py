@@ -36,7 +36,9 @@ def make_pool(capacity=2048):
 
 def packed_tree(pool, n1=2 * CAP1 + 92, n2=2 * CAP2 + 31):
     """View 1 (arity 1) then view 2 (arity 2), several leaves each."""
-    run1 = PackedRun(1, 1, 1, [((i,), (float(i),)) for i in range(1, n1 + 1)])
+    run1 = PackedRun.from_entries(
+        1, 1, 1, [((i,), (float(i),)) for i in range(1, n1 + 1)]
+    )
     entries2 = sorted(
         (
             ((x, y), (float(x * y),))
@@ -45,7 +47,7 @@ def packed_tree(pool, n1=2 * CAP1 + 92, n2=2 * CAP2 + 31):
         ),
         key=lambda e: tuple(reversed(e[0])),
     )[:n2]
-    run2 = PackedRun(2, 2, 1, entries2)
+    run2 = PackedRun.from_entries(2, 2, 1, entries2)
     return pack_rtree(pool, DIMS, [run1, run2])
 
 
@@ -103,7 +105,7 @@ def test_run_bounds_none_without_extent():
 def test_merge_pack_rerecords_extents():
     _disk, pool = make_pool()
     tree = packed_tree(pool, n1=300, n2=100)
-    delta = [PackedRun(1, 1, 1, [((i,), (2.0,)) for i in range(250, 351)])]
+    delta = [PackedRun.from_entries(1, 1, 1, [((i,), (2.0,)) for i in range(250, 351)])]
     merged = merge_pack(pool, DIMS, tree, delta)
     assert sorted(merged.view_extents) == [1, 2]
     lo1, hi1 = merged.run_bounds(1)
@@ -116,7 +118,7 @@ def test_dynamic_insert_clears_extents():
     # Guttman inserts split by slot count, so the packed leaves they land
     # in are row leaves.
     _disk, pool = make_pool()
-    run = PackedRun(
+    run = PackedRun.from_entries(
         2, 2, 1, [((x, 1), (1.0,)) for x in range(1, 2 * CAP2 + 10)]
     )
     with override(leaf_format="row"):

@@ -87,7 +87,7 @@ def test_rtree_pack_write_fault_mid_build():
     )
     disk.fail_writes = 1
     with pytest.raises(StorageError, match="injected write fault"):
-        pack_rtree(pool, 1, [PackedRun(0, 1, 1, entries)])
+        pack_rtree(pool, 1, [PackedRun.from_entries(0, 1, 1, entries)])
         pool.flush_all()
 
 

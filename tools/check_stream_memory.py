@@ -8,7 +8,10 @@ streaming path (a ``build_memory`` budget, forced via
 
 * identical storage (page count) and simulated load cost,
 * the external sorter's peak buffer at or below the budget,
-* at least one spilled run (otherwise the cap was not exercised).
+* at least one spilled run (otherwise the cap was not exercised),
+* the classic build's traced allocation peak at or below
+  ``CLASSIC_PEAK_MIB`` — it holds one copy of the view data (column
+  runs, replicas as lazy views of the base rows), not four.
 
 Exits non-zero with a diagnostic when any bound is violated.
 """
@@ -16,12 +19,17 @@ Exits non-zero with a diagnostic when any bound is violated.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 #: Sort-buffer budget in entries — far below the scale-0.002 view rows,
 #: so every non-trivial view spills.
 BUDGET = 1024
 SCALE = 0.002
 SEED = 42
+#: Bound on the classic build's ``tracemalloc`` peak at ``SCALE``: it
+#: reads 5.26 MiB, and read 8.62 MiB while runs were entry tuples and
+#: replicas were copied.  The reading is deterministic.
+CLASSIC_PEAK_MIB = 6.0
 
 
 def main() -> int:
@@ -36,8 +44,11 @@ def main() -> int:
     config = ExperimentConfig(scale_factor=SCALE, seed=SEED)
     _generator, data = build_warehouse(config)
 
+    tracemalloc.start()
     with override(build_memory=None):
         classic, _ = build_cubetree_engine(config, data)
+    classic_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     classic_pages = classic.forest.num_pages
     classic_ms = classic.disk.cost_model.stats.simulated_ms
 
@@ -59,6 +70,8 @@ def main() -> int:
     print(f"pages:           classic={classic_pages} streamed={streamed_pages}")
     print(f"simulated load:  classic={classic_ms:.1f}ms "
           f"streamed={streamed_ms:.1f}ms")
+    print(f"classic peak:    {classic_peak_mib:.2f} MiB traced "
+          f"(bound {CLASSIC_PEAK_MIB} MiB)")
 
     problems = []
     if peak > BUDGET:
@@ -78,6 +91,11 @@ def main() -> int:
         problems.append(
             f"streamed build cost {streamed_ms}ms simulated, classic "
             f"{classic_ms}ms — the paths must charge identical I/O"
+        )
+    if classic_peak_mib > CLASSIC_PEAK_MIB:
+        problems.append(
+            f"classic build peaked at {classic_peak_mib:.2f} MiB traced, "
+            f"over the {CLASSIC_PEAK_MIB} MiB bound"
         )
     if problems:
         for problem in problems:
