@@ -16,6 +16,11 @@ PAGE_SIZE = 4096
 #: "buffer is much smaller than the data" regime at our reduced scale.
 DEFAULT_BUFFER_PAGES = 2048
 
+#: Pool size of the paper-configuration experiments and of the served
+#: database's bootstrap: 256 pages (1 MiB) against a few thousand pages
+#: of views, so buffer misses dominate as they did for the paper.
+EXPERIMENT_BUFFER_PAGES = 256
+
 #: Simulated cost of a random page access (seek + rotational delay +
 #: transfer), in milliseconds.  Late-90s commodity disk (~8 ms average
 #: positioning time).

@@ -10,12 +10,11 @@ merge-packs.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.btree.keys import INT64_MAX
+from repro.columns import as_columns, gather, sort_order
 from repro.core.extsort import ExternalRunSorter, StreamBuildReport
 from repro.errors import IntegrityError, MappingError, QueryError
 from repro.obs import trace
@@ -104,18 +103,17 @@ def prepare_packed_runs(
     views: Sequence[ViewDefinition],
     data: Mapping[str, Sequence[Row]],
 ) -> List[PackedRun]:
-    """Convert per-view state rows into packing-order column runs (pure
-    CPU).
+    """Gather per-view state columns into packing-order runs (pure CPU).
 
     This is the compute-heavy half of a build/merge-pack — the
     packing-order sort plus coordinate and value coercion — and touches
     no storage, so the forest can run it for several trees in worker
     processes while the actual (simulated-I/O-charging) pack stays
-    serial in the parent.  Each view's rows are sorted once by their
-    group columns last to first: within one view the zero pad of
+    serial in the parent.  Each view is sorted once, as a permutation,
+    by its group columns last to first: within one view the zero pad of
     :func:`sort_key` is a constant prefix, so that is the packing order.
-    The sorted rows are then transposed straight into ``int`` coordinate
-    and ``float`` value columns and dropped.
+    The permutation then gathers ``int`` coordinate and ``float`` value
+    columns.  State rows that are not columns yet are transposed first.
     """
     runs: List[PackedRun] = []
     for view in sorted(views, key=lambda v: v.arity):
@@ -123,25 +121,21 @@ def prepare_packed_runs(
         if rows is None:
             continue
         arity, n_aggs = view.arity, view.total_state_width
-        rows = list(rows)
-        if set(map(len, rows)) - {arity + n_aggs}:
-            raise width_error(view.name, arity, n_aggs)
-        if arity:
-            rows.sort(key=itemgetter(*range(arity - 1, -1, -1)))
+        try:
+            columns = as_columns(rows, arity + n_aggs).columns
+        except ValueError:
+            raise width_error(view.name, arity, n_aggs) from None
+        count = len(columns[0])
+        order = sort_order(columns[arity - 1 :: -1] if arity else (), count)
         runs.append(
             PackedRun(
                 arity, arity, n_aggs,
-                [_column(rows, c, "q", int) for c in range(arity)],
-                [_column(rows, arity + m, "d", float) for m in range(n_aggs)],
-                len(rows),
+                gather(columns[:arity], order, "q"),
+                gather(columns[arity:], order, "d"),
+                count,
             )
         )
     return runs
-
-
-def _column(rows: Sequence[Row], index: int, typecode: str, kind) -> array:
-    """Field ``index`` of every row, coerced by ``kind``, as an array."""
-    return array(typecode, map(kind, map(itemgetter(index), rows)))
 
 
 class Cubetree:

@@ -16,9 +16,9 @@ places each one in a different Cubetree.
 
 from __future__ import annotations
 
-from collections import abc
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
+from repro.columns import ColumnRows, as_columns
 from repro.errors import MappingError
 from repro.relational.view import ViewDefinition
 
@@ -44,32 +44,20 @@ def replica_definition(
     )
 
 
-class PermutedRows(abc.Sequence):
-    """A replica's state rows: a lazy view over the base view's rows with
-    the group columns reordered to the replica's order.
+class PermutedRows(ColumnRows):
+    """A replica's state columns: the base view's columns with the group
+    columns reordered to the replica's order.
 
-    Nothing is copied up front; each pass builds the permuted rows one
-    at a time, so a replica's rows exist only while its own tree is
-    being prepared.
+    The columns are the base view's own arrays, shared, not copied;
+    the replica's packing order is set by the run preparation's sort.
     """
 
+    __slots__ = ()
+
     def __init__(
-        self, base: ViewDefinition, rows: Sequence[tuple], order: Sequence[str]
+        self, base: ViewDefinition, rows: Iterable[tuple], order: Sequence[str]
     ) -> None:
-        self.rows = rows
-        self.positions = tuple(base.group_by.index(attr) for attr in order)
-        self.arity = base.arity
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._permute(row) for row in self.rows[index]]
-        return self._permute(self.rows[index])
-
-    def __iter__(self) -> Iterator[tuple]:
-        return map(self._permute, self.rows)
-
-    def _permute(self, row: tuple) -> tuple:
-        return tuple(row[i] for i in self.positions) + tuple(row[self.arity:])
+        batch = as_columns(rows, base.arity + base.total_state_width)
+        positions = [base.group_by.index(attr) for attr in order]
+        positions.extend(range(base.arity, batch.width))
+        super().__init__(batch.select(positions).columns)

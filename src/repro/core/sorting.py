@@ -9,53 +9,50 @@ computing the views" (Sec. 3.2).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from array import array
+from typing import List
 
-from repro.relational.executor import external_sort
+from repro.columns import ColumnRows, sort_columns
+from repro.cube.computation import ColumnSorter
+from repro.relational.executor import make_key_extractor, merge_sorted_chunks
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import RecordCodec, float_column, int_column
-
-Row = Tuple[object, ...]
-Sorter = Callable[[List[Row], Callable[[Row], Tuple]], List[Row]]
-
-
-def _codec_for(row: Row) -> RecordCodec:
-    columns = []
-    for value in row:
-        if isinstance(value, bool):
-            raise TypeError("boolean columns are not sortable rows")
-        if isinstance(value, int):
-            columns.append(int_column())
-        elif isinstance(value, float):
-            columns.append(float_column())
-        else:
-            raise TypeError(
-                f"cannot infer sort codec for value {value!r}"
-            )
-    return RecordCodec(columns)
 
 
 def make_substrate_sorter(
     pool: BufferPool, chunk_rows: int = 100_000
-) -> Sorter:
-    """A ``sorter(rows, key)`` that spills runs through the buffer pool.
+) -> ColumnSorter:
+    """A ``sorter(columns, k)`` that spills runs through the buffer pool.
 
     Inputs that fit into one chunk are sorted in memory (no I/O charged),
-    mirroring a real sort operator with a memory budget.
+    mirroring a real sort operator with a memory budget.  Larger ones
+    take the external merge sort's path: chunks of ``chunk_rows`` rows,
+    each sorted as columns and spilled as records (an ``int`` field per
+    ``'q'`` column, a ``float`` field per ``'d'`` column) read lazily
+    from those columns, then merged by
+    :func:`~repro.relational.executor.merge_sorted_chunks` — the same
+    runs, pages and merge as :func:`~repro.relational.executor.external_sort`
+    over the rows.  The merged stream is folded straight back into
+    columns.
     """
 
-    def sorter(rows: Sequence[Row], key) -> List[Row]:
-        # List inputs are sorted in place — every caller hands over a
-        # freshly-projected list, so skipping the defensive copy is safe
-        # and halves the allocation traffic of the hot compute path.
-        if not isinstance(rows, list):
-            rows = list(rows)
-        if len(rows) <= chunk_rows:
-            rows.sort(key=key)
-            return rows
-        codec = _codec_for(rows[0])
-        return list(
-            external_sort(pool, codec, rows, key, chunk_rows=chunk_rows)
+    def sorter(columns: List[array], k: int) -> List[array]:
+        if not columns or len(columns[0]) <= chunk_rows:
+            return sort_columns(columns, k)
+        typecodes = [column.typecode for column in columns]
+        codec = RecordCodec(
+            [int_column() if code == "q" else float_column()
+             for code in typecodes]
         )
+        chunks = (
+            ColumnRows(sort_columns(
+                [column[start : start + chunk_rows] for column in columns], k
+            ))
+            for start in range(0, len(columns[0]), chunk_rows)
+        )
+        merged = merge_sorted_chunks(
+            pool, codec, chunks, make_key_extractor(range(k)), chunk_rows
+        )
+        return ColumnRows.from_rows(merged, typecodes=typecodes).columns
 
     return sorter

@@ -6,20 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.constants import EXPERIMENT_BUFFER_PAGES
 from repro.core.conventional import ConventionalEngine
 from repro.core.engine import CubetreeEngine
 from repro.core.reports import LoadReport
-from repro.relational.view import ViewDefinition
 from repro.warehouse.tpcd import TPCDGenerator, WarehouseData
-
-#: The paper's selected view set V (Sec. 3, from GHRU 1-greedy).
-PAPER_VIEW_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("V_psc", ("partkey", "suppkey", "custkey")),
-    ("V_ps", ("partkey", "suppkey")),
-    ("V_c", ("custkey",)),
-    ("V_s", ("suppkey",)),
-    ("V_p", ("partkey",)),
-    ("V_none", ()),
+from repro.warehouse.views import (  # noqa: F401 - re-exported
+    PAPER_REPLICA_ORDERS,
+    PAPER_VIEW_SPECS,
+    paper_replicas,
+    paper_views,
 )
 
 #: The paper's selected index set I: three composite B-trees on the apex.
@@ -27,13 +23,6 @@ PAPER_INDEX_KEYS: Tuple[Tuple[str, ...], ...] = (
     ("custkey", "suppkey", "partkey"),
     ("partkey", "custkey", "suppkey"),
     ("suppkey", "partkey", "custkey"),
-)
-
-#: The Datablade replica orders for the apex view (Sec. 3): V{s,c,p} and
-#: V{c,p,s}, chosen so every dimension leads one sort order.
-PAPER_REPLICA_ORDERS: Tuple[Tuple[str, ...], ...] = (
-    ("suppkey", "custkey", "partkey"),
-    ("custkey", "partkey", "suppkey"),
 )
 
 #: The seven lattice nodes Fig. 12 plots (every node except "none").
@@ -62,25 +51,15 @@ class ExperimentConfig:
     scale_factor: float = 0.01
     seed: int = 42
     query_seed: int = 7
-    buffer_pages: int = 256
+    buffer_pages: int = EXPERIMENT_BUFFER_PAGES
     queries_per_node: int = 100
     increment_fraction: float = 0.1
     sort_chunk_rows: int = 100_000
 
 
-def paper_views() -> List[ViewDefinition]:
-    """The materialized set V as ViewDefinitions."""
-    return [ViewDefinition(name, attrs) for name, attrs in PAPER_VIEW_SPECS]
-
-
 def paper_indexes() -> Dict[str, List[Tuple[str, ...]]]:
     """The index set I, keyed by owning view."""
     return {"V_psc": [tuple(key) for key in PAPER_INDEX_KEYS]}
-
-
-def paper_replicas() -> Dict[str, List[Tuple[str, ...]]]:
-    """The replication spec for the Cubetree configuration."""
-    return {"V_psc": [tuple(order) for order in PAPER_REPLICA_ORDERS]}
 
 
 def build_warehouse(config: ExperimentConfig) -> Tuple[TPCDGenerator, WarehouseData]:

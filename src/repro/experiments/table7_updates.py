@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.columns import concat_rows
 from repro.errors import UpdateTimeoutError
 from repro.experiments.common import (
     ExperimentConfig,
@@ -41,7 +42,7 @@ def run(config: Optional[ExperimentConfig] = None, verbose: bool = True) -> Dict
     config = config or ExperimentConfig()
     gen, data = build_warehouse(config)
     increment = gen.generate_increment(config.increment_fraction)
-    all_facts = list(data.facts) + list(increment)
+    all_facts = concat_rows([data.facts, increment])
 
     # Cubetree merge-pack.
     cube, _ = build_cubetree_engine(config, data)

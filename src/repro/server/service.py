@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.btree.keys import INT64_MAX
+from repro.constants import EXPERIMENT_BUFFER_PAGES
 from repro.core.engine import CubetreeEngine
 from repro.core.persistence import (
     DEFAULT_RETAIN,
@@ -546,19 +547,13 @@ def bootstrap_database(
     existing = newest_committed_number(directory)
     if existing is not None:
         return BootstrapReport(generation=existing, created=False)
-    from repro.experiments.common import (
-        ExperimentConfig,
-        paper_replicas,
-        paper_views,
-    )
     from repro.warehouse.tpcd import TPCDGenerator
+    from repro.warehouse.views import paper_replicas, paper_views
 
-    config = ExperimentConfig(scale_factor=scale, seed=seed)
     generator = TPCDGenerator(scale_factor=scale, seed=seed)
     engine = CubetreeEngine(
         generator.schema(),
-        buffer_pages=config.buffer_pages,
-        sort_chunk_rows=config.sort_chunk_rows,
+        buffer_pages=EXPERIMENT_BUFFER_PAGES,
         shards=shards,
     )
     # The facts are never bound to a name here: the engine holds their

@@ -139,12 +139,28 @@ class HeapFile:
     # scans
     # ------------------------------------------------------------------
     def scan(self) -> Iterator[Tuple[RID, Tuple[object, ...]]]:
-        """Yield (rid, record) for every live record in page order.
+        """Yield (rid, record) for every live record in page order."""
+        for page_id, slots, records in self._scan_pages():
+            for slot in slots:
+                yield RID(page_id, slot), records[slot]
 
-        Each page is decoded with one strided batch call while pinned;
-        the pin is held across the page's yields exactly as before, so
-        buffer-pool traffic (and the simulated I/O it charges) is
-        unchanged.
+    def scan_records(self) -> Iterator[Tuple[object, ...]]:
+        """Yield records only (no RIDs)."""
+        for _page_id, slots, records in self._scan_pages():
+            if len(slots) == len(records):
+                yield from records
+            else:
+                yield from map(records.__getitem__, slots)
+
+    def _scan_pages(
+        self,
+    ) -> Iterator[Tuple[int, Sequence[int], List[Tuple[object, ...]]]]:
+        """Yield ``(page id, live slots, decoded slot records)`` per page.
+
+        Each page is decoded with one strided batch call while pinned,
+        and the pin is held until the consumer moves to the next page,
+        so buffer-pool traffic (and the simulated I/O it charges) is
+        that of a record-at-a-time scan.
         """
         slots = self.slots_per_page
         for page_id in self.page_ids:
@@ -158,23 +174,19 @@ class HeapFile:
                     offset=self._record_base,
                 )
                 if used == slots:  # full page: every slot is live
-                    for slot in range(slots):
-                        yield RID(page_id, slot), records[slot]
+                    yield page_id, range(slots), records
                 else:
                     bitmap = bytes(
                         page.data[_HEADER_BYTES:_HEADER_BYTES
                                   + self._bitmap_bytes]
                     )
-                    for slot in range(slots):
-                        if bitmap[slot >> 3] & (1 << (slot & 7)):
-                            yield RID(page_id, slot), records[slot]
+                    live = [
+                        slot for slot in range(slots)
+                        if bitmap[slot >> 3] & (1 << (slot & 7))
+                    ]
+                    yield page_id, live, records
             finally:
                 self.pool.unpin_page(page_id)
-
-    def scan_records(self) -> Iterator[Tuple[object, ...]]:
-        """Yield records only (no RIDs)."""
-        for _rid, record in self.scan():
-            yield record
 
     # ------------------------------------------------------------------
     # bulk load
@@ -185,8 +197,21 @@ class HeapFile:
         Unlike :meth:`insert`, which touches pages one record at a time,
         this packs full pages and writes each exactly once — the access
         pattern a bulk loader gets from sorting its input first.
+        Returns the new records' RIDs.
         """
-        rids: List[RID] = []
+        first = len(self.page_ids)
+        self.append_records(rows)
+        per_page = self.slots_per_page
+        last = len(self.page_ids) - 1
+        tail = len(rows) - (last - first) * per_page
+        return [
+            RID(page_id, slot)
+            for i, page_id in enumerate(self.page_ids[first:], first)
+            for slot in range(tail if i == last else per_page)
+        ]
+
+    def append_records(self, rows: Sequence[Sequence[object]]) -> None:
+        """:meth:`bulk_append` without building the RIDs."""
         i = 0
         while i < len(rows):
             take = min(self.slots_per_page, len(rows) - i)
@@ -207,15 +232,12 @@ class HeapFile:
                 if rem:
                     bits += bytes(((1 << rem) - 1,))
                 page.data[_HEADER_BYTES : _HEADER_BYTES + len(bits)] = bits
-                pid = page.page_id
-                rids.extend(RID(pid, slot) for slot in range(take))
                 self._bump_used(page, take)
             finally:
                 self.pool.unpin_page(page.page_id, dirty=True)
             self.page_ids.append(page.page_id)
             self._count += take
             i += take
-        return rids
 
     # ------------------------------------------------------------------
     # page plumbing

@@ -10,14 +10,20 @@ the evaluation.
 Everything is seeded: the same (scale factor, seed) always produces the
 same warehouse, and increments are generated from an independent stream so
 base data and deltas are reproducible separately.
+
+Fact data is generated straight into ``array('q')`` columns; the rows
+callers read (``row[col]``) are a lazy view over them
+(:class:`~repro.columns.ColumnRows`), not a second copy.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.columns import ColumnRows
 from repro.warehouse.hierarchy import Hierarchy
 from repro.warehouse.star import Dimension, StarSchema
 
@@ -50,7 +56,7 @@ class WarehouseData:
 
     scale_factor: float
     schema: StarSchema
-    facts: List[Tuple]
+    facts: ColumnRows
 
     @property
     def num_facts(self) -> int:
@@ -173,17 +179,17 @@ class TPCDGenerator:
     # ------------------------------------------------------------------
     def generate(self) -> WarehouseData:
         """Generate the base warehouse."""
-        facts = self._fact_rows(self.num_facts, stream="base")
+        facts = self._fact_columns(self.num_facts, stream="base")
         return WarehouseData(self.scale_factor, self.schema(), facts)
 
     def generate_increment(
         self, fraction: float = 0.1, stream: str = "increment"
-    ) -> List[Tuple]:
+    ) -> ColumnRows:
         """Generate a refresh increment (default 10%, as in the paper)."""
         if fraction <= 0:
             raise ValueError("fraction must be positive")
         count = max(1, round(self.num_facts * fraction))
-        return self._fact_rows(count, stream=stream)
+        return self._fact_columns(count, stream=stream)
 
     def eligible_suppliers(self, partkey: int) -> List[int]:
         """The ``SUPPLIERS_PER_PART`` suppliers that stock a part.
@@ -206,21 +212,32 @@ class TPCDGenerator:
         """Deterministic part retail price (TPC-D-style arithmetic)."""
         return 900 + partkey % 1000
 
-    def _fact_rows(self, count: int, stream: str) -> List[Tuple]:
+    def _fact_columns(self, count: int, stream: str) -> ColumnRows:
+        """``count`` fact rows as columns, in the schema's column order.
+
+        The random draws run in the same order as they always have, so a
+        (seed, stream) pair yields the same facts row for row.
+        """
         rng = random.Random(f"{self.seed}/{stream}")
         parts, custs = self.num_parts, self.num_customers
         days = self.num_days
-        rows: List[Tuple] = []
+        partkeys, suppkeys, custkeys = array("q"), array("q"), array("q")
+        timekeys, quantities, prices = array("q"), array("q"), array("q")
         for _ in range(count):
             partkey = rng.randint(1, parts)
-            suppkey = rng.choice(self.eligible_suppliers(partkey))
-            custkey = rng.randint(1, custs)
-            row: Tuple = (partkey, suppkey, custkey)
+            partkeys.append(partkey)
+            suppkeys.append(rng.choice(self.eligible_suppliers(partkey)))
+            custkeys.append(rng.randint(1, custs))
             if self.include_time:
-                row += (rng.randint(1, days),)
+                timekeys.append(rng.randint(1, days))
             quantity = rng.randint(1, MAX_QUANTITY)
-            row += (quantity,)
+            quantities.append(quantity)
             if self.include_price:
-                row += (quantity * self.part_price(partkey),)
-            rows.append(row)
-        return rows
+                prices.append(quantity * self.part_price(partkey))
+        columns = [partkeys, suppkeys, custkeys]
+        if self.include_time:
+            columns.append(timekeys)
+        columns.append(quantities)
+        if self.include_price:
+            columns.append(prices)
+        return ColumnRows(columns)

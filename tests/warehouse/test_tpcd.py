@@ -1,5 +1,7 @@
 """Tests for the TPC-D-style generator."""
 
+import hashlib
+
 import pytest
 
 from repro.warehouse.tpcd import (
@@ -136,3 +138,43 @@ def test_price_with_time_dimension_column_order():
     )
     row = data.facts[0]
     assert len(row) == 6
+
+
+def _rows_digest(rows):
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(tuple(row)).encode())
+    return digest.hexdigest()
+
+
+def test_generated_facts_match_the_golden_digest():
+    """Seed 42 at SF 0.002 yields the same fact and increment tuples as
+    when facts were generated as a list of tuples (digests taken then):
+    the column generator draws the same random values in the same
+    order."""
+    gen = TPCDGenerator(scale_factor=0.002, seed=42)
+    facts = gen.generate().facts
+    increment = gen.generate_increment(0.1)
+    assert (len(facts), len(increment)) == (12002, 1200)
+    assert _rows_digest(facts) == (
+        "28c48725698cb28d4ce1f055df2ea3f80e93e4b4f9752f7c5aa47e14cc0f0516"
+    )
+    assert _rows_digest(increment) == (
+        "d86a536e92ee02db3c7cca4dc7ca1af6fbdbb8068ee23a8719bdffef1243eee5"
+    )
+    wide = TPCDGenerator(scale_factor=0.002, seed=42, include_time=True,
+                         include_price=True)
+    assert _rows_digest(wide.generate().facts) == (
+        "940b20dc8528f70e5b2a74f3b14d7d266512cecd9bf5cb3be281239e5c411645"
+    )
+    assert _rows_digest(wide.generate_increment(0.05, stream="day2")) == (
+        "8a0236cc844b1901f15ec02f76ea8214a0aa2668c17ba2bd8d2db9c02cebc651"
+    )
+
+
+def test_facts_are_a_row_view_over_int_columns():
+    data = TPCDGenerator(scale_factor=0.001, seed=3).generate()
+    columns = data.facts.columns
+    assert [column.typecode for column in columns] == ["q"] * 4
+    assert data.facts[5] == tuple(column[5] for column in columns)
+    assert list(data.facts)[:3] == [data.facts[i] for i in range(3)]
