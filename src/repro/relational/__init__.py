@@ -13,8 +13,8 @@ from repro.relational.catalog import Catalog
 from repro.relational.executor import (
     AggFunc,
     AggSpec,
+    aggregate_columns,
     external_sort,
-    sort_group_aggregate,
 )
 from repro.relational.expr import And, Between, Equals, TruePredicate
 from repro.relational.schema import TableSchema
@@ -33,6 +33,6 @@ __all__ = [
     "TableSchema",
     "TruePredicate",
     "ViewDefinition",
+    "aggregate_columns",
     "external_sort",
-    "sort_group_aggregate",
 ]

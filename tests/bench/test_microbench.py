@@ -17,7 +17,8 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from repro.relational.executor import AggFunc, sort_group_aggregate
+from repro.columns import ColumnRows
+from repro.relational.executor import AggFunc, aggregate_columns
 from repro.rtree.node import RLeafNode, leaf_capacity
 from repro.storage.codec import (
     RecordCodec,
@@ -91,26 +92,28 @@ def test_leaf_round_trip(benchmark):
 
 def test_sort_group_aggregate_sum(benchmark, fact_rows):
     rows = sorted(fact_rows, key=lambda r: (r[0], r[1]))
+    columns = ColumnRows.from_rows(rows).columns
 
     def aggregate():
-        return list(
-            sort_group_aggregate(rows, [0, 1], [(AggFunc.SUM, 2)])
+        return aggregate_columns(
+            columns[:2], columns, len(rows), [(AggFunc.SUM, 2)]
         )
 
-    out = benchmark(aggregate)
-    assert len(out) == len({(r[0], r[1]) for r in rows})
-    assert sum(r[2] for r in out) == sum(r[2] for r in rows)
+    keys, states = benchmark(aggregate)
+    assert len(keys[0]) == len({(r[0], r[1]) for r in rows})
+    assert sum(states[0]) == sum(r[2] for r in rows)
 
 
 def test_sort_group_aggregate_multi(benchmark, fact_rows):
     rows = sorted(fact_rows, key=lambda r: (r[0],))
+    columns = ColumnRows.from_rows(rows).columns
     measures = [(AggFunc.SUM, 2), (AggFunc.COUNT, 2), (AggFunc.MAX, 2)]
 
     def aggregate():
-        return list(sort_group_aggregate(rows, [0], measures))
+        return aggregate_columns(columns[:1], columns, len(rows), measures)
 
-    out = benchmark(aggregate)
-    assert len(out) == len({r[0] for r in rows})
-    # Output rows are (key, sum state, count state, max state).
-    assert sum(r[1] for r in out) == sum(r[2] for r in rows)
-    assert sum(r[2] for r in out) == len(rows)
+    keys, states = benchmark(aggregate)
+    assert len(keys[0]) == len({r[0] for r in rows})
+    # One state column per measure: sum, count, max.
+    assert sum(states[0]) == sum(r[2] for r in rows)
+    assert sum(states[1]) == len(rows)

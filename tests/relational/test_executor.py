@@ -1,6 +1,7 @@
 """Tests for physical operators and aggregate-state helpers."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from repro.errors import InvalidRecordError
 from repro.relational.executor import (
     AggFunc,
     AggSpec,
+    aggregate_columns,
     combine_states,
     external_sort,
     filter_rows,
@@ -18,8 +20,7 @@ from repro.relational.executor import (
     init_state,
     merge_value,
     project,
-    reaggregate_states,
-    sort_group_aggregate,
+    reaggregate_columns,
     state_width,
 )
 from repro.storage.buffer import BufferPool
@@ -177,53 +178,64 @@ def test_external_sort_property(values):
 # ----------------------------------------------------------------------
 # sort-group aggregation
 # ----------------------------------------------------------------------
+def q(*values):
+    return array("q", values)
+
+
+def d(*values):
+    return array("d", values)
+
+
+def groups(keys, states):
+    """Output columns as rows: group values, then flattened states."""
+    return list(zip(*keys, *states))
+
+
 def test_sort_group_aggregate_sum():
-    rows = [(1, 10.0), (1, 5.0), (2, 7.0)]
-    out = list(sort_group_aggregate(rows, [0], [(AggFunc.SUM, 1)]))
-    assert out == [(1, 15.0), (2, 7.0)]
+    out = aggregate_columns(
+        [q(1, 1, 2)], [d(10.0, 5.0, 7.0)], 3, [(AggFunc.SUM, 0)]
+    )
+    assert groups(*out) == [(1, 15.0), (2, 7.0)]
 
 
 def test_sort_group_aggregate_multiple_functions():
-    rows = [(1, 10.0), (1, 4.0), (2, 7.0)]
-    out = list(sort_group_aggregate(
-        rows, [0],
-        [(AggFunc.SUM, 1), (AggFunc.COUNT, 1), (AggFunc.AVG, 1)],
-    ))
-    assert out == [(1, 14.0, 2.0, 14.0, 2.0), (2, 7.0, 1.0, 7.0, 1.0)]
+    out = aggregate_columns(
+        [q(1, 1, 2)], [d(10.0, 4.0, 7.0)], 3,
+        [(AggFunc.SUM, 0), (AggFunc.COUNT, 0), (AggFunc.AVG, 0)],
+    )
+    assert groups(*out) == [(1, 14.0, 2.0, 14.0, 2.0), (2, 7.0, 1.0, 7.0, 1.0)]
 
 
 def test_sort_group_aggregate_composite_group():
-    rows = [(1, 1, 2.0), (1, 1, 3.0), (1, 2, 4.0)]
-    out = list(sort_group_aggregate(rows, [0, 1], [(AggFunc.SUM, 2)]))
-    assert out == [(1, 1, 5.0), (1, 2, 4.0)]
+    out = aggregate_columns(
+        [q(1, 1, 1), q(1, 1, 2)], [d(2.0, 3.0, 4.0)], 3, [(AggFunc.SUM, 0)]
+    )
+    assert groups(*out) == [(1, 1, 5.0), (1, 2, 4.0)]
 
 
 def test_sort_group_aggregate_empty():
-    assert list(sort_group_aggregate([], [0], [(AggFunc.SUM, 1)])) == []
+    out = aggregate_columns([q()], [d()], 0, [(AggFunc.SUM, 0)])
+    assert groups(*out) == []
 
 
 def test_sort_group_aggregate_grand_total():
     """Empty group list produces the super aggregate."""
-    rows = [(1, 2.0), (2, 3.0), (3, 4.0)]
-    out = list(sort_group_aggregate(rows, [], [(AggFunc.SUM, 1)]))
-    assert out == [(9.0,)]
+    out = aggregate_columns([], [d(2.0, 3.0, 4.0)], 3, [(AggFunc.SUM, 0)])
+    assert groups(*out) == [(9.0,)]
 
 
 def test_reaggregate_states():
-    # Input: (a, b, sum_state) rows from a finer view, sorted by a.
-    rows = [(1, 1, 5.0), (1, 2, 7.0), (2, 1, 3.0)]
-    out = list(reaggregate_states(
-        rows, [0], [(AggFunc.SUM, slice(2, 3))]
-    ))
-    assert out == [(1, 12.0), (2, 3.0)]
+    # Input: sum states from a finer (a, b) view, sorted by a.
+    out = reaggregate_columns([q(1, 1, 2)], [d(5.0, 7.0, 3.0)], 3,
+                              [AggFunc.SUM])
+    assert groups(*out) == [(1, 12.0), (2, 3.0)]
 
 
 def test_reaggregate_states_avg():
-    rows = [(1, 4.0, 2.0), (1, 6.0, 1.0), (2, 1.0, 1.0)]
-    out = list(reaggregate_states(
-        rows, [0], [(AggFunc.AVG, slice(1, 3))]
-    ))
-    assert out == [(1, 10.0, 3.0), (2, 1.0, 1.0)]
+    out = reaggregate_columns(
+        [q(1, 1, 2)], [d(4.0, 6.0, 1.0), d(2.0, 1.0, 1.0)], 3, [AggFunc.AVG]
+    )
+    assert groups(*out) == [(1, 10.0, 3.0), (2, 1.0, 1.0)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -231,10 +243,10 @@ def test_reaggregate_states_avg():
                 max_size=300))
 def test_group_sum_matches_dict_property(pairs):
     rows = sorted((g, float(v)) for g, v in pairs)
-    out = dict(
-        (r[0], r[1])
-        for r in sort_group_aggregate(rows, [0], [(AggFunc.SUM, 1)])
-    )
+    out = dict(groups(*aggregate_columns(
+        [q(*(g for g, _v in rows))], [d(*(v for _g, v in rows))], len(rows),
+        [(AggFunc.SUM, 0)],
+    )))
     expected: dict = {}
     for g, v in pairs:
         expected[g] = expected.get(g, 0.0) + float(v)

@@ -79,6 +79,21 @@ def test_bad_delta_row_is_refused_and_later_refreshes_publish(endpoint, row):
     assert payload["generation"] > before
 
 
+@pytest.mark.parametrize("measure", [2**63, -(2**63) - 1])
+def test_measure_past_int64_publishes(endpoint, measure):
+    """A finite integer measure outside int64 is folded as a float, as
+    any measure is, so it neither fails the refresh nor stays queued."""
+    host, port, server = endpoint
+    before = server.manager.current_number
+    status, payload = _post(host, port, "/delta", {"rows": [[1, 1, 1, measure]]})
+    assert status == 202, payload
+    status, payload = _post(host, port, "/refresh", {})
+    assert status == 200, payload
+    assert payload["status"] == "published"
+    assert payload["generation"] > before
+    assert server.pending_delta_rows == 0
+
+
 @pytest.mark.parametrize(
     "row",
     [(1, 1, 1, math.nan), (1, 1, 1, math.inf), (1, 1, 1, 10**400),
