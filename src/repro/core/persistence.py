@@ -12,8 +12,8 @@ engine::
     db/
       gen-000001/
         shard-00/
-          pages.bin     every allocated page of the shard, in page-id order
-          pages.crc     one little-endian uint32 CRC32 per page
+          pages.bin     the shard's allocated pages, in page-id order
+          pages.crc     one little-endian uint32 CRC32 per stored page
           shard.json    the shard's catalog: tree states, sizes, allocator
         shard-01/ ...   one directory per further shard
         meta.json       the global catalog (canonical JSON, see below)
@@ -57,8 +57,15 @@ Format history
 * **PR 23** — the per-shard layout above became the only one written
   (still format v3; the manifest says ``"layout": "sharded"``).
   Committed single-tree generations of v2/v3 stay loadable through a
-  read-only adapter (:func:`_shard_files`) that presents the generation
-  directory as shard 0; the first re-save migrates them.
+  read-only adapter (in :func:`_validate_generation`) that presents the
+  generation directory as shard 0; the first re-save migrates them.
+* **v4** — compact page dumps.  ``pages.bin`` holds only the allocated
+  pages, so page *p* sits at offset ``(p - freed ids below p) *
+  PAGE_SIZE``, with the ``freed`` ids taken from the catalog's allocator
+  state; ``pages.crc`` and the manifest's ``page_count`` count stored
+  pages.  v2/v3 dumps hold a block for every id (page *p* at ``p *
+  PAGE_SIZE``, freed ids zero-filled) and still load: the format
+  version picks the offset rule (:func:`_stores_freed`).
 
 Every file operation of a checkpoint passes through a
 :class:`~repro.storage.wal.CrashPoint` (a shard disk's hook by default),
@@ -93,13 +100,14 @@ CHECKSUMS_NAME = "pages.crc"
 MANIFEST_NAME = "MANIFEST.json"
 #: Per-shard catalog inside a generation's ``shard-XX/``.
 SHARD_META_NAME = "shard.json"
-#: Current checkpoint format.  v3 (2026) admits columnar (type-3) leaf
-#: pages in the stored image; the catalog layout is unchanged from v2,
-#: so v2 checkpoints load as-is (see SUPPORTED_FORMAT_VERSIONS).
-FORMAT_VERSION = 3
+#: Current checkpoint format.  v4 stores only the allocated pages in
+#: each page dump; v3 admitted columnar (type-3) leaf pages; the catalog
+#: layout is unchanged since v2 (see SUPPORTED_FORMAT_VERSIONS).
+FORMAT_VERSION = 4
 #: Checkpoint format versions this build can load.  v2 images contain
-#: only row-major leaves, which every reader still decodes.
-SUPPORTED_FORMAT_VERSIONS = (2, 3)
+#: only row-major leaves, which every reader still decodes; v2 and v3
+#: dumps also hold the freed ids' blocks.
+SUPPORTED_FORMAT_VERSIONS = (2, 3, 4)
 #: ``layout`` value in every generation's manifest and catalog; only the
 #: single-tree generations written before PR 23 lack the key.
 LAYOUT_SHARDED = "sharded"
@@ -111,6 +119,13 @@ _GENERATION_RE = re.compile(r"^gen-(\d{6,})$")
 
 def _shard_dir_name(index: int) -> str:
     return f"shard-{index:02d}"
+
+
+def _stores_freed(format_version: int) -> bool:
+    """Whether a generation's page dumps hold a block for every page id,
+    freed ones included (formats before v4), rather than only the
+    allocated pages."""
+    return int(format_version) < 4
 
 
 class _ShardCrashPoint:
@@ -449,7 +464,7 @@ def save_database(
             else None
         )
 
-        # 1. the shard's page dump (one crash site per page)
+        # 1. the shard's page dump (one crash site per stored page)
         pages_path = os.path.join(shard_path, PAGES_NAME)
         shard.disk.dump_pages(pages_path, crash_point=shard_hook)
 
@@ -634,15 +649,23 @@ def _read_manifest(gen_path: str) -> dict:
 def _validate_pages(
     gen_path: str,
     rel_dir: str,
-    expected_pages: Optional[int],
+    page_count: Optional[int],
+    disk_state: Optional[dict],
+    with_freed: bool,
     report: CheckpointReport,
 ) -> None:
-    """Per-page CRC pass: every page of a dump against its sidecar.
+    """Per-page CRC pass: every stored page of a dump against its sidecar.
 
-    ``rel_dir`` is ``shard-XX`` for one shard of a generation (``""``
-    for a pre-PR-23 single-tree generation, whose dump sits directly in
-    the generation directory); problem messages carry the relative path,
-    so a report names the failing shard.
+    The shard catalog's allocator state (``disk_state``) fixes which
+    page ids the dump stores — the allocated ones, or every id below
+    ``next_page_id`` when ``with_freed`` (formats before v4) — and so
+    the exact sizes of ``pages.bin`` (a ``PAGE_SIZE`` block per stored
+    page) and ``pages.crc`` (4 bytes per stored page), and the
+    manifest's ``page_count``.  ``rel_dir`` is ``shard-XX`` for one
+    shard of a generation (``""`` for a pre-PR-23 single-tree
+    generation, whose dump sits directly in the generation directory);
+    problem messages carry the relative path, so a report names the
+    failing shard, and the page id, so it names the failing page.
     """
     base = os.path.join(gen_path, rel_dir) if rel_dir else gen_path
     prefix = f"{rel_dir}/" if rel_dir else ""
@@ -650,50 +673,77 @@ def _validate_pages(
     crc_path = os.path.join(base, CHECKSUMS_NAME)
     if not (os.path.exists(pages_path) and os.path.exists(crc_path)):
         return
+    try:
+        stored = DiskManager.stored_page_ids(disk_state, with_freed)
+    except (KeyError, TypeError, ValueError):
+        report.problems.append(
+            f"{prefix}{PAGES_NAME}: the catalog has no readable allocator "
+            f"state"
+        )
+        return
+    if page_count is not None and int(page_count) != len(stored):
+        report.problems.append(
+            f"{prefix}{PAGES_NAME}: manifest records {page_count} pages, "
+            f"the allocator state stores {len(stored)}"
+        )
     with open(crc_path, "rb") as handle:
         raw = handle.read()
+    if len(raw) != 4 * len(stored):
+        report.problems.append(
+            f"{prefix}{CHECKSUMS_NAME}: {len(raw)} bytes, the allocator "
+            f"state needs 4 per stored page ({4 * len(stored)})"
+        )
     recorded = [
         int.from_bytes(raw[i : i + 4], "little")
-        for i in range(0, len(raw), 4)
+        for i in range(0, len(raw) - 3, 4)
     ]
-    if expected_pages is None:
-        expected_pages = len(recorded)
-    expected_pages = int(expected_pages)
-    if len(recorded) != expected_pages:
+    actual_bytes = os.path.getsize(pages_path)
+    if actual_bytes != len(stored) * PAGE_SIZE:
         report.problems.append(
-            f"{prefix}{CHECKSUMS_NAME}: {len(recorded)} page checksums, "
-            f"manifest records {expected_pages} pages"
+            f"{prefix}{PAGES_NAME}: holds {actual_bytes} bytes, the "
+            f"allocator state needs exactly {len(stored)} pages "
+            f"({len(stored) * PAGE_SIZE} bytes)"
         )
     with open(pages_path, "rb") as handle:
-        page_id = 0
-        while True:
+        for index, page_id in enumerate(stored):
             page = handle.read(PAGE_SIZE)
-            if not page:
-                break
             if len(page) < PAGE_SIZE:
-                report.problems.append(
-                    f"{prefix}{PAGES_NAME}: ends mid-page after page "
-                    f"{page_id}"
-                )
-                break
+                break  # the size problem above names the short file
             report.pages_checked += 1
-            if page_id < len(recorded) and (
-                zlib.crc32(page) != recorded[page_id]
-            ):
+            if index < len(recorded) and zlib.crc32(page) != recorded[index]:
                 report.problems.append(
                     f"{prefix}{PAGES_NAME}: page {page_id} fails its CRC32"
                 )
-            page_id += 1
-    if page_id != expected_pages:
-        report.problems.append(
-            f"{prefix}{PAGES_NAME}: holds {page_id} pages, manifest "
-            f"records {expected_pages}"
-        )
 
 
-def _validate_generation(gen_path: str, report: CheckpointReport) -> dict:
-    """Verify a committed generation against its manifest; return it."""
+def _read_catalog(
+    gen_path: str, name: str, report: CheckpointReport
+) -> Optional[dict]:
+    """A generation's catalog file, or None (and a problem) if unreadable."""
+    try:
+        with open(os.path.join(gen_path, name)) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        report.problems.append(f"{name}: unreadable catalog ({exc})")
+        return None
+
+
+def _validate_generation(
+    gen_path: str, report: CheckpointReport
+) -> Tuple[dict, List[Tuple[str, dict]]]:
+    """Verify a committed generation against its manifest.
+
+    Returns the manifest and ``(page dump path, shard catalog)`` per
+    shard, in shard order.  The read-only adapter for single-tree
+    generations written before PR 23 lives here: their manifest has no
+    ``layout`` key, their one ``pages.bin`` sits directly in
+    ``gen-<n>/``, and their ``meta.json`` carries the shard-catalog keys
+    (``trees``, ``sizes``, ``disk``) beside the global ones — so the
+    generation directory *is* shard 0.  Nothing is rewritten; the next
+    :func:`save_database` migrates it.
+    """
     manifest = _read_manifest(gen_path)
+    with_freed = _stores_freed(manifest["format_version"])
     files = manifest.get("files", {})
     for name, expected in sorted(files.items()):
         path = os.path.join(gen_path, name)
@@ -713,36 +763,53 @@ def _validate_generation(gen_path: str, report: CheckpointReport) -> dict:
                 f"{name}: CRC32 mismatch against the manifest"
             )
 
+    catalogs: List[Tuple[str, dict]] = []
     if manifest.get("layout") == LAYOUT_SHARDED:
         # Manifest completeness: every shard directory 0..N-1 must be
         # listed, and each must contribute its full file triple — one
         # missing shard means the commit would resurrect a torn forest.
         shard_entries = manifest.get("shards", [])
         num_shards = int(manifest.get("num_shards", len(shard_entries)))
-        listed = {str(entry.get("dir")) for entry in shard_entries}
+        listed = {str(entry.get("dir")): entry for entry in shard_entries}
         for index in range(num_shards):
-            expected_dir = _shard_dir_name(index)
-            if expected_dir not in listed:
+            sub = _shard_dir_name(index)
+            entry = listed.get(sub)
+            if entry is None:
                 report.problems.append(
-                    f"{expected_dir}: shard directory missing from the "
-                    f"manifest"
+                    f"{sub}: shard directory missing from the manifest"
                 )
-        for entry in shard_entries:
-            sub = str(entry.get("dir"))
+                continue
             for name in (PAGES_NAME, CHECKSUMS_NAME, SHARD_META_NAME):
                 if f"{sub}/{name}" not in files:
                     report.problems.append(
                         f"{sub}/{name}: not covered by the manifest"
                     )
-            _validate_pages(gen_path, sub, entry.get("page_count"), report)
+            shard_meta = _read_catalog(
+                gen_path, f"{sub}/{SHARD_META_NAME}", report
+            )
+            if shard_meta is None:
+                continue
+            _validate_pages(
+                gen_path, sub, entry.get("page_count"),
+                shard_meta.get("disk"), with_freed, report,
+            )
+            catalogs.append(
+                (os.path.join(gen_path, sub, PAGES_NAME), shard_meta)
+            )
         if META_NAME not in files:
             report.problems.append(
                 f"{META_NAME}: not covered by the manifest"
             )
     else:
         # Pre-PR-23 single-tree generation: one dump, directly in gen-<n>/.
-        _validate_pages(gen_path, "", manifest.get("page_count"), report)
-    return manifest
+        meta = _read_catalog(gen_path, META_NAME, report)
+        if meta is not None:
+            _validate_pages(
+                gen_path, "", manifest.get("page_count"), meta.get("disk"),
+                with_freed, report,
+            )
+            catalogs.append((os.path.join(gen_path, PAGES_NAME), meta))
+    return manifest, catalogs
 
 
 def _no_generation_error(directory: str) -> PersistenceError:
@@ -777,7 +844,7 @@ def verify_checkpoint(directory: str) -> CheckpointReport:
         report.problems.append(str(_no_generation_error(directory)))
         return report
     try:
-        manifest = _validate_generation(newest, report)
+        manifest, _catalogs = _validate_generation(newest, report)
         report.generation = int(manifest["generation"])
     except PersistenceError as exc:
         report.problems.append(str(exc))
@@ -799,30 +866,6 @@ def _allocation_from_json(assignments: List[dict]) -> CubetreeAllocation:
     return CubetreeAllocation(trees=trees)
 
 
-def _shard_files(
-    gen_path: str, manifest: dict, meta: dict
-) -> List[Tuple[str, dict]]:
-    """``(page dump path, shard catalog)`` per shard of a generation.
-
-    The read-only adapter for single-tree generations written before
-    PR 23 lives here: their manifest has no ``layout`` key, their one
-    ``pages.bin`` sits directly in ``gen-<n>/``, and their ``meta.json``
-    carries the shard-catalog keys (``trees``, ``sizes``, ``disk``)
-    beside the global ones — so the generation directory *is* shard 0.
-    Nothing is rewritten; the next :func:`save_database` migrates it.
-    """
-    if manifest.get("layout") != LAYOUT_SHARDED:
-        return [(os.path.join(gen_path, PAGES_NAME), meta)]
-    parts: List[Tuple[str, dict]] = []
-    for index in range(int(meta["num_shards"])):
-        shard_path = os.path.join(gen_path, _shard_dir_name(index))
-        with open(os.path.join(shard_path, SHARD_META_NAME)) as handle:
-            parts.append(
-                (os.path.join(shard_path, PAGES_NAME), json.load(handle))
-            )
-    return parts
-
-
 def load_any_engine(directory: str) -> CubetreeEngine:
     """Reopen a database saved by :func:`save_database`.
 
@@ -838,7 +881,7 @@ def load_any_engine(directory: str) -> CubetreeEngine:
     if newest is None:
         raise _no_generation_error(directory)
     report = CheckpointReport(directory=directory)
-    manifest = _validate_generation(newest, report)
+    manifest, shard_files = _validate_generation(newest, report)
     if not report.ok:
         raise CorruptCheckpointError(
             f"checkpoint {newest!r} failed validation:\n"
@@ -861,19 +904,14 @@ def load_any_engine(directory: str) -> CubetreeEngine:
             dim, item["dim_attribute"]
         )
 
-    shard_files = _shard_files(newest, manifest, meta)
-    disks: List[DiskManager] = []
-    for pages_path, shard_meta in shard_files:
-        expected_pages = int(shard_meta["disk"]["next_page_id"])
-        actual_bytes = os.path.getsize(pages_path)
-        if actual_bytes != expected_pages * PAGE_SIZE:
-            raise PersistenceError(
-                f"page dump {pages_path!r} holds {actual_bytes} bytes; the "
-                f"catalog's allocator state needs exactly "
-                f"{expected_pages} pages ({expected_pages * PAGE_SIZE} bytes) "
-                f"— the checkpoint is torn"
-            )
-        disks.append(DiskManager.restore(pages_path, shard_meta["disk"]))
+    # Sizes were validated above against the same allocator states.
+    with_freed = _stores_freed(manifest["format_version"])
+    disks = [
+        DiskManager.restore(
+            pages_path, shard_meta["disk"], with_freed=with_freed
+        )
+        for pages_path, shard_meta in shard_files
+    ]
 
     engine = CubetreeEngine(
         schema,

@@ -12,7 +12,7 @@ import heapq
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import copysign
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -211,37 +211,68 @@ def merge_sorted_chunks(
     k-way merged with :func:`heapq.merge`, which breaks ties by run
     order, so the result is the stable sort of the whole input.
 
+    Each open run pins one page, so a merge reads at most the pool's
+    free frames less one (the frame a spilled output run writes
+    through) at once.  More runs than that are merged in passes: each
+    pass merges consecutive groups into longer spilled runs, keeping
+    their order, until one final merge can read them all.
+
     The temporary run pages are freed on every exit: once the merge
     completes, when the consumer closes the stream early or raises into
     it, and when a spill fails part way.
     """
-    runs: List[HeapFile] = []
+    spilled: List[HeapFile] = []
     streams: List[Iterator[Row]] = []
     try:
         short: Optional[Sequence[Row]] = None
         for chunk in chunks:
             if short is not None:
                 raise ValueError("only the last chunk may be short")
-            if len(chunk) < chunk_rows and not runs:
+            if len(chunk) < chunk_rows and not spilled:
                 short = chunk  # fits in memory unless more chunks follow
                 continue
             run = HeapFile(pool, codec)
-            runs.append(run)  # before its pages: a failed spill frees them
+            spilled.append(run)  # before its pages: a failed spill frees them
             run.append_records(chunk)
 
-        if not runs:  # everything fits in memory
+        if not spilled:  # everything fits in memory
             yield from short or ()
             return
+
+        runs = list(spilled)
+        fan_in = max(2, pool.free_frames - 1)
+        while len(runs) > fan_in:
+            merged: List[HeapFile] = []
+            for start in range(0, len(runs), fan_in):
+                group = runs[start : start + fan_in]
+                if len(group) > 1:
+                    streams = [run.scan_records() for run in group]
+                    out = HeapFile(pool, codec)
+                    spilled.append(out)
+                    rows = heapq.merge(*streams, key=key)
+                    while batch := list(islice(rows, out.slots_per_page)):
+                        out.append_records(batch)
+                    for run in group:
+                        _free_run(pool, run)
+                    group = [out]
+                merged.extend(group)
+            runs = merged
 
         streams = [run.scan_records() for run in runs]
         yield from heapq.merge(*streams, key=key)
     finally:
         for stream in streams:  # (unpins a page a scan stopped on)
             stream.close()
-        for run in runs:
-            for page_id in run.page_ids:
-                pool.discard_page(page_id)
-                pool.disk.free_page(page_id)
+        for run in spilled:
+            _free_run(pool, run)
+
+
+def _free_run(pool: BufferPool, run: HeapFile) -> None:
+    """Drop a temporary run's pages from the pool and free them on disk."""
+    for page_id in run.page_ids:
+        pool.discard_page(page_id)
+        pool.disk.free_page(page_id)
+    run.page_ids = []
 
 
 # ----------------------------------------------------------------------

@@ -342,6 +342,14 @@ class BufferPool:
         """Pages currently held in the pool (both segments)."""
         return len(self._frames) + len(self._probation)
 
+    @property
+    def free_frames(self) -> int:
+        """Frames not held by a pinned page: how many more pages could
+        be pinned at once before the pool is exhausted."""
+        with self._lock:
+            pinned = sum(1 for page in self._all_pages() if page.pin_count)
+            return self.capacity - pinned
+
     def _all_page_ids(self) -> Iterable[int]:
         yield from self._frames
         yield from self._probation

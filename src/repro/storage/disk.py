@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.constants import PAGE_SIZE
 from repro.errors import StorageError
@@ -153,14 +153,19 @@ class DiskManager:
     def dump_pages(self, path: str, crash_point=None) -> int:
         """Write every allocated page to ``path``; returns pages written.
 
-        ``crash_point`` (a :class:`~repro.storage.wal.CrashPoint`) is hit
-        once per page *before* it reaches the file, so recovery tests can
-        kill the checkpoint at any point of the dump and observe exactly
-        the prefix a real crash would leave.  The dump is fsynced before
+        The dump is compact: the allocated pages in page-id order, freed
+        ids skipped, so page *p* sits at offset
+        ``(p - freed ids below p) * PAGE_SIZE`` and the file is exactly
+        ``num_allocated * PAGE_SIZE`` bytes.  ``crash_point`` (a
+        :class:`~repro.storage.wal.CrashPoint`) is hit once per stored
+        page *before* it reaches the file, so recovery tests can kill the
+        checkpoint at any point of the dump and observe exactly the
+        prefix a real crash would leave.  The dump is fsynced before
         returning.
         """
+        written = 0
         with open(path, "wb") as handle:
-            for page_id in range(self._next_page_id):
+            for page_id in self.stored_page_ids(self.allocation_state()):
                 if crash_point is not None:
                     crash_point.hit(f"checkpoint dump of page {page_id}")
                 if self._file is not None:
@@ -170,9 +175,10 @@ class DiskManager:
                 else:
                     raw = self._pages.get(page_id, bytes(PAGE_SIZE))
                 handle.write(raw)
+                written += 1
             handle.flush()
             os.fsync(handle.fileno())
-        return self._next_page_id
+        return written
 
     def allocation_state(self) -> dict:
         """JSON-serializable allocator state (for snapshots)."""
@@ -181,37 +187,59 @@ class DiskManager:
             "freed": sorted(self._freed),
         }
 
+    @staticmethod
+    def stored_page_ids(state: dict, with_freed: bool = False) -> List[int]:
+        """The page ids a dump of allocator ``state`` stores, in file
+        order: the allocated ids (the compact layout of
+        :meth:`dump_pages`), or with ``with_freed`` every id below
+        ``next_page_id`` (the layout of checkpoint formats before v4)."""
+        freed = set() if with_freed else {int(p) for p in state["freed"]}
+        return [
+            page_id
+            for page_id in range(int(state["next_page_id"]))
+            if page_id not in freed
+        ]
+
     @classmethod
     def restore(
         cls,
         path: str,
         state: dict,
         cost_model: Optional[IOCostModel] = None,
+        with_freed: bool = False,
     ) -> "DiskManager":
         """Rebuild an in-memory disk from a page dump + allocator state.
 
-        The dump must hold exactly ``next_page_id`` full pages: a short
-        file means a torn checkpoint, and restoring it would silently
-        zero-fill whatever the crash cut off, so it raises instead.
+        The dump is the compact one :meth:`dump_pages` writes.
+        ``with_freed`` reads the full layout instead, which holds a block
+        for every id below ``next_page_id`` (checkpoint formats before
+        v4); the freed ids' blocks are skipped.  Either way the dump must
+        hold exactly its stored pages: a short file means a torn
+        checkpoint, and restoring it would silently zero-fill whatever
+        the crash cut off, so it raises, as does a file that is too long.
         """
         disk = cls(cost_model=cost_model)
         disk._next_page_id = int(state["next_page_id"])
-        disk._freed = [int(p) for p in state["freed"]]
-        import heapq as _heapq
-
-        _heapq.heapify(disk._freed)
+        # A sorted list is already a valid heap.
+        disk._freed = sorted(int(p) for p in state["freed"])
         freed = set(disk._freed)
+        stored = cls.stored_page_ids(state, with_freed)
         with open(path, "rb") as handle:
-            for page_id in range(disk._next_page_id):
+            for page_id in stored:
                 raw = handle.read(PAGE_SIZE)
                 if len(raw) < PAGE_SIZE:
                     raise StorageError(
                         f"page dump {path!r} is truncated: page {page_id} "
-                        f"of {disk._next_page_id} is incomplete "
+                        f"of {len(stored)} stored pages is incomplete "
                         f"({len(raw)} bytes)"
                     )
                 if page_id not in freed:
                     disk._pages[page_id] = raw
+            if handle.read(1):
+                raise StorageError(
+                    f"page dump {path!r} holds more than its "
+                    f"{len(stored)} stored pages"
+                )
         return disk
 
     # ------------------------------------------------------------------

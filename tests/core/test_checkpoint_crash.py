@@ -166,6 +166,46 @@ def test_every_site_is_crashable_and_recoverable(tmp_path, workloads):
         assert _answers(load_any_engine(directory), queries) == baseline
 
 
+def test_every_site_of_a_compact_dump_is_recoverable(tmp_path, workloads):
+    """The exhaustive matrix over a checkpoint taken after a merge-pack,
+    whose shard disks hold freed pages: the dump skips them (one site
+    per *stored* page), and a crash at any site reopens to the full
+    pre-update generation — or the post-update one once the manifest
+    rename has committed it."""
+    for engine, delta, queries in workloads:
+        directory = _db(tmp_path, "db_compact", engine)
+        save_database(engine, directory)
+        live = load_any_engine(directory)
+        pre = _answers(live, queries)
+        live.update(delta)
+        post = _answers(live, queries)
+
+        contexts = _sites(live, tmp_path, "probe_compact")
+        dumped = [c for c in contexts if "checkpoint dump of page" in c]
+        assert len(dumped) == sum(s.disk.num_allocated for s in live.shards)
+        freed = {
+            f"shard {s.index} checkpoint dump of page {pid}"
+            for s in live.shards
+            for pid in s.disk.allocation_state()["freed"]
+        }
+        assert freed and not freed.intersection(dumped)
+
+        commit = contexts.index("checkpoint manifest commit")
+        for k in range(len(contexts)):
+            point = CrashPoint()
+            point.arm(after=k)
+            with pytest.raises(CrashError):
+                save_database(live, directory, crash_point=point)
+            recovered = load_any_engine(directory)
+            expected = post if k > commit else pre
+            assert _answers(recovered, queries) == expected, f"site {k}"
+            assert verify_checkpoint(directory).ok, f"site {k}"
+            if k > commit:  # committed: start the next crash from pre
+                save_database(engine, directory)
+                live = load_any_engine(directory)
+                live.update(delta)
+
+
 @pytest.mark.parametrize("site", sorted(set(TAIL_SITES) - {"shard-catalog"}))
 def test_update_then_crashed_checkpoint_is_all_or_nothing(
     tmp_path, workloads, site

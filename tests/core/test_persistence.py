@@ -419,6 +419,61 @@ def _downgrade_to_single_layout(directory):
         json.dump(old_manifest, handle, indent=1, sort_keys=True)
 
 
+def _expand_to_full_layout(gen_path, version=3):
+    """Rewrite a committed generation's page dumps in the layout formats
+    before v4 wrote: a block for every page id below ``next_page_id``,
+    freed ids zero-filled, one CRC per block, and the manifest and
+    catalogs stamped ``version``.  Works on both generation layouts."""
+    manifest_path = os.path.join(gen_path, MANIFEST_NAME)
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    if manifest.get("layout") == "sharded":
+        parts = [
+            (entry, f"{entry['dir']}/", f"{entry['dir']}/{SHARD_META_NAME}")
+            for entry in manifest["shards"]
+        ]
+    else:
+        parts = [(None, "", META_NAME)]
+    total = 0
+    for entry, prefix, catalog in parts:
+        with open(os.path.join(gen_path, catalog)) as handle:
+            state = json.load(handle)["disk"]
+        freed = set(state["freed"])
+        with open(os.path.join(gen_path, prefix + PAGES_NAME), "rb") as handle:
+            stored = iter(
+                handle.read(PAGE_SIZE)
+                for _ in range(state["next_page_id"] - len(freed))
+            )
+            blocks = [
+                bytes(PAGE_SIZE) if pid in freed else next(stored)
+                for pid in range(state["next_page_id"])
+            ]
+        payloads = {
+            PAGES_NAME: b"".join(blocks),
+            CHECKSUMS_NAME: b"".join(
+                zlib.crc32(block).to_bytes(4, "little") for block in blocks
+            ),
+        }
+        for name, payload in payloads.items():
+            with open(os.path.join(gen_path, prefix + name), "wb") as handle:
+                handle.write(payload)
+            manifest["files"][prefix + name] = {
+                "bytes": len(payload), "crc32": zlib.crc32(payload),
+            }
+        if entry is not None:
+            entry["page_count"] = len(blocks)
+        total += len(blocks)
+    manifest["page_count"] = total
+    manifest["format_version"] = version
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle, indent=1, sort_keys=True)
+    stamp = lambda meta: meta.__setitem__("format_version", version)  # noqa: E731
+    for _entry, _prefix, catalog in parts:
+        _rewrite_meta(gen_path, stamp, catalog)
+    if parts[0][0] is not None:
+        _rewrite_meta(gen_path, stamp, META_NAME)
+
+
 def test_single_tree_generation_loads_and_migrates_on_resave(saved):
     from repro.cli import main
 
@@ -503,3 +558,125 @@ def test_checkpoint_without_extents_still_loads(saved):
         assert reopened.query(query).rows == serial
         assert reopened.query_batch([query]).results[0].rows == serial
         assert batched.rows == serial
+
+
+# ----------------------------------------------------------------------
+# format v4: page dumps hold only the allocated pages
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def refreshed(saved):
+    """A reopened database after one merge-pack refresh, checkpointed:
+    the retired trees' pages are on the shard's free list."""
+    gen, data, _original, directory = saved
+    engine = load_any_engine(directory)
+    engine.update(gen.generate_increment(0.2))
+    save_database(engine, directory)
+    state = engine.shards[0].disk.allocation_state()
+    assert state["freed"], "the refresh freed no pages"
+    return data, engine, directory, state
+
+
+def _allocated_ids(state):
+    freed = set(state["freed"])
+    return [pid for pid in range(state["next_page_id"]) if pid not in freed]
+
+
+def test_v4_dump_stores_only_allocated_pages(refreshed):
+    _data, engine, directory, state = refreshed
+    gen_path = _newest_gen(directory)
+    shard_path = os.path.join(gen_path, SHARD0)
+    allocated = len(_allocated_ids(state))
+    assert allocated == engine.shards[0].disk.num_allocated
+    assert os.path.getsize(os.path.join(shard_path, PAGES_NAME)) == (
+        allocated * PAGE_SIZE
+    )
+    assert os.path.getsize(os.path.join(shard_path, CHECKSUMS_NAME)) == (
+        4 * allocated
+    )
+    with open(os.path.join(gen_path, MANIFEST_NAME)) as handle:
+        manifest = json.load(handle)
+    assert manifest["format_version"] == 4
+    assert manifest["page_count"] == allocated
+    assert manifest["shards"][0]["page_count"] == allocated
+    report = verify_checkpoint(directory)
+    assert report.ok, report.format()
+    assert report.pages_checked == allocated
+    # Every allocated id reads back the bytes the live disk holds.
+    reopened = load_any_engine(directory)
+    for pid in _allocated_ids(state):
+        assert reopened.shards[0].disk.read_page(pid) == (
+            engine.shards[0].disk.read_page(pid)
+        )
+
+
+def test_v4_bitflip_names_the_page_id(refreshed):
+    """A flipped byte in stored block k is reported under the page id
+    that block holds, which is past k once freed ids precede it."""
+    _data, _engine, directory, state = refreshed
+    ids = _allocated_ids(state)
+    index = next(k for k, pid in enumerate(ids) if pid != k)
+    pages_path = os.path.join(_newest_gen(directory), SHARD0, PAGES_NAME)
+    with open(pages_path, "r+b") as handle:
+        handle.seek(index * PAGE_SIZE + 9)
+        byte = handle.read(1)
+        handle.seek(index * PAGE_SIZE + 9)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    report = verify_checkpoint(directory)
+    assert f"{SHARD0}/{PAGES_NAME}: page {ids[index]} fails its CRC32" in (
+        report.problems
+    )
+    with pytest.raises(CorruptCheckpointError):
+        load_any_engine(directory)
+
+
+def test_v4_generation_with_full_layout_dump_is_rejected(refreshed):
+    """A v4 generation must store exactly num_allocated pages: a dump in
+    the old full layout, even with honest checksums, is flagged."""
+    _data, _engine, directory, _state = refreshed
+    gen_path = _newest_gen(directory)
+    _expand_to_full_layout(gen_path, version=4)
+    report = verify_checkpoint(directory)
+    assert any(
+        f"{SHARD0}/{PAGES_NAME}: holds" in problem
+        for problem in report.problems
+    ), report.format()
+    assert any(CHECKSUMS_NAME in problem for problem in report.problems)
+    with pytest.raises(CorruptCheckpointError):
+        load_any_engine(directory)
+
+
+def test_v3_full_layout_generation_reopens_and_resaves_as_v4(refreshed):
+    """The layout the previous release wrote — a block per page id, the
+    freed ones zero-filled — still opens, answers the same, and the next
+    save writes it compact as v4."""
+    data, engine, directory, state = refreshed
+    old_gen = _newest_gen(directory)
+    _expand_to_full_layout(old_gen, version=3)
+    assert os.path.getsize(os.path.join(old_gen, SHARD0, PAGES_NAME)) == (
+        state["next_page_id"] * PAGE_SIZE
+    )
+    assert verify_checkpoint(directory).ok
+
+    reopened = load_any_engine(directory)
+    assert reopened.view_sizes() == engine.view_sizes()
+    qgen = RandomQueryGenerator(data.schema, seed=5)
+    for node in (("partkey", "suppkey"), ("suppkey",), ()):
+        for query in qgen.generate_for_node(node, 6, include_unbound=True):
+            assert reopened.query(query).rows == engine.query(query).rows
+    for pid in _allocated_ids(state):
+        assert reopened.shards[0].disk.read_page(pid) == (
+            engine.shards[0].disk.read_page(pid)
+        )
+
+    new_gen = save_database(reopened, directory)
+    with open(os.path.join(new_gen, MANIFEST_NAME)) as handle:
+        assert json.load(handle)["format_version"] == 4
+    assert os.path.getsize(os.path.join(new_gen, SHARD0, PAGES_NAME)) == (
+        len(_allocated_ids(state)) * PAGE_SIZE
+    )
+    assert verify_checkpoint(directory).ok
+    migrated = load_any_engine(directory)
+    for pid in _allocated_ids(state):
+        assert migrated.shards[0].disk.read_page(pid) == (
+            engine.shards[0].disk.read_page(pid)
+        )

@@ -1,9 +1,9 @@
 """Checkpoint format v3: columnar pages on disk, v2 compatibility.
 
-New saves stamp format_version 3; a v2 checkpoint (row-major leaves
-only — exactly what the previous release wrote) must keep loading and
-answer queries identically, because the catalog layout did not change
-and the page decoder dispatches on each page's node-type byte.
+New saves stamp format_version 4 (v3's pages in a compact dump); a v2
+checkpoint (row-major leaves only) must keep loading and answer queries
+identically, because the catalog layout did not change and the page
+decoder dispatches on each page's node-type byte.
 """
 
 import json
@@ -28,6 +28,7 @@ from repro.warehouse.tpcd import TPCDGenerator
 
 from tests.core.test_persistence import (
     _downgrade_to_single_layout,
+    _expand_to_full_layout,
     _newest_gen,
     _rewrite_meta,
 )
@@ -64,17 +65,18 @@ def _downgrade_generation(gen_path, version):
         json.dump(manifest, handle, indent=1, sort_keys=True)
 
 
-def test_new_checkpoints_stamp_v3(tmp_path):
-    assert FORMAT_VERSION == 3
+def test_new_checkpoints_stamp_v4(tmp_path):
+    assert FORMAT_VERSION == 4
     assert FORMAT_VERSION in SUPPORTED_FORMAT_VERSIONS
+    assert {2, 3} <= set(SUPPORTED_FORMAT_VERSIONS)
     engine = _build_engine()
     directory = str(tmp_path / "db")
     save_database(engine, directory)
     gen_path = _newest_gen(directory)
     with open(os.path.join(gen_path, META_NAME)) as handle:
-        assert json.load(handle)["format_version"] == 3
+        assert json.load(handle)["format_version"] == 4
     with open(os.path.join(gen_path, MANIFEST_NAME)) as handle:
-        assert json.load(handle)["format_version"] == 3
+        assert json.load(handle)["format_version"] == 4
 
 
 def test_v2_checkpoint_still_loads(tmp_path):
@@ -82,9 +84,10 @@ def test_v2_checkpoint_still_loads(tmp_path):
     expected = engine.query(PROBE).rows
     directory = str(tmp_path / "db")
     save_database(engine, directory)
-    # What a v2 release wrote: the single-tree generation, stamped 2.
+    # What a v2 release wrote: the single-tree generation, stamped 2,
+    # its dump holding a block for every page id.
     _downgrade_to_single_layout(directory)
-    _downgrade_generation(_newest_gen(directory), 2)
+    _expand_to_full_layout(_newest_gen(directory), 2)
 
     reopened = load_any_engine(directory)
     assert reopened.view_sizes() == engine.view_sizes()

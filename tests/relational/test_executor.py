@@ -18,6 +18,8 @@ from repro.relational.executor import (
     finalize_state,
     hash_join,
     init_state,
+    make_key_extractor,
+    merge_sorted_chunks,
     merge_value,
     project,
     reaggregate_columns,
@@ -162,6 +164,38 @@ def test_external_sort_with_duplicates_is_stable_sorted():
     out = list(external_sort(pool, codec, rows, key=lambda r: (r[0],),
                              chunk_rows=100))
     assert [r[0] for r in out] == sorted(r[0] for r in rows)
+
+
+def test_merge_runs_beyond_the_pool_in_passes():
+    """More runs than free frames: a 4-frame pool cannot pin one page
+    per run of six, so the merge takes passes through longer spilled
+    runs — and still returns the stable sort and frees every page."""
+    disk = DiskManager()
+    pool = BufferPool(disk, capacity=4, eviction_batch=1)
+    codec = RecordCodec([int_column(), int_column()])
+    chunks = [[(value, i)] for i, value in enumerate((5, 3, 5, 1, 3, 0))]
+    out = list(merge_sorted_chunks(
+        pool, codec, chunks, make_key_extractor([0]), chunk_rows=1
+    ))
+    assert out == [(0, 5), (1, 3), (3, 1), (3, 4), (5, 0), (5, 2)]
+    assert disk.num_allocated == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), max_size=400),
+    st.integers(3, 8),
+    st.integers(1, 40),
+)
+def test_multi_pass_merge_is_a_stable_sort(values, frames, chunk_rows):
+    disk = DiskManager()
+    pool = BufferPool(disk, capacity=frames, eviction_batch=1)
+    codec = RecordCodec([int_column(), int_column()])
+    rows = [(v, i) for i, v in enumerate(values)]
+    out = list(external_sort(pool, codec, rows, key=lambda r: (r[0],),
+                             chunk_rows=chunk_rows))
+    assert out == sorted(rows, key=lambda r: r[0])  # sorted() is stable
+    assert disk.num_allocated == 0
 
 
 @settings(max_examples=15, deadline=None)

@@ -34,7 +34,13 @@ class TestExecution:
     ):
         """Pile a burst onto the queue from many threads at once; every
         answer must equal the serial answer, and at least one executor
-        round must have batched (the coalescing counter moves)."""
+        round must have batched (the coalescing counter moves).
+
+        The executor is parked inside a blocking query while the burst
+        queues, and released only once every query of the burst waits,
+        so the burst is one round whatever the scheduler does."""
+        import time
+
         from repro.obs import get_registry
 
         queue = server.admission
@@ -43,10 +49,19 @@ class TestExecution:
         expected = [pinned.engine.query(q).rows for q in workload]
         results = [None] * len(workload)
         errors = []
-        barrier = threading.Barrier(len(workload))
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingHandle:
+            number = pinned.number
+
+            class engine:  # noqa: N801 - stub namespace
+                @staticmethod
+                def query(query):
+                    entered.set()
+                    release.wait(30.0)
+                    return pinned.engine.query(query)
 
         def client(index):
-            barrier.wait()
             try:
                 results[index] = queue.submit(
                     pinned, workload[index], timeout=30.0
@@ -58,8 +73,19 @@ class TestExecution:
             threading.Thread(target=client, args=(i,), daemon=True)
             for i in range(len(workload))
         ]
-        for t in threads:
-            t.start()
+        try:
+            blocker = queue.submit_nowait(BlockingHandle(), workload[0])
+            assert entered.wait(30.0)
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30.0
+            while queue.depth < len(workload):
+                assert time.monotonic() < deadline, "burst never queued"
+                time.sleep(0.001)
+            assert queue.depth == len(workload)
+        finally:
+            release.set()
+        assert queue.wait(blocker, timeout=30.0).rows == expected[0]
         for t in threads:
             t.join(timeout=60.0)
         assert not errors
