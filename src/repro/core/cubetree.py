@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.btree.keys import INT64_MAX
 from repro.columns import as_columns, gather, sort_order
-from repro.core.extsort import ExternalRunSorter, StreamBuildReport
 from repro.errors import IntegrityError, MappingError, QueryError
 from repro.obs import trace
 from repro.relational.executor import AggFunc, combine_states
@@ -23,14 +22,7 @@ from repro.relational.view import ViewDefinition
 from repro.rtree.geometry import Rect
 from repro.rtree.kernels import Block, FoldAccumulator
 from repro.rtree.merge import merge_pack
-from repro.rtree.packing import (
-    PackedRun,
-    RunStream,
-    pack_rtree,
-    pack_rtree_stream,
-    sort_key,
-    width_error,
-)
+from repro.rtree.packing import PackedRun, pack_rtree, width_error
 from repro.rtree.tree import RTree, RunKey
 from repro.settings import current
 from repro.storage.buffer import BufferPool
@@ -181,108 +173,26 @@ class Cubetree:
     def build(self, data: Mapping[str, Sequence[Row]]) -> None:
         """Bulk-load from per-view state rows (sorted or not).
 
-        ``data`` maps view names to state rows (group values + aggregate
-        states).  Rows are re-sorted into packing order and streamed into
-        a freshly packed tree.
-
-        When a build-memory budget is configured (the ``build_memory``
-        setting, ``REPRO_BUILD_MEMORY``), the load runs
-        through the bounded-memory streaming path instead of
-        materializing every sorted run up front.
+        ``data`` maps view names to state rows or state columns (group
+        values + aggregate states).  Each view is sorted into packing
+        order and the runs are packed into a fresh tree.
         """
         with trace("cubetree.build", views=len(self.views)):
-            budget = current().build_memory
-            if budget is not None:
-                self.build_streaming(data, budget)
-                return
-            runs = self._runs_from(data)
-            self.build_from_runs(runs)
+            self.build_from_runs(
+                prepare_packed_runs(self.dims, self.views, data)
+            )
 
     def build_from_runs(self, runs: Sequence[PackedRun]) -> None:
         """Bulk-load from already-prepared packing-order runs."""
         self.tree = pack_rtree(self.pool, self.dims, list(runs))
         self._debug_verify("Cubetree.build")
 
-    def build_streaming(
-        self,
-        data: Mapping[str, Sequence[Row]],
-        max_buffered: Optional[int] = None,
-    ) -> StreamBuildReport:
-        """Bulk-load with a bounded sort buffer (generator -> external
-        merge sort -> packer).
-
-        Each view's rows flow through an :class:`ExternalRunSorter`
-        holding at most ``max_buffered`` entries — overflow spills to
-        temp heap files on host scratch — and the sorted stream feeds
-        the packer one entry at a time.  The streams are lazy and the
-        packer drains them in arity order, so only one view's sorter is
-        live at any moment.  Produces the identical tree (same pages,
-        same simulated I/O) as :meth:`build`.
-        """
-        budget = (
-            max_buffered if max_buffered is not None
-            else current().build_memory
-        )
-        if budget is None:
-            raise ValueError(
-                "build_streaming needs a memory budget: pass max_buffered "
-                "or set REPRO_BUILD_MEMORY"
-            )
-        with trace("cubetree.build_stream", views=len(self.views)):
-            report = StreamBuildReport(budget=budget)
-            streams: List[RunStream] = []
-            for view in sorted(self.views, key=lambda v: v.arity):
-                rows = data.get(view.name)
-                if rows is None:
-                    continue
-                streams.append(
-                    (
-                        view.arity,
-                        view.arity,
-                        view.total_state_width,
-                        self._sorted_entry_stream(view, rows, budget, report),
-                    )
-                )
-            self.tree = pack_rtree_stream(self.pool, self.dims, streams)
-            self._debug_verify("Cubetree.build_streaming")
-            return report
-
-    def _sorted_entry_stream(
-        self,
-        view: ViewDefinition,
-        rows: Sequence[Row],
-        budget: int,
-        report: StreamBuildReport,
-    ) -> Iterator[Tuple[Tuple[int, ...], Values]]:
-        """Lazily coerce, external-sort and stream one view's rows."""
-        sorter = ExternalRunSorter(
-            key=lambda entry: sort_key(entry[0], self.dims),
-            max_buffered=budget,
-        )
-        arity = view.arity
-        try:
-            for row in rows:
-                sorter.add(
-                    (
-                        tuple(int(value) for value in row[:arity]),
-                        tuple(float(value) for value in row[arity:]),
-                    )
-                )
-            yield from sorter.stream()
-        finally:
-            report.entries += sorter.entries
-            report.peak_buffered = max(
-                report.peak_buffered, sorter.peak_buffered
-            )
-            report.spill_runs += sorter.spill_runs
-            report.spilled_entries += sorter.spilled_entries
-            sorter.close()
-
     def update(self, deltas: Mapping[str, Sequence[Row]]) -> None:
         """Merge-pack a sorted delta into the tree (Fig. 15)."""
         with trace("cubetree.update", views=len(self.views)):
-            runs = self._runs_from(deltas)
-            self.update_from_runs(runs)
+            self.update_from_runs(
+                prepare_packed_runs(self.dims, self.views, deltas)
+            )
 
     def update_from_runs(self, runs: Sequence[PackedRun]) -> None:
         """Merge-pack already-prepared packing-order delta runs."""
@@ -302,9 +212,6 @@ class Cubetree:
         report = check_cubetree(self)
         if not report.ok:
             raise IntegrityError(f"{context}: {report.format()}")
-
-    def _runs_from(self, data: Mapping[str, Sequence[Row]]) -> List[PackedRun]:
-        return prepare_packed_runs(self.dims, self.views, data)
 
     def _combine(self, view_id: int, old: Values, delta: Values) -> Values:
         view = self._by_arity.get(view_id)

@@ -12,7 +12,6 @@ from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
 from repro.rtree.kernels import Block
 from repro.rtree.packing import PackedRun
-from repro.settings import current
 from repro.storage.buffer import BufferPool
 
 Row = Tuple[object, ...]
@@ -77,11 +76,6 @@ class CubetreeForest:
         packs themselves — everything that touches the buffer pool and
         charges simulated I/O — still run serially in tree order, so the
         I/O trace is identical to the serial build.
-
-        A configured build-memory budget (``REPRO_BUILD_MEMORY``) takes
-        precedence over the worker fan-out: materializing whole sorted
-        runs in workers would defeat the bound, so each tree streams
-        through its bounded external sort serially instead.
         """
         missing = set(self._view_tree) - set(data)
         if missing:
@@ -109,9 +103,8 @@ class CubetreeForest:
         """Merge-pack deltas into every tree that has any.
 
         As in :meth:`build`, ``workers > 1`` parallelizes only the
-        pure-CPU delta-run preparation (under the same gate, build-memory
-        budget included); each tree's merge-pack I/O runs serially in
-        tree order.
+        pure-CPU delta-run preparation (under the same gate); each tree's
+        merge-pack I/O runs serially in tree order.
         """
         touched = [
             tree
@@ -144,15 +137,13 @@ class CubetreeForest:
         """Should run preparation go to worker processes?
 
         Only with several trees and enough rows to amortize the pool
-        round-trip — and never under a build-memory budget, for loads and
-        merge-packs alike (see :meth:`build`).
+        round-trip.
         """
         return (
             workers > 1
             and len(trees) > 1
             and sum(len(data[name]) for name in self._view_tree if name in data)
             >= MIN_PARALLEL_ROWS
-            and current().build_memory is None
         )
 
     @staticmethod

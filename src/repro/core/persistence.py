@@ -313,25 +313,32 @@ def _write_file(
     return {"bytes": len(payload), "crc32": zlib.crc32(payload)}
 
 
-def _page_checksums(pages_path: str) -> List[int]:
-    """Per-page CRC32s computed by reading the dump back from disk.
+@dataclass(frozen=True)
+class _ReadBack:
+    """One pass over a page dump: the CRC32 of every whole page, the
+    CRC32 of the whole file, and the length of a trailing partial page
+    (0 when the dump ends on a page boundary)."""
+
+    page_crcs: List[int]
+    file_crc: int
+    tail: int
+
+
+def _read_back(pages_path: str) -> _ReadBack:
+    """Read a page dump back from disk once, checksumming as it goes.
 
     Read-back (rather than checksumming in-memory buffers) means the
     recorded checksums cover exactly the bytes a later reopen will see.
     """
     crcs: List[int] = []
+    crc = 0
     with open(pages_path, "rb") as handle:
-        while True:
-            raw = handle.read(PAGE_SIZE)
-            if not raw:
-                break
+        while raw := handle.read(PAGE_SIZE):
+            crc = zlib.crc32(raw, crc)
             if len(raw) < PAGE_SIZE:
-                raise PersistenceError(
-                    f"page dump {pages_path!r} ends mid-page "
-                    f"({len(raw)} trailing bytes)"
-                )
+                return _ReadBack(crcs, crc, len(raw))
             crcs.append(zlib.crc32(raw))
-    return crcs
+    return _ReadBack(crcs, crc, 0)
 
 
 def _file_crc(path: str) -> int:
@@ -468,11 +475,18 @@ def save_database(
         pages_path = os.path.join(shard_path, PAGES_NAME)
         shard.disk.dump_pages(pages_path, crash_point=shard_hook)
 
-        # 2. per-page checksums, read back from the dump just written
-        page_crcs = _page_checksums(pages_path)
+        # 2. per-page and whole-file checksums, in one read-back of the
+        #    dump just written
+        dump = _read_back(pages_path)
+        if dump.tail:
+            raise PersistenceError(
+                f"page dump {pages_path!r} ends mid-page "
+                f"({dump.tail} trailing bytes)"
+            )
+        page_crcs = dump.page_crcs
         files[f"{sub}/{PAGES_NAME}"] = {
-            "bytes": os.path.getsize(pages_path),
-            "crc32": _file_crc(pages_path),
+            "bytes": len(page_crcs) * PAGE_SIZE,
+            "crc32": dump.file_crc,
         }
         files[f"{sub}/{CHECKSUMS_NAME}"] = _write_file(
             os.path.join(shard_path, CHECKSUMS_NAME),
@@ -653,6 +667,7 @@ def _validate_pages(
     disk_state: Optional[dict],
     with_freed: bool,
     report: CheckpointReport,
+    read_backs: Dict[str, _ReadBack],
 ) -> None:
     """Per-page CRC pass: every stored page of a dump against its sidecar.
 
@@ -665,7 +680,9 @@ def _validate_pages(
     shard of a generation (``""`` for a pre-PR-23 single-tree
     generation, whose dump sits directly in the generation directory);
     problem messages carry the relative path, so a report names the
-    failing shard, and the page id, so it names the failing page.
+    failing shard, and the page id, so it names the failing page.  The
+    page CRCs come from ``read_backs`` when the manifest pass already
+    read the dump.
     """
     base = os.path.join(gen_path, rel_dir) if rel_dir else gen_path
     prefix = f"{rel_dir}/" if rel_dir else ""
@@ -704,16 +721,15 @@ def _validate_pages(
             f"allocator state needs exactly {len(stored)} pages "
             f"({len(stored) * PAGE_SIZE} bytes)"
         )
-    with open(pages_path, "rb") as handle:
-        for index, page_id in enumerate(stored):
-            page = handle.read(PAGE_SIZE)
-            if len(page) < PAGE_SIZE:
-                break  # the size problem above names the short file
-            report.pages_checked += 1
-            if index < len(recorded) and zlib.crc32(page) != recorded[index]:
-                report.problems.append(
-                    f"{prefix}{PAGES_NAME}: page {page_id} fails its CRC32"
-                )
+    dump = read_backs.get(pages_path) or _read_back(pages_path)
+    page_crcs = dump.page_crcs
+    # Past the dump's last whole page the size problem above names it.
+    for index, page_id in enumerate(stored[: len(page_crcs)]):
+        report.pages_checked += 1
+        if index < len(recorded) and page_crcs[index] != recorded[index]:
+            report.problems.append(
+                f"{prefix}{PAGES_NAME}: page {page_id} fails its CRC32"
+            )
 
 
 def _read_catalog(
@@ -745,6 +761,9 @@ def _validate_generation(
     manifest = _read_manifest(gen_path)
     with_freed = _stores_freed(manifest["format_version"])
     files = manifest.get("files", {})
+    # Each page dump is read once: its whole-file CRC here, its per-page
+    # CRCs in _validate_pages.
+    read_backs: Dict[str, _ReadBack] = {}
     for name, expected in sorted(files.items()):
         path = os.path.join(gen_path, name)
         if not os.path.exists(path):
@@ -758,7 +777,12 @@ def _validate_generation(
                 f"{expected['bytes']}"
             )
             continue
-        if _file_crc(path) != int(expected["crc32"]):
+        if os.path.basename(name) == PAGES_NAME:
+            read_backs[path] = _read_back(path)
+            crc = read_backs[path].file_crc
+        else:
+            crc = _file_crc(path)
+        if crc != int(expected["crc32"]):
             report.problems.append(
                 f"{name}: CRC32 mismatch against the manifest"
             )
@@ -791,7 +815,7 @@ def _validate_generation(
                 continue
             _validate_pages(
                 gen_path, sub, entry.get("page_count"),
-                shard_meta.get("disk"), with_freed, report,
+                shard_meta.get("disk"), with_freed, report, read_backs,
             )
             catalogs.append(
                 (os.path.join(gen_path, sub, PAGES_NAME), shard_meta)
@@ -806,7 +830,7 @@ def _validate_generation(
         if meta is not None:
             _validate_pages(
                 gen_path, "", manifest.get("page_count"), meta.get("disk"),
-                with_freed, report,
+                with_freed, report, read_backs,
             )
             catalogs.append((os.path.join(gen_path, PAGES_NAME), meta))
     return manifest, catalogs

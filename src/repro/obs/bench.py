@@ -788,13 +788,11 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
 
 
 def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
-    """Row vs. columnar (v3) leaf format, kernels, and the streaming build.
+    """Row vs. columnar (v3) leaf format and the column kernels.
 
-    The original five phases stand: ``load_row`` / ``queries_row`` with
-    the classic row-major leaves, ``load_columnar`` /
-    ``queries_columnar`` with delta+varint columnar leaves, and
-    ``load_stream`` — a columnar load through the bounded-memory
-    external sort.  Both formats are queried through the column kernels.
+    ``load_row`` / ``queries_row`` run with the classic row-major
+    leaves, ``load_columnar`` / ``queries_columnar`` with delta+varint
+    columnar leaves.  Both formats are queried through the column kernels.
     The row/columnar query phases answer the identical workload (row
     equality is asserted), so their page counts and simulated-ms ratio
     *are* the columnar win.
@@ -816,9 +814,6 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     )
     from repro.query.generator import RandomQueryGenerator
 
-    #: Streaming-build sort buffer (entries) — small enough that the
-    #: bench corpus spills several runs.
-    stream_budget = 1024
     #: Small-pool pages — far below the columnar leaf-run size, so every
     #: pass re-fetches evicted pages.
     small_pool_pages = 24
@@ -869,21 +864,6 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             raise RuntimeError(
                 "columnar bench: row and columnar formats answered the "
                 "same workload differently"
-            )
-
-        wall_start = time.perf_counter()
-        with override(build_memory=stream_budget):
-            stream_engine, _ = build_cubetree_engine(config, data)
-        run.phases.append(
-            _absolute_phase(
-                "load_stream", stream_engine.pool,
-                (time.perf_counter() - wall_start) * 1000.0,
-            )
-        )
-        if stream_engine.forest.num_pages != pages["columnar"]:
-            raise RuntimeError(
-                "columnar bench: streaming build produced a different "
-                "page count than the in-memory columnar build"
             )
 
         # -- repeated passes, single-query path ------------------------
@@ -940,14 +920,6 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 if pages["columnar"] else 0.0
             ),
             "queries_match": True,
-            "stream_budget_entries": stream_budget,
-            "stream_peak_buffered": counters.get(
-                "extsort.peak_buffered", 0
-            ),
-            "stream_spilled_runs": counters.get("extsort.spilled_runs", 0),
-            "stream_spilled_entries": counters.get(
-                "extsort.spilled_entries", 0
-            ),
             "kernel_passes": kernel_passes,
             "small_pool_passes": small_pool_passes,
             "aggregate_pushdowns": counters.get(

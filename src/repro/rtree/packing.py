@@ -44,16 +44,12 @@ from repro.storage.codec import delta_tokens
 Point = Tuple[int, ...]
 Values = Tuple[float, ...]
 Entry = Tuple[Point, Values]
-#: A run heading into :func:`pack_rtree_stream`: view id, arity, number
-#: of aggregate values, and the (lazily consumed) sorted entry stream.
-RunStream = Tuple[int, int, int, Iterable[Entry]]
 #: Sorted entries of one view as column buffers: view id, arity, number
 #: of aggregate values, one ``array('q')`` per coordinate, one
 #: ``array('d')`` per aggregate value, and the entry count.
 Chunk = Tuple[int, int, int, Sequence[array], Sequence[array], int]
 
-#: Entries converted to columns (and validated) at a time, which bounds
-#: what a streaming bulk load holds beyond its sort buffer.
+#: Entries sliced into one column chunk (and validated) at a time.
 _BLOCK = 8192
 
 _REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
@@ -125,8 +121,17 @@ class PackedRun:
     ) -> "PackedRun":
         """A run from ``(point, values)`` pairs sorted by :func:`sort_key`
         (each ``point`` exactly ``arity`` coordinates wide)."""
+        # Not zip(*entries): an iterator per entry means thousands of live
+        # containers, which sets the cyclic GC off.
         entries = list(entries)
-        coords, measures = _entry_columns(view_id, arity, n_aggs, entries)
+        points = [entry[0] for entry in entries]
+        values = [entry[1] for entry in entries]
+        if set(map(len, points)) - {arity} or set(map(len, values)) - {n_aggs}:
+            raise width_error(view_id, arity, n_aggs)
+        flat = array("q", list(chain.from_iterable(points)))
+        coords = [flat[c::arity] for c in range(arity)]
+        flat = array("d", list(chain.from_iterable(values)))
+        measures = [flat[m::n_aggs] for m in range(n_aggs)]
         return cls(view_id, arity, n_aggs, coords, measures, len(entries))
 
 
@@ -138,56 +143,25 @@ def width_error(view: object, arity: int, n_aggs: int) -> MappingError:
     )
 
 
-def _entry_columns(
-    view_id: int, arity: int, n_aggs: int, entries: Sequence[Entry]
-) -> Tuple[List[array], List[array]]:
-    """Transpose ``(point, values)`` pairs into coordinate and measure
-    columns, rejecting an entry of the wrong width."""
-    # Not zip(*entries): an iterator per entry means thousands of live
-    # containers per block, which sets the cyclic GC off.
-    points = [entry[0] for entry in entries]
-    values = [entry[1] for entry in entries]
-    if set(map(len, points)) - {arity} or set(map(len, values)) - {n_aggs}:
-        raise width_error(view_id, arity, n_aggs)
-    flat = array("q", list(chain.from_iterable(points)))
-    coords = [flat[c::arity] for c in range(arity)]
-    flat = array("d", list(chain.from_iterable(values)))
-    return coords, [flat[m::n_aggs] for m in range(n_aggs)]
-
-
 def _run_blocks(
-    run: "PackedRun | RunStream",
+    run: PackedRun,
 ) -> Iterator[Tuple[Sequence[array], Sequence[array], int]]:
-    """One run as ``(coords, measures, count)`` blocks of at most
-    ``_BLOCK`` entries; an empty run is one empty block.
-
-    A :class:`PackedRun` is sliced; a :data:`RunStream`'s entries are
-    transposed block by block as the stream drains.
-    """
-    if isinstance(run, PackedRun):
-        for start in range(0, max(run.count, 1), _BLOCK):
-            stop = min(start + _BLOCK, run.count)
-            yield (
-                [col[start:stop] for col in run.coords],
-                [col[start:stop] for col in run.measures],
-                stop - start,
-            )
-        return
-    view_id, arity, n_aggs, entries = run
-    entries = iter(entries)
-    block = list(islice(entries, _BLOCK))
-    first = True
-    while block or first:
-        yield (*_entry_columns(view_id, arity, n_aggs, block), len(block))
-        first = False
-        block = list(islice(entries, _BLOCK))
+    """One run as ``(coords, measures, count)`` slices of at most
+    ``_BLOCK`` entries; an empty run is one empty block."""
+    for start in range(0, max(run.count, 1), _BLOCK):
+        stop = min(start + _BLOCK, run.count)
+        yield (
+            [col[start:stop] for col in run.coords],
+            [col[start:stop] for col in run.measures],
+            stop - start,
+        )
 
 
 def column_chunks(
-    runs: Iterable["PackedRun | RunStream"], dims: int, validate: bool
+    runs: Iterable[PackedRun], dims: int, validate: bool
 ) -> Iterator[Chunk]:
     """The runs as column chunks of at most ``_BLOCK`` entries (an empty
-    run yields one empty chunk), streams converted as they drain.
+    run yields one empty chunk).
 
     With ``validate`` every chunk is checked on the way — arity, value
     width, coordinate positivity, packing sort order within and across
@@ -196,10 +170,7 @@ def column_chunks(
     last_key: Optional[Tuple[int, ...]] = None
     seen_arity = set()
     for run in runs:
-        if isinstance(run, PackedRun):
-            view_id, arity, n_aggs = run.view_id, run.arity, run.n_aggs
-        else:
-            view_id, arity, n_aggs, _entries = run
+        view_id, arity, n_aggs = run.view_id, run.arity, run.n_aggs
         if validate and not 0 <= arity <= dims:
             raise MappingError(
                 f"view {view_id}: arity {arity} does not fit in "
@@ -262,29 +233,6 @@ def pack_rtree(
         if validate:
             deque(column_chunks(runs, dims, True), maxlen=0)
         return write_chunks(pool, dims, column_chunks(runs, dims, False))
-
-
-def pack_rtree_stream(
-    pool: BufferPool,
-    dims: int,
-    run_streams: Sequence[RunStream],
-    validate: bool = True,
-) -> RTree:
-    """Build a packed R-tree from per-view sorted entry *iterators*.
-
-    The out-of-core twin of :func:`pack_rtree`: each run's entries are
-    consumed lazily (one chunk of ``_BLOCK`` entries buffered beyond the
-    open leaf), so the peak memory of a bulk load is bounded by whatever
-    produces the streams — e.g.
-    :class:`repro.core.extsort.ExternalRunSorter` — not by the dataset.
-    With ``validate`` the same arity / coordinate / sort order
-    invariants as :func:`pack_rtree` are enforced inline as the streams
-    drain.
-    """
-    with trace("rtree.pack_stream", runs=len(run_streams)):
-        return write_chunks(
-            pool, dims, column_chunks(run_streams, dims, validate)
-        )
 
 
 def write_chunks(pool: BufferPool, dims: int, chunks: Iterable[Chunk]) -> RTree:

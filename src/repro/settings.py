@@ -6,8 +6,7 @@ honours; field ``name`` is read from ``REPRO_<NAME>``.
 process environment, and it applies one parse rule per type:
 
 * booleans accept ``1/true/yes/on`` and ``0/false/no/off``, in any case;
-* integers accept a decimal count (``build_memory`` also a ``k``/``m``
-  suffix, and ``0/off/none`` for "no budget");
+* integers accept a decimal count;
 * enumerations accept only their listed values.
 
 An unset or empty variable keeps the field's default; anything else
@@ -37,14 +36,6 @@ def _boolean(raw: str) -> bool:
     if word not in _TRUE + _FALSE:
         raise ValueError(word)
     return word in _TRUE
-
-
-def _entry_count(raw: str) -> Optional[int]:
-    word = raw.lower()
-    if word in ("0", "off", "none"):
-        return None
-    scale = {"k": 1_000, "m": 1_000_000}.get(word[-1:], 1)
-    return int(word[:-1] if scale > 1 else word) * scale
 
 
 def _is_bool(value: object) -> bool:
@@ -81,13 +72,6 @@ class Settings:
     #: Leaf layout newly packed trees use (type 3 columnar or type 1 row).
     leaf_format: str = _knob(
         "columnar", str.lower, ("row", "columnar").__contains__, "row or columnar"
-    )
-    #: Streaming-build sort buffer in entries (None: in-memory build).
-    build_memory: Optional[int] = _knob(
-        None,
-        _entry_count,
-        lambda value: value is None or _at_least(1)(value),
-        "an entry count >= 1 with optional k/m suffix, or 0/off/none",
     )
     #: Processes for the pure-CPU build stages.
     workers: int = _knob(1, int, _at_least(1), "an integer >= 1")

@@ -59,6 +59,22 @@ def test_build_and_query_each_view():
     assert got == {(): (18.0,)}
 
 
+def test_build_empty_and_absent_views():
+    from repro.rtree.tree import EMPTY_EXTENT
+
+    _disk, pool = make_pool()
+    tree = Cubetree(pool, 2, views_psc())
+    # V_p is computed but has no rows; V_none is not in the data at all.
+    tree.build({"V_p": [], "V_ps": [(1, 2, 3.0)]})
+    assert tree.tree.view_extents[1] == EMPTY_EXTENT
+    assert 0 not in tree.tree.view_extents
+    assert tree.has_run("V_ps")
+    assert list(block_rows(tree.query("V_p", {}, fast=True))) == []
+    assert list(block_rows(tree.query("V_ps", {}, fast=True))) == [
+        ((1, 2), (3.0,))
+    ]
+
+
 def test_query_with_bindings():
     _disk, pool = make_pool()
     tree = Cubetree(pool, 2, views_psc())

@@ -24,7 +24,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Today's defaults, spelled out so a changed default is a visible diff.
 DEFAULTS = {
     "leaf_format": "columnar",
-    "build_memory": None,
     "workers": 1,
     "debug_checks": False,
     "trace": False,
@@ -38,7 +37,6 @@ BOOLEAN_FIELDS = [
 MALFORMED = {
     "workers": "abc",
     "leaf_format": "rows",
-    "build_memory": "abc",
     "debug_checks": "enabled",
     "trace": "offf",
 }
@@ -46,7 +44,6 @@ MALFORMED = {
 #: Values that parse but fall outside a field's domain.
 OUT_OF_RANGE = {
     "workers": "0",
-    "build_memory": "-5",
 }
 
 
@@ -71,7 +68,7 @@ def run_python(code, **env):
 # ----------------------------------------------------------------------
 # parse rules
 # ----------------------------------------------------------------------
-def test_settings_has_exactly_the_five_knobs():
+def test_settings_has_exactly_the_four_knobs():
     assert [spec.name for spec in fields(Settings)] == list(DEFAULTS)
     assert set(MALFORMED) == set(DEFAULTS)
 
@@ -116,12 +113,10 @@ def test_typed_values_parse():
     parsed = Settings.from_env(
         {
             "REPRO_LEAF_FORMAT": " ROW ",
-            "REPRO_BUILD_MEMORY": "8K",
             "REPRO_WORKERS": "4",
         }
     )
     assert parsed.leaf_format == "row"
-    assert parsed.build_memory == 8000
     assert parsed.workers == 4
 
 
