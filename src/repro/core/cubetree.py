@@ -34,12 +34,12 @@ Values = Tuple[float, ...]
 @dataclass(frozen=True)
 class SliceSpec:
     """A compiled slice over one view: the Fig. 4 query rectangle plus
-    the run-key prefix bounds the packed-run fast path can seek with.
+    the run-key prefix bounds a run pass can seek with.
 
     ``lo_key``/``hi_key`` bound the longest leading prefix of the run's
     sort order (``reversed(group_by)``) made of equality bindings,
     optionally closed by a single range binding; empty tuples mean the
-    query has no usable prefix and a fast scan covers the whole run.
+    query has no usable prefix and a run pass covers the whole run.
     ``rect`` is ``None`` when a bound is empty once clamped to the
     coordinate domain ``[1, INT64_MAX]``: the slice matches nothing.
     """
@@ -296,64 +296,21 @@ class Cubetree:
         return SliceSpec(view, rect, tuple(lo_key), tuple(hi_key))
 
     def query(
-        self,
-        view_name: str,
-        bindings: Mapping[str, object],
-        fast: bool = False,
+        self, view_name: str, bindings: Mapping[str, object]
     ) -> Iterator[Block]:
-        """Slice one view: yields column blocks of the view's group
-        coordinates and aggregate states, in packing order.
-
-        With ``fast=False`` the query descends the interior nodes from
-        the root (the classic R-tree search).  With ``fast=True`` and a
-        recorded leaf-run extent, the view's sorted leaf run is searched
-        directly — binary seek on the bound prefix, sequential scan
-        otherwise — producing the identical blocks in identical order;
-        trees without extents (dynamic builds, old checkpoints) fall
-        back to the descent.  Each block's view id is checked once.
+        """Slice one view by the classic R-tree descent from the root:
+        yields column blocks of the view's group coordinates and
+        aggregate states.  (The run read is :meth:`query_group`.)  Each
+        block's view id is checked once.
         """
         spec = self.slice_spec(view_name, bindings)
         if spec.rect is None:
             return
         arity = spec.view.arity
-        if fast and self.tree.run_bounds(arity) is not None:
-            blocks = self.tree.search_run(
-                arity, spec.rect, spec.lo_key, spec.hi_key
-            )
-        else:
-            blocks = self.tree.search(spec.rect)
-        for block in blocks:
+        for block in self.tree.search(spec.rect):
             if block.view_id != arity:  # pragma: no cover - defensive
                 raise MappingError("search strayed into another view region")
             yield block
-
-    def query_aggregate(
-        self, view_name: str, bindings: Mapping[str, object]
-    ) -> Optional[Tuple[Values, ...]]:
-        """Fold a whole slice into per-aggregate combined states.
-
-        Aggregate pushdown for total queries (no grouping, no residual):
-        the leaf run is scanned exactly as the fast path of :meth:`query`
-        would — identical seek, break, and simulated I/O — but matches
-        are folded leaf-by-leaf (columnar leaves as whole measure-column
-        slices) instead of being materialized as rows.  Returns ``None``
-        when no tuple matches, else one combined state tuple per
-        aggregate, bit-identical to combining the :meth:`query` matches
-        serially.  Requires a recorded leaf-run extent (:meth:`has_run`).
-        """
-        spec = self.slice_spec(view_name, bindings)
-        arity = spec.view.arity
-        if self.tree.run_bounds(arity) is None:
-            raise QueryError(
-                f"view {view_name!r} has no leaf-run extent to fold over"
-            )
-        if spec.rect is None:
-            return None
-        acc = FoldAccumulator(fold_reducers(spec.view))
-        self.tree.search_run_fold(
-            arity, spec.rect, acc, spec.lo_key, spec.hi_key
-        )
-        return split_states(spec.view, acc)
 
     def query_group(
         self,
@@ -361,17 +318,16 @@ class Cubetree:
         bindings_list: Sequence[Mapping[str, object]],
         fold: Optional[Sequence[bool]] = None,
     ) -> List[object]:
-        """Answer several slices of one view in a single shared run pass.
+        """Answer slices of one view in one pass over its leaf run
+        (:meth:`RTree.search_run_group`); requires a recorded extent
+        (:meth:`has_run`).
 
-        Returns one entry per input binding set, in input order.  By
-        default each entry is the block list :meth:`query` would have
-        produced for that binding set alone.  ``fold`` (aligned with
-        ``bindings_list``) marks slices eligible for aggregate pushdown:
-        their entries come back as :class:`FoldedSlice` objects holding
-        the combined per-aggregate states (see :meth:`query_aggregate`)
-        instead of block lists.  Requires a recorded leaf-run extent —
-        callers fall back to per-query execution when :meth:`has_run`
-        is false.
+        One entry per binding set, in input order: the blocks
+        :meth:`query` would have matched, in run order — or, where
+        ``fold`` (aligned with ``bindings_list``) is set, a
+        :class:`FoldedSlice` of their combined per-aggregate states,
+        folded inside the pass (aggregate pushdown for total slices)
+        and bit-identical to combining the matches serially.
         """
         specs = [self.slice_spec(view_name, b) for b in bindings_list]
         if not specs:

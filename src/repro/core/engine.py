@@ -40,7 +40,6 @@ from typing import (
 )
 
 from repro.constants import DEFAULT_BUFFER_PAGES, PAGE_SIZE
-from repro.core.answer import finalize_matches, split_bindings
 from repro.core.mapping import select_mapping
 from repro.core.replication import PermutedRows, replica_definition
 from repro.core.reports import LoadReport, PhaseReport, UpdateReport
@@ -259,24 +258,24 @@ class CubetreeEngine:
     def query(self, query: SliceQuery) -> QueryResult:
         """Answer one slice query through the forest.
 
-        The router plans with the descent cost model: the query takes
-        its cheapest view and sort order and reads it through the
-        classic interior descent (the paper's R-tree search).  Run
-        seeks, run scans and the aggregate pushdown belong to
+        The router plans with the descent cost model (``runs=False``):
+        the query takes its cheapest view and sort order and the plan
+        executor (:func:`repro.query.batch.execute_plan`) reads it
+        through the classic interior descent (the paper's R-tree
+        search).  Run passes and the aggregate pushdown belong to
         :meth:`query_batch`; ``query_batch([query]).results[0]`` answers
         one query with them, with identical rows.
         """
+        from repro.query.batch import execute_plan
+
         forest = self._require_forest()
         wall_start = time.perf_counter()
         snapshots = self.io_snapshot()
 
-        decision = self.router.route(query, forest.access_paths())
-        view = decision.path.view
-        direct, residual = split_bindings(view, query, self.hierarchies)
-        matches = forest.query_view(view.name, direct)
-        rows = finalize_matches(
-            matches, view, query, self.hierarchies, residual
+        decision = self.router.route(
+            query, forest.access_paths(), runs=False
         )
+        rows = execute_plan(forest, self.hierarchies, query, decision)
         io = self.io_delta(snapshots)
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
         _OBS_QUERIES.value += 1

@@ -204,20 +204,11 @@ class CubetreeForest:
         self._paths = None
 
     def query_view(
-        self,
-        view_name: str,
-        bindings: Mapping[str, int],
-        fast: bool = False,
-    ) -> Iterator[Block]:
-        """Slice one view into column blocks (see Cubetree.query)."""
-        return self._tree_for(view_name).query(view_name, bindings, fast=fast)
-
-    def query_view_aggregate(
         self, view_name: str, bindings: Mapping[str, int]
-    ) -> Optional[Tuple[Tuple[float, ...], ...]]:
-        """Fold one slice into combined per-aggregate states
-        (see Cubetree.query_aggregate)."""
-        return self._tree_for(view_name).query_aggregate(view_name, bindings)
+    ) -> Iterator[Block]:
+        """Slice one view by descent into column blocks (see
+        Cubetree.query)."""
+        return self._tree_for(view_name).query(view_name, bindings)
 
     def query_view_group(
         self,
@@ -225,7 +216,7 @@ class CubetreeForest:
         bindings_list: Sequence[Mapping[str, int]],
         fold: Optional[Sequence[bool]] = None,
     ) -> List[object]:
-        """Answer several slices of one view in one shared run pass
+        """Answer slices of one view in one pass over its leaf run
         (see Cubetree.query_group)."""
         return self._tree_for(view_name).query_group(
             view_name, bindings_list, fold=fold
@@ -238,9 +229,9 @@ class CubetreeForest:
     def protect_index_pages(self) -> int:
         """Shelter every interior/root page from scan-driven eviction.
 
-        Fast run scans flow through the pool's probationary segment, but
-        the descent pages they bypass are still the hot set for any
-        residual classic searches; protecting them keeps the paper's
+        Run passes flow through the pool's probationary segment, but the
+        descent pages they bypass are still the hot set for the classic
+        searches; protecting them keeps the paper's
         "top-level pages stay resident" property under scan pressure.
         Returns the number of protected page ids.
         """

@@ -596,7 +596,7 @@ def prune_generations(
 # ----------------------------------------------------------------------
 @dataclass
 class CheckpointReport:
-    """Result of validating a saved database's newest committed generation."""
+    """Result of validating a saved database's committed generations."""
 
     directory: str
     generation: Optional[int] = None
@@ -607,7 +607,7 @@ class CheckpointReport:
 
     @property
     def ok(self) -> bool:
-        """True when the newest committed generation validated cleanly."""
+        """True when every committed generation validated cleanly."""
         return not self.problems
 
     def format(self) -> str:
@@ -631,16 +631,17 @@ class CheckpointReport:
         return "\n".join(lines)
 
 
-def _newest_committed(directory: str) -> Tuple[Optional[str], List[str]]:
-    """Newest manifest-complete generation path + names of partials."""
-    newest: Optional[str] = None
+def _committed(directory: str) -> Tuple[List[str], List[str]]:
+    """Manifest-complete generation paths, oldest first, and the names
+    of the partial (manifest-less) ones."""
+    committed: List[str] = []
     partials: List[str] = []
-    for _number, path, committed in list_generations(directory):
-        if committed:
-            newest = path
+    for _number, path, is_committed in list_generations(directory):
+        if is_committed:
+            committed.append(path)
         else:
             partials.append(os.path.basename(path))
-    return newest, partials
+    return committed, partials
 
 
 def _read_manifest(gen_path: str) -> dict:
@@ -854,7 +855,9 @@ def _no_generation_error(directory: str) -> PersistenceError:
 
 
 def verify_checkpoint(directory: str) -> CheckpointReport:
-    """Checksum-validate the newest committed generation of a database.
+    """Checksum-validate every committed generation of a database: the
+    newest (:attr:`CheckpointReport.generation`) and the older ones
+    ``retain`` and reader pins keep.  Each problem names its generation.
 
     Partial (manifest-less) generations are reported but are not
     problems — they are exactly what a crash leaves behind and recovery
@@ -862,16 +865,22 @@ def verify_checkpoint(directory: str) -> CheckpointReport:
     flat-layout database included) yields a problem entry.
     """
     report = CheckpointReport(directory=directory)
-    newest, partials = _newest_committed(directory)
-    report.partial_generations = partials
-    if newest is None:
+    committed, report.partial_generations = _committed(directory)
+    if not committed:
         report.problems.append(str(_no_generation_error(directory)))
         return report
-    try:
-        manifest, _catalogs = _validate_generation(newest, report)
-        report.generation = int(manifest["generation"])
-    except PersistenceError as exc:
-        report.problems.append(str(exc))
+    for path in committed:
+        found = len(report.problems)
+        try:
+            manifest, _catalogs = _validate_generation(path, report)
+            if path == committed[-1]:
+                report.generation = int(manifest["generation"])
+        except PersistenceError as exc:
+            report.problems.append(str(exc))
+        name = os.path.basename(path)
+        report.problems[found:] = [
+            f"{name}/{problem}" for problem in report.problems[found:]
+        ]
     return report
 
 
@@ -901,9 +910,10 @@ def load_any_engine(directory: str) -> CubetreeEngine:
     then each shard's disk, forest, and sizes are restored from its
     files.
     """
-    newest, _partials = _newest_committed(directory)
-    if newest is None:
+    committed, _partials = _committed(directory)
+    if not committed:
         raise _no_generation_error(directory)
+    newest = committed[-1]
     report = CheckpointReport(directory=directory)
     manifest, shard_files = _validate_generation(newest, report)
     if not report.ok:

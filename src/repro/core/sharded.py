@@ -11,25 +11,26 @@ time) its own ``shard-XX/`` directory under one atomically committed
 generation manifest (see :func:`repro.core.persistence.save_database`).
 
 :class:`ShardedForest` is the forest the one engine
-(:class:`~repro.core.engine.CubetreeEngine`) and the batch executor
-(:func:`repro.query.batch.execute_batch`) talk to.  It presents the
+(:class:`~repro.core.engine.CubetreeEngine`) and the plan executor
+(:mod:`repro.query.batch`) talk to.  It presents the
 :class:`~repro.core.forest.CubetreeForest` surface — ``build`` /
-``update`` / ``access_paths`` / ``query_view`` / ``query_view_aggregate``
-/ ``query_view_group`` — and runs each call scatter-gather: the binding
-on the routed view's leading coordinate prunes the shard set (a point
-restriction hits exactly one shard), each target shard executes the
-per-shard plan, and partial block streams are expanded, k-way merged back
-into the exact serial packing order and re-blocked, so the float fold
-order of :func:`~repro.core.answer.finalize_matches` is preserved
-bit-for-bit.
+``update`` / ``access_paths`` and the two slice reads, ``query_view``
+(the descent) and ``query_view_group`` (the run pass, one slice or
+many) — and runs each call scatter-gather: the binding on the routed
+view's leading coordinate prunes the shard set (a point restriction hits
+exactly one shard), each target shard executes the per-shard read, and
+partial block streams are expanded, k-way merged back into the exact
+serial packing order and re-blocked, so the float fold order of
+:func:`~repro.core.answer.finalize_matches` is preserved bit-for-bit.
+A shard without a recorded run extent descends instead.
 
-Aggregate pushdown (``query_view_aggregate``, ``fold=``) folds *inside* a
-shard only when the binding targets exactly one shard — always at
-``N = 1``, and on a point restriction of the leading coordinate at
-``N > 1``.  A slice that spans several shards is answered from the
-merged block stream instead: folding per shard and combining the partial
-states would reassociate the float additions and break bit-identity with
-the serial answer.
+Aggregate pushdown (``query_view_group(fold=)``) folds *inside* a shard
+only when the binding targets exactly one shard — always at ``N = 1``,
+and on a point restriction of the leading coordinate at ``N > 1``.  A
+slice that spans several shards comes back as the merged block stream
+instead: folding per shard and combining the partial states would
+reassociate the float additions and break bit-identity with the serial
+answer.
 
 ``N = 1`` is not a special engine: the one shard receives every row, is
 the target of every binding, and the same call sequence reaches its one
@@ -53,21 +54,20 @@ from typing import (
 )
 
 from repro.columns import ColumnRows, as_columns, partition
-from repro.core.cubetree import Cubetree, fold_reducers, split_states
+from repro.core.cubetree import Cubetree
 from repro.core.forest import CubetreeForest
 from repro.core.mapping import CubetreeAllocation
 from repro.errors import QueryError
 from repro.obs import get_registry
 from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
-from repro.rtree.kernels import Block, FoldAccumulator, block_rows
+from repro.rtree.kernels import Block, block_rows
 from repro.rtree.packing import sort_key
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.iomodel import IOStats
 
 Row = Tuple[object, ...]
-States = Optional[Tuple[Tuple[float, ...], ...]]
 
 _OBS_SHARDS_TOUCHED = get_registry().counter("query.cubetree.shards_touched")
 
@@ -296,12 +296,9 @@ class ShardedForest:
 
     # -- scatter-gather execution ---------------------------------------
     def query_view(
-        self,
-        view_name: str,
-        bindings: Mapping[str, object],
-        fast: bool = False,
+        self, view_name: str, bindings: Mapping[str, object]
     ) -> Iterator[Block]:
-        """Slice one view across its target shards.
+        """Slice one view across its target shards by descent.
 
         A single target returns that shard's block stream untouched
         (``N = 1`` and point restrictions).  Several targets k-way merge
@@ -310,35 +307,12 @@ class ShardedForest:
         are bit-identical.
         """
         streams = [
-            shard.routed().query_view(view_name, bindings, fast=fast)
+            shard.routed().query_view(view_name, bindings)
             for shard in self.target_shards(view_name, bindings)
         ]
         if len(streams) == 1:
             return streams[0]
         return iter(self._merge(view_name, streams))
-
-    def query_view_aggregate(
-        self, view_name: str, bindings: Mapping[str, object]
-    ) -> States:
-        """Fold one slice into combined per-aggregate states.
-
-        One target shard with a leaf-run extent folds in place
-        (:meth:`CubetreeForest.query_view_aggregate`).  Otherwise the
-        merged block stream is folded here in packing order — the same
-        left fold, so the states are bit-identical either way.
-        """
-        targets = self.target_shards(view_name, bindings)
-        if len(targets) == 1 and targets[0].require_forest().has_run(
-            view_name
-        ):
-            return targets[0].routed().query_view_aggregate(
-                view_name, bindings
-            )
-        view = self.view_definition(view_name)
-        acc = FoldAccumulator(fold_reducers(view))
-        for block in self.query_view(view_name, bindings, fast=True):
-            acc.add_block(block.measures, range(block.count))
-        return split_states(view, acc)
 
     def query_view_group(
         self,
@@ -346,9 +320,9 @@ class ShardedForest:
         bindings_list: Sequence[Mapping[str, object]],
         fold: Optional[Sequence[bool]] = None,
     ) -> List[object]:
-        """Answer several slices of one view, one shared pass per shard.
+        """Answer slices of one view, one run pass per shard.
 
-        Every shard runs a single grouped run pass over only the bindings
+        Every shard runs a single run pass over only the bindings
         whose residue can land in it; each binding's per-shard partials
         are then merged in packing order.  One shard per binding (the
         common point-restriction batch) skips the merge, and only such a
@@ -382,7 +356,7 @@ class ShardedForest:
                 # No extent on this shard (dynamic build): per-binding
                 # classic descent, still in packing order.
                 answers = [
-                    list(forest.query_view(view_name, bindings, fast=False))
+                    list(forest.query_view(view_name, bindings))
                     for bindings in subset
                 ]
             for position, answer in zip(positions, answers):

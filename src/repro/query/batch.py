@@ -1,9 +1,13 @@
-"""Batched multi-query execution over shared leaf-run passes.
+"""Query execution: the one plan executor and batched shared run passes.
+
+:func:`execute_plan` answers one routed query: ``CubetreeEngine.query``
+calls it with descent plans, and :func:`execute_batch` with every query
+it does not share a run pass for.
 
 The paper's Fig. 13 throughput experiment fires many slice queries at the
 same small set of materialized views.  Executed one at a time, every query
 pays its own descent (or run seek) over a view whose leaves its neighbours
-are about to read again.  This module instead:
+are about to read again.  :func:`execute_batch` instead:
 
 1. routes every query of a batch with the run-aware cost model
    (``QueryRouter.route(..., runs=True)``), which also prices run scans
@@ -21,16 +25,15 @@ are about to read again.  This module instead:
    highly selective queries scattered over a large run are cheaper
    answered one by one (each reads two or three leaves; a shared pass
    would walk the whole span between them), so such groups fall back to
-   per-query execution using each query's own cheapest plan.
+   :func:`execute_plan`, query by query, view by view.
 
 Per-query answers are byte-identical to serial execution: the shared pass
 hands every query its own column blocks in run order — the same entries,
-in the same order, that a solo :meth:`search`/:meth:`search_run` yields —
-and :func:`finalize_matches` folds and sorts them per query as usual.  A total
+in the same order, that the query's own run pass yields — and
+:func:`finalize_matches` folds and sorts them per query as usual.  A total
 query with no residual filter folds its measure columns inside the pass
 (aggregate pushdown) instead.  Views without a recorded leaf-run extent
-(dynamic trees, checkpoints predating the field) fall back to per-query
-execution inside the batch.
+(dynamic trees, checkpoints predating the field) descend.
 
 A one-query batch never passes the shared-pass gate (its estimate adds
 seek probes to a run scan the router already priced), so
@@ -42,7 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.answer import finalize_fold, finalize_matches, split_bindings
+from repro.core.answer import (
+    Residual,
+    Row,
+    finalize_fold,
+    finalize_matches,
+    split_bindings,
+)
 from repro.core.cubetree import FoldedSlice
 from repro.obs import get_registry
 from repro.query.result import QueryResult
@@ -142,74 +151,65 @@ def execute_batch(
             _OBS_PUSHDOWNS.value += sum(fold)
             batch.batched += len(indices)
             batch.groups += 1
-            _finalize_group(
-                batch, queries, hierarchies, decisions, view,
-                indices, splits, block_lists, " [batched]",
-            )
+            for i, matches, (_direct, residual) in zip(
+                indices, block_lists, splits
+            ):
+                batch.results[i] = QueryResult(
+                    rows=_finalize(
+                        view, queries[i], hierarchies, residual, matches
+                    ),
+                    plan=decisions[i].describe() + " [batched]",
+                )
             continue
         # Fallback: each routed view's queries run their own best plans.
         for view_name in view_names:
-            view_indices = groups[view_name]
-            view = decisions[view_indices[0]].path.view
-            splits = [
-                split_bindings(view, queries[i], hierarchies)
-                for i in view_indices
-            ]
-            block_lists: List[object] = []
-            for i, (direct, residual) in zip(view_indices, splits):
-                if (
-                    not queries[i].group_by
-                    and not residual
-                    and decisions[i].use_run
-                    and forest.has_run(view_name)
-                ):
-                    block_lists.append(
-                        FoldedSlice(
-                            forest.query_view_aggregate(view_name, direct)
-                        )
-                    )
-                    _OBS_PUSHDOWNS.value += 1
-                else:
-                    block_lists.append(
-                        list(
-                            forest.query_view(
-                                view_name, direct, fast=decisions[i].use_run
-                            )
-                        )
-                    )
+            for i in groups[view_name]:
+                batch.results[i] = QueryResult(
+                    rows=execute_plan(
+                        forest, hierarchies, queries[i], decisions[i]
+                    ),
+                    plan=decisions[i].describe(),
+                )
             batch.groups += 1
-            _finalize_group(
-                batch, queries, hierarchies, decisions, view,
-                view_indices, splits, block_lists, "",
-            )
     return batch
 
 
-def _finalize_group(
-    batch: BatchResult,
-    queries: Sequence[SliceQuery],
+def execute_plan(
+    forest,
     hierarchies: Mapping[str, tuple],
-    decisions: Sequence[RoutingDecision],
+    query: SliceQuery,
+    decision: RoutingDecision,
+) -> List[Row]:
+    """Answer one query on its routed plan: the one plan executor.
+
+    Splits the query's bindings on the routed view, reads the slice and
+    finalises it.  A run plan (``decision.use_run``) on a view with a
+    recorded run reads through a one-slice run pass
+    (``query_view_group``) and, for a total query with no residual,
+    folds inside it; every other plan descends (``query_view``).
+    """
+    view = decision.path.view
+    direct, residual = split_bindings(view, query, hierarchies)
+    if decision.use_run and forest.has_run(view.name):
+        fold = not query.group_by and not residual
+        (matches,) = forest.query_view_group(view.name, [direct], fold=[fold])
+        _OBS_PUSHDOWNS.value += int(fold)
+    else:
+        matches = forest.query_view(view.name, direct)
+    return _finalize(view, query, hierarchies, residual, matches)
+
+
+def _finalize(
     view,
-    indices: Sequence[int],
-    splits: Sequence[tuple],
-    block_lists: Sequence[object],
-    suffix: str,
-) -> None:
-    """Fold each query's blocks (or pushed-down states) into its final
-    rows and store them."""
-    for index, blocks, (_direct, residual) in zip(
-        indices, block_lists, splits
-    ):
-        if isinstance(blocks, FoldedSlice):
-            rows = finalize_fold(view, blocks.states)
-        else:
-            rows = finalize_matches(
-                blocks, view, queries[index], hierarchies, residual
-            )
-        batch.results[index] = QueryResult(
-            rows=rows, plan=decisions[index].describe() + suffix
-        )
+    query: SliceQuery,
+    hierarchies: Mapping[str, tuple],
+    residual: List[Residual],
+    matches: object,
+) -> List[Row]:
+    """Fold one query's blocks (or pushed-down states) into its rows."""
+    if isinstance(matches, FoldedSlice):
+        return finalize_fold(view, matches.states)
+    return finalize_matches(matches, view, query, hierarchies, residual)
 
 
 def _merge_replica_groups(

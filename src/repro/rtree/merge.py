@@ -24,8 +24,8 @@ from repro.rtree.node import RLeafNode
 from repro.rtree.packing import (
     Chunk,
     PackedRun,
-    column_chunks,
     free_tree,
+    validate_runs,
     write_chunks,
 )
 from repro.rtree.tree import EMPTY_EXTENT, RTree
@@ -80,7 +80,7 @@ class _Delta:
     """One (validated) delta run, consumed front to back."""
 
     def __init__(self, run: PackedRun, dims: int) -> None:
-        deque(column_chunks([run], dims, True), maxlen=0)
+        validate_runs([run], dims)
         self.run = run
         self.pos, self.count = 0, run.count
         self.coords, self.measures = run.coords, run.measures

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from operator import le
@@ -49,7 +48,7 @@ Entry = Tuple[Point, Values]
 #: ``array('d')`` per aggregate value, and the entry count.
 Chunk = Tuple[int, int, int, Sequence[array], Sequence[array], int]
 
-#: Entries sliced into one column chunk (and validated) at a time.
+#: Entries sliced into one column chunk at a time.
 _BLOCK = 8192
 
 _REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
@@ -143,72 +142,63 @@ def width_error(view: object, arity: int, n_aggs: int) -> MappingError:
     )
 
 
-def _run_blocks(
-    run: PackedRun,
-) -> Iterator[Tuple[Sequence[array], Sequence[array], int]]:
-    """One run as ``(coords, measures, count)`` slices of at most
-    ``_BLOCK`` entries; an empty run is one empty block."""
-    for start in range(0, max(run.count, 1), _BLOCK):
-        stop = min(start + _BLOCK, run.count)
-        yield (
-            [col[start:stop] for col in run.coords],
-            [col[start:stop] for col in run.measures],
-            stop - start,
-        )
+def validate_runs(runs: Iterable[PackedRun], dims: int) -> None:
+    """Check packing input on whole columns, in place.
 
-
-def column_chunks(
-    runs: Iterable[PackedRun], dims: int, validate: bool
-) -> Iterator[Chunk]:
-    """The runs as column chunks of at most ``_BLOCK`` entries (an empty
-    run yields one empty chunk).
-
-    With ``validate`` every chunk is checked on the way — arity, value
-    width, coordinate positivity, packing sort order within and across
-    the runs — one column pass per check, not a comparison per entry.
+    Per run: the arity fits in ``dims``; then, for a non-empty run,
+    every coordinate is positive, the run starts at or after the
+    previous run's last key, its entries are in packing (reversed
+    coordinate) order, and no earlier run had its arity — one column
+    pass per check, not a comparison per entry.
     """
     last_key: Optional[Tuple[int, ...]] = None
     seen_arity = set()
     for run in runs:
-        view_id, arity, n_aggs = run.view_id, run.arity, run.n_aggs
-        if validate and not 0 <= arity <= dims:
+        view_id, arity = run.view_id, run.arity
+        if not 0 <= arity <= dims:
             raise MappingError(
                 f"view {view_id}: arity {arity} does not fit in "
                 f"a {dims}-dimensional Cubetree"
             )
+        if not run.count:
+            continue
+        if run.coords and min(map(min, run.coords)) <= 0:
+            raise InvalidCoordinateError(
+                f"view {view_id}: non-positive coordinate; the "
+                f"valid mapping requires coordinates > 0"
+            )
+        # Packing order is reversed-coordinate order; keys are zipped
+        # lazily so no tuple outlives its comparison.
+        order = run.coords[::-1]
         pad = (0,) * (dims - arity)
-        first = True
-        for coords, measures, count in _run_blocks(run):
-            if validate and count:
-                if coords and min(map(min, coords)) <= 0:
-                    raise InvalidCoordinateError(
-                        f"view {view_id}: non-positive coordinate; the "
-                        f"valid mapping requires coordinates > 0"
-                    )
-                # Packing order is reversed-coordinate order; keys are
-                # zipped lazily so no tuple outlives its comparison.
-                order = coords[::-1]
-                head = pad + tuple(col[0] for col in order)
-                after = last_key is None or last_key <= head
-                if first and not after:
-                    raise MappingError(
-                        "runs are not ordered by the global packing order"
-                    )
-                if not after or not all(
-                    map(le, zip(*order), islice(zip(*order), 1, None))
-                ):
-                    raise MappingError(
-                        f"view {view_id}: entries are not in packing "
-                        f"sort order"
-                    )
-                if first and arity in seen_arity:
-                    raise MappingError(
-                        f"two views of arity {arity} in one Cubetree"
-                    )
-                seen_arity.add(arity)
-                last_key = pad + tuple(col[-1] for col in order)
-            yield view_id, arity, n_aggs, coords, measures, count
-            first = False
+        if last_key is not None and last_key > pad + tuple(
+            col[0] for col in order
+        ):
+            raise MappingError(
+                "runs are not ordered by the global packing order"
+            )
+        if not all(map(le, zip(*order), islice(zip(*order), 1, None))):
+            raise MappingError(
+                f"view {view_id}: entries are not in packing sort order"
+            )
+        if arity in seen_arity:
+            raise MappingError(f"two views of arity {arity} in one Cubetree")
+        seen_arity.add(arity)
+        last_key = pad + tuple(col[-1] for col in order)
+
+
+def column_chunks(runs: Iterable[PackedRun]) -> Iterator[Chunk]:
+    """The runs as column chunks of at most ``_BLOCK`` entries (an empty
+    run yields one empty chunk)."""
+    for run in runs:
+        for start in range(0, max(run.count, 1), _BLOCK):
+            stop = min(start + _BLOCK, run.count)
+            yield (
+                run.view_id, run.arity, run.n_aggs,
+                [col[start:stop] for col in run.coords],
+                [col[start:stop] for col in run.measures],
+                stop - start,
+            )
 
 
 def pack_rtree(
@@ -231,8 +221,8 @@ def pack_rtree(
     """
     with trace("rtree.pack", runs=len(runs)):
         if validate:
-            deque(column_chunks(runs, dims, True), maxlen=0)
-        return write_chunks(pool, dims, column_chunks(runs, dims, False))
+            validate_runs(runs, dims)
+        return write_chunks(pool, dims, column_chunks(runs))
 
 
 def write_chunks(pool: BufferPool, dims: int, chunks: Iterable[Chunk]) -> RTree:

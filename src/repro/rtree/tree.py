@@ -6,10 +6,13 @@ Dynamic insertion with quadratic splits is kept as the ablation baseline
 demonstrating *why*: dynamically-built trees have ~50-70% leaf utilization
 and random write patterns, packed trees have ~100% and sequential writes.
 
-Searches hand back column blocks (:class:`repro.rtree.kernels.Block`):
-one per leaf with a selected entry, cut from the leaf's columns by the
-kernels' ``select_rows`` selection, so no per-match tuple is built on the
-query path.  :meth:`RTree.scan_points` is the row-form view of a whole
+A slice is read one of two ways: :meth:`RTree.search` descends from
+the root, and :meth:`RTree.search_run_group` reads the view's packed
+leaf run (for one request or many, folding or collecting).  Both hand
+back column blocks (:class:`repro.rtree.kernels.Block`): one per leaf
+with a selected entry, cut from the leaf's columns by the kernels'
+``select_rows`` selection, so no per-match tuple is built on the query
+path.  :meth:`RTree.scan_points` is the row-form view of a whole
 tree, for verification and examples.
 
 Pin protocol: ``_fetch_node`` pins and returns ``(node, page)``; callers
@@ -60,7 +63,6 @@ _REG = get_registry()  # repro: guarded-by(MetricsRegistry._lock)
 _OBS_SEARCHES = _REG.counter("rtree.searches")
 _OBS_INSERTS = _REG.counter("rtree.inserts")
 _OBS_RUN_SEARCHES = _REG.counter("rtree.run_searches")
-_OBS_RUN_SCANS = _REG.counter("rtree.run_scans")
 
 #: Leaves prefetched per read-ahead window during a run scan.
 RUN_READAHEAD = 8
@@ -107,7 +109,7 @@ class RTree:
         #: Per-view leaf-run extents ``view_id -> (first, last)`` leaf
         #: page ids, recorded by the packer and persisted in the catalog.
         #: Empty for dynamically built trees and for trees restored from
-        #: checkpoints that predate the field — run fast paths then fall
+        #: checkpoints that predate the field — run plans then fall
         #: back to the interior descent, and leaves are searched with the
         #: kernels' unsorted full comparison pass.
         self.view_extents: Dict[int, Tuple[int, int]] = {}
@@ -179,7 +181,7 @@ class RTree:
                 yield from block.entries(self.dims)
 
     # ------------------------------------------------------------------
-    # packed-run fast paths
+    # packed-run reads
     # ------------------------------------------------------------------
     def run_bounds(self, view_id: int) -> Optional[Tuple[int, int]]:
         """Positions ``(lo, hi)`` of ``view_id``'s leaf run inside
@@ -191,8 +193,8 @@ class RTree:
         if extent is None:
             return None
         if extent == EMPTY_EXTENT:
-            # Zero-row view: an empty position range (hi < lo), so every
-            # run scan/seek degenerates to yielding nothing.
+            # Zero-row view: an empty position range (hi < lo), so a
+            # run pass reads nothing.
             self._run_index[view_id] = (0, -1)
             return (0, -1)
         first, last = extent
@@ -207,143 +209,32 @@ class RTree:
         self._run_index[view_id] = (lo, hi)
         return (lo, hi)
 
-    def scan_run(self, view_id: int) -> Iterator[RLeafNode]:
-        """Yield the view's packed leaves as one sequential run scan.
-
-        Pages are fetched through the pool's probationary (scan) segment
-        with read-ahead, so an unbound slice query costs one positioning
-        seek plus sequential transfers and cannot wipe the hot set.
-        """
-        bounds = self.run_bounds(view_id)
-        if bounds is None:
-            raise StorageError(
-                f"no leaf-run extent recorded for view {view_id}"
-            )
-        _OBS_RUN_SCANS.value += 1
-        yield from self._scan_leaves(bounds[0], bounds[1], view_id)
-
-    def search_run(
-        self,
-        view_id: int,
-        rect: Rect,
-        lo_key: RunKey = (),
-        hi_key: RunKey = (),
-    ) -> Iterator[Block]:
-        """Answer ``rect`` over the view's leaf run without descending
-        interior nodes, one block per leaf with a selected entry.
-
-        ``lo_key``/``hi_key`` bound the leading prefix of the run's
-        reversed-coordinate sort key (empty tuples = unbounded).  When a
-        prefix is bound, the starting leaf is located by binary search on
-        leaf first-keys and the scan stops at the first leaf past
-        ``hi_key``; every candidate point is still filtered through the
-        full ``rect``, so the match set (and its order) is identical to
-        :meth:`search` restricted to this view.
-
-        Each scanned leaf is evaluated through the column kernels
-        (:mod:`repro.rtree.kernels`): the rectangle alone selects the
-        entries column-at-a-time.  The slice compiler derives
-        ``lo_key``/``hi_key`` *from* the rectangle's per-dimension
-        bounds, and componentwise containment implies the lexicographic
-        prefix bounds, so per-point key checks would be redundant within
-        a scanned leaf; the keys only position the scan.
-        """
-        if rect.dims != self.dims:
-            raise ValueError(
-                f"query rect has {rect.dims} dims, tree has {self.dims}"
-            )
-        bounds = self.run_bounds(view_id)
-        if bounds is None:
-            raise StorageError(
-                f"no leaf-run extent recorded for view {view_id}"
-            )
-        _OBS_RUN_SEARCHES.value += 1
-        lo_idx, hi_idx = bounds
-        lo = tuple(lo_key)
-        hi = tuple(hi_key)
-        start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        with closing(self._scan_leaves(start, hi_idx, view_id)) as leaves:
-            for leaf in leaves:
-                if not len(leaf):
-                    continue
-                if hi and leaf.key_at(0)[: len(hi)] > hi:
-                    break
-                cols = leaf_columns(leaf)
-                sel = select_rows(cols, rect, self.dims, True)
-                if sel is not None:
-                    yield take(cols, sel, view_id)
-
-    def search_run_fold(
-        self,
-        view_id: int,
-        rect: Rect,
-        acc: FoldAccumulator,
-        lo_key: RunKey = (),
-        hi_key: RunKey = (),
-    ) -> None:
-        """Fold every match of ``rect`` into ``acc`` without building
-        per-row match tuples (aggregate pushdown).
-
-        Scans exactly the leaves :meth:`search_run` would — same seek,
-        same early break, same scan admission — so simulated I/O is
-        identical; only the per-match consumption differs.  Each leaf
-        folds whole measure-column slices through the kernel selection.
-        Fold order is run order, the same serial order
-        :func:`repro.core.answer.finalize_matches` combines matches in.
-        """
-        if rect.dims != self.dims:
-            raise ValueError(
-                f"query rect has {rect.dims} dims, tree has {self.dims}"
-            )
-        bounds = self.run_bounds(view_id)
-        if bounds is None:
-            raise StorageError(
-                f"no leaf-run extent recorded for view {view_id}"
-            )
-        _OBS_RUN_SEARCHES.value += 1
-        lo_idx, hi_idx = bounds
-        lo = tuple(lo_key)
-        hi = tuple(hi_key)
-        start = self._run_seek(lo_idx, hi_idx, lo) if lo else lo_idx
-        with closing(self._scan_leaves(start, hi_idx, view_id)) as leaves:
-            for leaf in leaves:
-                if not len(leaf):
-                    continue
-                if hi and leaf.key_at(0)[: len(hi)] > hi:
-                    break
-                cols = leaf_columns(leaf)
-                sel = select_rows(cols, rect, self.dims, True)
-                if sel is not None:
-                    acc.add_block(cols.measures, sel)
-
     def search_run_group(
         self,
         view_id: int,
         requests: Sequence[RunRequest],
         folds: Optional[Sequence[Optional[FoldAccumulator]]] = None,
     ) -> List[List[Block]]:
-        """Answer a batch of slice requests in one shared pass over the
-        view's leaf run.
+        """Answer slice requests in one pass over the view's leaf run:
+        the run read beside the descent (:meth:`search`).
 
-        ``requests`` holds ``(rect, lo_key, hi_key)`` triples sorted (or
-        not — the pass is order-insensitive) by their run-key bounds; the
-        scan starts at the earliest lower bound and each request drops
-        out once the run moves past its upper bound.  Per-request block
-        lists come back in run order, exactly as :meth:`search_run`
-        would have produced one at a time.
+        ``requests`` holds ``(rect, lo_key, hi_key)`` triples in any
+        order; the keys bound the leading prefix of the run's
+        reversed-coordinate sort key (empty = unbounded).  When every
+        request has a lower bound, the pass starts at the earliest one
+        (a binary search on leaf first-keys); a request retires at the
+        first leaf past its ``hi_key``, and the pass stops once all have.
+        The keys only position the pass: each leaf's entries are
+        selected by the rectangle alone, through the column kernels
+        (containment implies the prefix bounds, which the slice compiler
+        derives from the rectangle).  Each request gets the matches of
+        :meth:`search` restricted to the view, as blocks in run order.
 
-        ``folds`` (aligned with ``requests``) marks requests consumed by
-        aggregate pushdown: their matches are folded into the given
-        :class:`FoldAccumulator` in run order instead of being collected
-        (the returned list stays empty for them).  Folding never changes
-        which leaves are scanned, so a mixed batch costs the same I/O.
-
-        Each leaf is evaluated per request through the column kernels
-        (see :meth:`search_run` for why rectangle selection subsumes the
-        per-point key checks).  The run prefix bounds prune at leaf
-        granularity only: a request whose ``hi_key`` lies before a
-        leaf's first key is retired, and the pass stops once every
-        request has retired.
+        ``folds`` (aligned with ``requests``) marks requests for
+        aggregate pushdown: their matches fold into the given
+        :class:`FoldAccumulator` in run order — the serial order
+        :func:`repro.core.answer.finalize_matches` combines matches in —
+        and their block lists stay empty.  Folding reads the same leaves.
         """
         results: List[List[Block]] = [[] for _ in requests]
         if not requests:

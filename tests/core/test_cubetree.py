@@ -69,10 +69,11 @@ def test_build_empty_and_absent_views():
     assert tree.tree.view_extents[1] == EMPTY_EXTENT
     assert 0 not in tree.tree.view_extents
     assert tree.has_run("V_ps")
-    assert list(block_rows(tree.query("V_p", {}, fast=True))) == []
-    assert list(block_rows(tree.query("V_ps", {}, fast=True))) == [
-        ((1, 2), (3.0,))
-    ]
+    # The empty run reads nothing; a one-slice run pass answers V_ps.
+    assert tree.query_group("V_p", [{}]) == [[]]
+    (blocks,) = tree.query_group("V_ps", [{}])
+    assert list(block_rows(blocks)) == [((1, 2), (3.0,))]
+    assert list(block_rows(tree.query("V_ps", {}))) == [((1, 2), (3.0,))]
 
 
 def test_query_with_bindings():

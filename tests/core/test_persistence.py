@@ -226,6 +226,29 @@ def test_bitflip_in_pages_is_detected(saved):
         load_any_engine(directory)
 
 
+def test_bitflip_in_an_older_generation_is_detected(saved):
+    """Every committed generation is checked, not only the newest: a
+    retained older one is what a pinned reader or a fallback opens."""
+    _gen, _data, engine, directory = saved
+    save_database(engine, directory)  # gen-000002; gen-000001 is retained
+    pages_path = os.path.join(directory, "gen-000001", SHARD0, PAGES_NAME)
+    with open(pages_path, "r+b") as handle:
+        handle.seek(PAGE_SIZE + 17)
+        byte = handle.read(1)
+        handle.seek(PAGE_SIZE + 17)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    report = verify_checkpoint(directory)
+    assert not report.ok
+    assert report.generation == 2
+    assert report.problems == [
+        f"gen-000001/{SHARD0}/{PAGES_NAME}: CRC32 mismatch against the "
+        f"manifest",
+        f"gen-000001/{SHARD0}/{PAGES_NAME}: page 1 fails its CRC32",
+    ], report.format()
+    # The newest generation is intact, so the database still opens.
+    assert load_any_engine(directory).view_sizes() == engine.view_sizes()
+
+
 def test_truncated_pages_is_detected(saved):
     _gen, _data, _engine, directory = saved
     pages_path = os.path.join(_newest_gen(directory), SHARD0, PAGES_NAME)
@@ -600,7 +623,10 @@ def test_v4_dump_stores_only_allocated_pages(refreshed):
     assert manifest["shards"][0]["page_count"] == allocated
     report = verify_checkpoint(directory)
     assert report.ok, report.format()
-    assert report.pages_checked == allocated
+    # Both retained generations are checked, each over its stored pages.
+    with open(os.path.join(directory, "gen-000001", SHARD0_META)) as handle:
+        older = len(_allocated_ids(json.load(handle)["disk"]))
+    assert report.pages_checked == older + allocated
     # Every allocated id reads back the bytes the live disk holds.
     reopened = load_any_engine(directory)
     for pid in _allocated_ids(state):
@@ -622,8 +648,10 @@ def test_v4_bitflip_names_the_page_id(refreshed):
         handle.seek(index * PAGE_SIZE + 9)
         handle.write(bytes([byte[0] ^ 0xFF]))
     report = verify_checkpoint(directory)
-    assert f"{SHARD0}/{PAGES_NAME}: page {ids[index]} fails its CRC32" in (
-        report.problems
+    newest = os.path.basename(_newest_gen(directory))
+    assert (
+        f"{newest}/{SHARD0}/{PAGES_NAME}: page {ids[index]} fails its CRC32"
+        in report.problems
     )
     with pytest.raises(CorruptCheckpointError):
         load_any_engine(directory)

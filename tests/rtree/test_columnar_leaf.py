@@ -18,6 +18,7 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
 from repro.analysis.fsck import check_tree
 from repro.constants import PAGE_SIZE
 from repro.errors import ConfigError, InvalidRecordError, StorageError
+from repro.rtree.geometry import Rect
 from repro.rtree.node import (
     LEAF_COLUMNAR_TYPE,
     LEAF_TYPE,
@@ -201,7 +202,7 @@ def test_run_scan_identical_across_formats():
     def run_entries(tree, view_id):
         return [
             (point, values)
-            for leaf in tree.scan_run(view_id)
+            for leaf in tree._scan_leaves(*tree.run_bounds(view_id))
             for point, values in zip(leaf.points, leaf.values)
         ]
 
@@ -221,7 +222,8 @@ def test_zero_row_view_records_empty_extent():
     tree = pack_rtree(pool, 3, runs)
     assert tree.view_extents[0] == EMPTY_EXTENT
     assert tree.run_bounds(0) == (0, -1)
-    assert list(tree.scan_run(0)) == []
+    assert list(tree._scan_leaves(*tree.run_bounds(0))) == []
+    assert tree.search_run_group(0, [(Rect((0,) * 3, (0,) * 3), (), ())]) == [[]]
     report = check_tree(tree)
     assert report.ok, report.format()
 

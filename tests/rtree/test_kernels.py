@@ -5,9 +5,9 @@ against an independent brute-force oracle: ``rect.contains_point`` over
 the tree's own ``scan_points()`` for the view (in order for run passes,
 as sorted lists for descents).  Covers: ``select_rows`` against
 per-point containment (packed and unsorted leaves),
-``FoldAccumulator``'s exact serial float semantics, ``search_run`` /
-``search_run_group`` / ``search_run_fold`` / the classic descent over
-columnar and row leaves, dynamic trees with unsorted leaves and zero
+``FoldAccumulator``'s exact serial float semantics, the run pass
+(``search_run_group``: one request or several, collecting or folding) and
+the classic descent over columnar and row leaves, dynamic trees with unsorted leaves and zero
 coordinates, the aggregate pushdown, and a Hypothesis sweep that
 answers random workloads through ``query``, a one-query batch and one
 whole batch on row- and columnar-leaf engines and demands identical
@@ -116,6 +116,16 @@ def decoded_packed_tree(pool, leaf_format, **kwargs):
         tree = packed_tree(pool, **kwargs)
     pool.clear()  # drop in-memory nodes: fetches decode the page bytes
     return tree
+
+
+def run_pass(tree, view_id, rect, lo_key, hi_key):
+    """One request through the run pass, collected and then folded:
+    ``(its matches in row form, a FoldAccumulator of them)``."""
+    request = (rect, lo_key, hi_key)
+    (blocks,) = tree.search_run_group(view_id, [request])
+    acc = FoldAccumulator(("add",))
+    assert tree.search_run_group(view_id, [request], [acc]) == [[]]
+    return found(tree, blocks), acc
 
 
 def brute_force(tree, view_id, rect):
@@ -352,8 +362,9 @@ def test_search_run_vectorized_equals_scalar(arity, bounds, lo_key, hi_key):
     tree = columnar_packed_tree(pool)
     rect = view_rect(arity, bounds)
     expected = brute_force(tree, arity, rect)
-    got = found(tree, tree.search_run(arity, rect, lo_key, hi_key))
+    got, folded = run_pass(tree, arity, rect, lo_key, hi_key)
     assert got == expected  # same matches, same order
+    assert folded.rows == len(expected)
 
 
 @pytest.mark.parametrize("arity,bounds,lo_key,hi_key", SLICES)
@@ -384,8 +395,7 @@ def test_search_run_fold_equals_folding_matches(
     expected = FoldAccumulator(("add",))
     for _vid, _pt, values in brute_force(tree, arity, rect):
         expected.add(values)
-    acc = FoldAccumulator(("add",))
-    tree.search_run_fold(arity, rect, acc, lo_key, hi_key)
+    _got, acc = run_pass(tree, arity, rect, lo_key, hi_key)
     assert acc.states == expected.states
     assert acc.rows == expected.rows
 
@@ -397,12 +407,9 @@ def test_row_leaves_through_every_entry_point(arity, bounds, lo_key, hi_key):
     tree = decoded_packed_tree(pool, "row")
     rect = view_rect(arity, bounds)
     expected = brute_force(tree, arity, rect)
-    assert found(tree, tree.search_run(arity, rect, lo_key, hi_key)) == expected
     assert sorted(found(tree, tree.search(rect))) == sorted(expected)
-    grouped = tree.search_run_group(arity, [(rect, lo_key, hi_key)])
-    assert [found(tree, blocks) for blocks in grouped] == [expected]
-    folded = FoldAccumulator(("add",))
-    tree.search_run_fold(arity, rect, folded, lo_key, hi_key)
+    got, folded = run_pass(tree, arity, rect, lo_key, hi_key)
+    assert got == expected
     assert folded.rows == len(expected)
 
 

@@ -1,15 +1,18 @@
 """Tests for packed leaf-run extents and the run fast paths.
 
 Covers: extent recording at pack/merge time, ``run_bounds`` resolution,
-``search_run``/``search_run_group`` identity with the classic descent,
-run-prefix seeking, extent invalidation on dynamic inserts, and the pin
-protocol of abandoned iterators (every fetch balanced by an unpin even
-when a consumer stops early).
+the run pass's (``search_run_group``, one request or several, collecting
+or folding) identity with the classic descent, run-prefix seeking,
+extent invalidation on dynamic inserts, and the pin protocol (every
+fetch balanced by an unpin, even when an iterator is abandoned or a
+pass fails part-way).
 """
 
 import pytest
 
+from repro.errors import StorageError
 from repro.rtree.geometry import Rect
+from repro.rtree.kernels import FoldAccumulator
 from repro.rtree.merge import merge_pack
 from repro.rtree.node import leaf_capacity
 from repro.rtree.packing import PackedRun, pack_rtree
@@ -130,10 +133,16 @@ def test_dynamic_insert_clears_extents():
 
 
 # ----------------------------------------------------------------------
-# search_run == search, restricted to the view
+# the run pass == search, restricted to the view
 # ----------------------------------------------------------------------
 def _descent_matches(tree, rect):
     return found(tree, tree.search(rect))
+
+
+def _one_request(tree, view_id, rect, lo_key=(), hi_key=()):
+    """One request through the run pass: its matches in row form."""
+    (blocks,) = tree.search_run_group(view_id, [(rect, lo_key, hi_key)])
+    return found(tree, blocks)
 
 
 @pytest.mark.parametrize(
@@ -154,27 +163,37 @@ def test_search_run_matches_descent(arity, bounds, lo_key, hi_key):
     tree = packed_tree(pool)
     rect = view_rect(arity, bounds)
     expected = _descent_matches(tree, rect)
-    got = found(tree, tree.search_run(arity, rect, lo_key, hi_key))
+    got = _one_request(tree, arity, rect, lo_key, hi_key)
     assert got == expected  # same matches, same (run) order
+    # A fold sink reads the same matches, folded in run order.
+    serial = FoldAccumulator(("add",))
+    for _vid, _pt, values in expected:
+        serial.add(values)
+    acc = FoldAccumulator(("add",))
+    request = (rect, lo_key, hi_key)
+    assert tree.search_run_group(arity, [request], [acc]) == [[]]
+    assert (acc.states, acc.rows) == (serial.states, serial.rows)
     assert_unpinned(pool)
 
 
 def test_search_run_without_extent_raises():
-    from repro.errors import StorageError
-
     _disk, pool = make_pool()
     tree = packed_tree(pool)
     tree.view_extents = {}
     tree._run_index.clear()
     with pytest.raises(StorageError):
-        list(tree.search_run(1, view_rect(1)))
+        tree.search_run_group(1, [(view_rect(1), (), ())])
+    acc = FoldAccumulator(("add",))
+    with pytest.raises(StorageError):
+        tree.search_run_group(1, [(view_rect(1), (), ())], [acc])
+    assert_unpinned(pool)
 
 
-def test_scan_run_yields_only_the_views_leaves():
+def test_run_leaves_are_only_the_views_leaves():
     _disk, pool = make_pool()
     tree = packed_tree(pool)
-    leaves = list(tree.scan_run(1))
     lo, hi = tree.run_bounds(1)
+    leaves = list(tree._scan_leaves(lo, hi, 1))
     assert len(leaves) == hi - lo + 1
     assert all(leaf.view_id == 1 for leaf in leaves)
     assert_unpinned(pool)
@@ -193,7 +212,7 @@ def test_search_run_group_matches_individual_runs():
     grouped = tree.search_run_group(2, requests)
     for (rect, lo, hi), blocks in zip(requests, grouped):
         got = found(tree, blocks)
-        assert got == found(tree, tree.search_run(2, rect, lo, hi))
+        assert got == _one_request(tree, 2, rect, lo, hi)
     assert_unpinned(pool)
 
 
@@ -218,12 +237,16 @@ def test_abandoned_chain_iterators_release_pins(method):
 
 
 def test_abandoned_run_search_releases_pins():
+    """A StorageError raised part-way through a run pass (a leaf of
+    another view inside the run) leaves no page pinned."""
     _disk, pool = make_pool()
     tree = packed_tree(pool)
-    iterator = tree.search_run(1, view_rect(1))
-    next(iterator)  # one block per leaf: stop inside the first leaf
-    iterator.close()
-    assert_unpinned(pool)
+    lo1, hi1 = tree.run_bounds(1)
+    tree._run_index[1] = (lo1, hi1 + 1)  # the run now ends in view 2
+    for folds in (None, [FoldAccumulator(("add",))]):
+        with pytest.raises(StorageError, match="contains a page of view 2"):
+            tree.search_run_group(1, [(view_rect(1), (), ())], folds)
+        assert_unpinned(pool)
 
 
 def test_every_fetch_is_unpinned_after_full_scan():
@@ -231,7 +254,7 @@ def test_every_fetch_is_unpinned_after_full_scan():
     _disk, pool = make_pool()
     tree = packed_tree(pool)
     before = pool.stats.copy()
-    list(tree.search_run(1, view_rect(1)))
+    _one_request(tree, 1, view_rect(1))
     delta = pool.stats - before
     assert delta.unpins == delta.hits + delta.misses
     assert_unpinned(pool)
