@@ -99,9 +99,8 @@ def prepare_packed_runs(
 
     This is the compute-heavy half of a build/merge-pack — the
     packing-order sort plus coordinate and value coercion — and touches
-    no storage, so the forest can run it for several trees in worker
-    processes while the actual (simulated-I/O-charging) pack stays
-    serial in the parent.  Each view is sorted once, as a permutation,
+    no storage; only the pack that follows charges simulated I/O.  Each
+    view is sorted once, as a permutation,
     by its group columns last to first: within one view the zero pad of
     :func:`sort_key` is a constant prefix, so that is the packing order.
     The permutation then gathers ``int`` coordinate and ``float`` value
@@ -178,28 +177,18 @@ class Cubetree:
         order and the runs are packed into a fresh tree.
         """
         with trace("cubetree.build", views=len(self.views)):
-            self.build_from_runs(
-                prepare_packed_runs(self.dims, self.views, data)
-            )
-
-    def build_from_runs(self, runs: Sequence[PackedRun]) -> None:
-        """Bulk-load from already-prepared packing-order runs."""
-        self.tree = pack_rtree(self.pool, self.dims, list(runs))
-        self._debug_verify("Cubetree.build")
+            runs = prepare_packed_runs(self.dims, self.views, data)
+            self.tree = pack_rtree(self.pool, self.dims, runs)
+            self._debug_verify("Cubetree.build")
 
     def update(self, deltas: Mapping[str, Sequence[Row]]) -> None:
         """Merge-pack a sorted delta into the tree (Fig. 15)."""
         with trace("cubetree.update", views=len(self.views)):
-            self.update_from_runs(
-                prepare_packed_runs(self.dims, self.views, deltas)
+            runs = prepare_packed_runs(self.dims, self.views, deltas)
+            self.tree = merge_pack(
+                self.pool, self.dims, self.tree, runs, combine=self._combine
             )
-
-    def update_from_runs(self, runs: Sequence[PackedRun]) -> None:
-        """Merge-pack already-prepared packing-order delta runs."""
-        self.tree = merge_pack(
-            self.pool, self.dims, self.tree, list(runs), combine=self._combine
-        )
-        self._debug_verify("Cubetree.update")
+            self._debug_verify("Cubetree.update")
 
     def _debug_verify(self, context: str) -> None:
         """Post-condition fsck behind the ``REPRO_DEBUG_CHECKS`` flag."""

@@ -46,14 +46,13 @@ from repro.core.reports import LoadReport, PhaseReport, UpdateReport
 from repro.core.sharded import Shard, ShardedForest, combine_io
 from repro.core.sorting import make_substrate_sorter
 from repro.cube.lattice import CubeLattice
-from repro.cube.parallel import ParallelCubeComputation
+from repro.cube.computation import CubeComputation
 from repro.errors import QueryError
 from repro.obs import get_registry, trace
 from repro.query.result import QueryResult
 from repro.query.router import QueryRouter
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
-from repro.settings import current
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.disk import DiskManager
 from repro.storage.iomodel import IOStats
@@ -83,18 +82,12 @@ class CubetreeEngine:
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         sort_chunk_rows: int = 100_000,
         disks: Optional[Sequence[DiskManager]] = None,
-        workers: Optional[int] = None,
         shards: int = 1,
     ) -> None:
         """``shards`` residue partitions (default 1) each get their own
         disk and a ``buffer_pages``-page pool; ``disks`` supplies the
         per-shard disks instead of fresh ones (checkpoint recovery hands
-        back the restored devices, tests inject faulty ones).
-
-        ``workers`` (default: ``REPRO_WORKERS``, i.e. 1) parallelizes
-        the pure-CPU stages — cube-computation branches and merge-pack run
-        preparation — across processes; all simulated I/O stays in this
-        process in serial order, so costs are identical at any count."""
+        back the restored devices, tests inject faulty ones)."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if disks is not None and len(disks) != shards:
@@ -108,17 +101,12 @@ class CubetreeEngine:
             )
             for index in range(shards)
         ]
-        self.workers = (
-            current().workers if workers is None else max(1, workers)
-        )
         # The cube computation is global, so its (rare) substrate sort
         # spills are charged to shard 0's device.
-        self.computation = ParallelCubeComputation(
+        self.computation = CubeComputation(
             schema,
             hierarchies,
             sorter=make_substrate_sorter(self.pool, sort_chunk_rows),
-            workers=self.workers,
-            serial_row_threshold=sort_chunk_rows,
         )
         self.hierarchies: Dict[str, Tuple[Hierarchy, str]] = {}
         for attr, hierarchy in (hierarchies or {}).items():
@@ -239,7 +227,7 @@ class CubetreeEngine:
             self.forest = ShardedForest(
                 self.shards, select_mapping(all_views)
             )
-            self.forest.build(data, workers=self.workers)
+            self.forest.build(data)
             self.forest.flush()
 
         report = LoadReport()
@@ -336,7 +324,7 @@ class CubetreeEngine:
                 deltas[replica_name] = PermutedRows(
                     by_name[base_name], deltas[base_name], replica.group_by
                 )
-            forest.update(deltas, workers=self.workers)
+            forest.update(deltas)
             forest.flush()
 
         return UpdateReport(

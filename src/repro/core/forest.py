@@ -4,25 +4,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.cubetree import Cubetree, prepare_packed_runs
+from repro.core.cubetree import Cubetree
 from repro.core.mapping import CubetreeAllocation
 from repro.errors import QueryError
-from repro.parallel import MIN_PARALLEL_ROWS, run_tasks
 from repro.query.router import AccessPath
 from repro.relational.view import ViewDefinition
 from repro.rtree.kernels import Block
-from repro.rtree.packing import PackedRun
 from repro.storage.buffer import BufferPool
 
 Row = Tuple[object, ...]
-
-
-def _prepare_tree_runs(
-    payload: Tuple[int, Tuple[ViewDefinition, ...], Dict[str, Sequence[Row]]],
-) -> List[PackedRun]:
-    """Worker body: packing-order run prep for one tree (pure CPU)."""
-    dims, views, data = payload
-    return prepare_packed_runs(dims, views, data)
 
 
 class CubetreeForest:
@@ -65,86 +55,23 @@ class CubetreeForest:
         """Leaves in the view's packed run (None when no extent exists)."""
         return self._tree_for(view_name).run_leaf_count(view_name)
 
-    def build(
-        self, data: Mapping[str, Sequence[Row]], workers: int = 1
-    ) -> None:
-        """Bulk-load every tree from the computed view data.
-
-        With ``workers > 1`` (and enough rows to amortize the pool
-        round-trip) the packing-order run preparation (row coercion +
-        sort, pure CPU) fans out one tree per worker; the
-        packs themselves — everything that touches the buffer pool and
-        charges simulated I/O — still run serially in tree order, so the
-        I/O trace is identical to the serial build.
-        """
+    def build(self, data: Mapping[str, Sequence[Row]]) -> None:
+        """Bulk-load every tree from the computed view data, in tree order."""
         missing = set(self._view_tree) - set(data)
         if missing:
             raise QueryError(f"no data for views {sorted(missing)}")
-        if self._fan_out(workers, self.cubetrees, data):
-            runs_per_tree = run_tasks(
-                _prepare_tree_runs,
-                [
-                    (tree.dims, tree.views, self._relevant(tree, data))
-                    for tree in self.cubetrees
-                ],
-                workers,
-            )
-            for tree, runs in zip(self.cubetrees, runs_per_tree):
-                tree.build_from_runs(runs)
-        else:
-            for tree in self.cubetrees:
-                tree.build(data)
+        for tree in self.cubetrees:
+            tree.build(data)
         self._sizes = {name: len(rows) for name, rows in data.items()}
         self._paths = None
 
-    def update(
-        self, deltas: Mapping[str, Sequence[Row]], workers: int = 1
-    ) -> None:
-        """Merge-pack deltas into every tree that has any.
-
-        As in :meth:`build`, ``workers > 1`` parallelizes only the
-        pure-CPU delta-run preparation (under the same gate); each tree's
-        merge-pack I/O runs serially in tree order.
-        """
-        touched = [
-            tree
-            for tree in self.cubetrees
-            if any(view.name in deltas for view in tree.views)
-        ]
-        if self._fan_out(workers, touched, deltas):
-            runs_per_tree = run_tasks(
-                _prepare_tree_runs,
-                [
-                    (tree.dims, tree.views, self._relevant(tree, deltas))
-                    for tree in touched
-                ],
-                workers,
-            )
-            for tree, runs in zip(touched, runs_per_tree):
-                tree.update_from_runs(runs)
-        else:
-            for tree in touched:
+    def update(self, deltas: Mapping[str, Sequence[Row]]) -> None:
+        """Merge-pack deltas into every tree that has any, in tree order."""
+        for tree in self.cubetrees:
+            if any(view.name in deltas for view in tree.views):
                 tree.update(self._relevant(tree, deltas))
         self._sizes = None  # recounted lazily on the next routing request
         self._paths = None
-
-    def _fan_out(
-        self,
-        workers: int,
-        trees: Sequence[Cubetree],
-        data: Mapping[str, Sequence[Row]],
-    ) -> bool:
-        """Should run preparation go to worker processes?
-
-        Only with several trees and enough rows to amortize the pool
-        round-trip.
-        """
-        return (
-            workers > 1
-            and len(trees) > 1
-            and sum(len(data[name]) for name in self._view_tree if name in data)
-            >= MIN_PARALLEL_ROWS
-        )
 
     @staticmethod
     def _relevant(

@@ -1,11 +1,12 @@
 """The scatter-gather forest: N >= 1 residue shards behind one surface.
 
 Every materialized view is partitioned by the residue of its *leading
-group coordinate* modulo ``N`` — the same first-coordinate split
-:class:`~repro.cube.parallel.ParallelCubeComputation` proved
-bit-identical under merge — so a group row lives in exactly one shard and
-no aggregate state is ever split.  Each :class:`Shard` is a fully
-independent :class:`~repro.core.forest.CubetreeForest` with its own
+group coordinate* modulo ``N`` (:func:`shard_of`, the one partitioning
+rule).  Equal group keys share their leading coordinate, so a group row
+lives in exactly one shard and no aggregate state is ever split; fsck's
+``shard-residue`` check re-verifies the split from the pages on disk.
+Each :class:`Shard` is a fully independent
+:class:`~repro.core.forest.CubetreeForest` with its own
 :class:`~repro.storage.disk.DiskManager`, buffer pool, and (at checkpoint
 time) its own ``shard-XX/`` directory under one atomically committed
 generation manifest (see :func:`repro.core.persistence.save_database`).
@@ -212,18 +213,14 @@ class ShardedForest:
         return self.shards[0].require_forest().view_definition(view_name)
 
     # -- loading --------------------------------------------------------
-    def build(
-        self, data: Mapping[str, Sequence[Row]], workers: int = 1
-    ) -> None:
+    def build(self, data: Mapping[str, Sequence[Row]]) -> None:
         """Residue-split the view data and bulk-load every shard."""
         parts = self._partition(data, keep_empty=True)
         for shard, part in zip(self.shards, parts):
-            shard.require_forest().build(part, workers=workers)
+            shard.require_forest().build(part)
         self._paths = None
 
-    def update(
-        self, deltas: Mapping[str, Sequence[Row]], workers: int = 1
-    ) -> None:
+    def update(self, deltas: Mapping[str, Sequence[Row]]) -> None:
         """Residue-split the deltas and merge-pack every touched shard.
 
         A shard whose residue class received no delta rows is left
@@ -232,7 +229,7 @@ class ShardedForest:
         parts = self._partition(deltas, keep_empty=False)
         for shard, part in zip(self.shards, parts):
             if part:
-                shard.require_forest().update(part, workers=workers)
+                shard.require_forest().update(part)
         self._paths = None
 
     def _partition(

@@ -4,7 +4,7 @@ paper's selected views/indexes/replicas, and formatting helpers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.constants import EXPERIMENT_BUFFER_PAGES
 from repro.core.conventional import ConventionalEngine
@@ -73,7 +73,6 @@ def build_cubetree_engine(
     data: WarehouseData,
     replicate: bool = True,
     shards: int = 1,
-    workers: Optional[int] = None,
 ) -> Tuple[CubetreeEngine, LoadReport]:
     """Build + load the Cubetree configuration (with replicas),
     partitioned into ``shards`` residue shards (default: one)."""
@@ -82,7 +81,6 @@ def build_cubetree_engine(
         buffer_pages=config.buffer_pages,
         sort_chunk_rows=config.sort_chunk_rows,
         shards=shards,
-        workers=workers,
     )
     report = engine.materialize(
         paper_views(),

@@ -34,7 +34,7 @@ from repro.constants import (
     SEQUENTIAL_IO_MS,
 )
 from repro.obs import get_registry
-from repro.settings import current, override
+from repro.settings import override
 
 #: Bumped whenever the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -190,9 +190,6 @@ def _make_config(suite: str, scale: float, seed: int, queries: int):
             "seed": seed,
             "queries_per_node": queries,
             "buffer_pages": config.buffer_pages,
-            # Worker count only moves wall-clock numbers; simulated I/O
-            # is identical at any setting (see repro.parallel).
-            "workers": current().workers,
         },
     )
     return config, run
@@ -201,20 +198,18 @@ def _make_config(suite: str, scale: float, seed: int, queries: int):
 def _compute_phase(run: BenchRun, name: str, config, data, rows) -> None:
     """Record a pure-CPU cube-computation phase (simulated I/O ~ 0).
 
-    Exercises the batched-codec / fused-aggregation / parallel pipeline in
+    Exercises the batched-codec / fused-aggregation pipeline in
     isolation so its wall-ms win is visible outside the load totals.
     """
     from repro.core.sorting import make_substrate_sorter
-    from repro.cube.parallel import ParallelCubeComputation
+    from repro.cube.computation import CubeComputation
     from repro.experiments.common import paper_views
     from repro.storage.buffer import BufferPool
     from repro.storage.disk import DiskManager
 
     pool = BufferPool(DiskManager(), capacity=config.buffer_pages)
-    computation = ParallelCubeComputation(
-        data.schema,
-        sorter=make_substrate_sorter(pool, config.sort_chunk_rows),
-        serial_row_threshold=config.sort_chunk_rows,
+    computation = CubeComputation(
+        data.schema, sorter=make_substrate_sorter(pool, config.sort_chunk_rows)
     )
     with run.phase(name, pool):
         computation.execute(rows, paper_views())

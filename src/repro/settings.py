@@ -6,7 +6,6 @@ honours; field ``name`` is read from ``REPRO_<NAME>``.
 process environment, and it applies one parse rule per type:
 
 * booleans accept ``1/true/yes/on`` and ``0/false/no/off``, in any case;
-* integers accept a decimal count;
 * enumerations accept only their listed values.
 
 An unset or empty variable keeps the field's default; anything else
@@ -42,10 +41,6 @@ def _is_bool(value: object) -> bool:
     return isinstance(value, bool)
 
 
-def _at_least(low: int) -> Callable[[object], bool]:
-    return lambda value: type(value) is int and value >= low
-
-
 def _knob(
     default: Any,
     parse: Callable[[str], Any],
@@ -73,8 +68,6 @@ class Settings:
     leaf_format: str = _knob(
         "columnar", str.lower, ("row", "columnar").__contains__, "row or columnar"
     )
-    #: Processes for the pure-CPU build stages.
-    workers: int = _knob(1, int, _at_least(1), "an integer >= 1")
     #: Self-verify (fsck) after bulk load and merge-pack.
     debug_checks: bool = _knob(False, _boolean, _is_bool, _BOOLEAN)
     #: Record span timings into the metrics registry.

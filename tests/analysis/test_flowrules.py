@@ -615,7 +615,7 @@ def test_src_tree_is_flow_clean_modulo_baseline():
     assert suppressed == len(report.findings)
     # the audit inventory covers the known shared-state surfaces
     names = {entry.name for entry in report.inventory}
-    assert {"_REG", "_REGISTRY", "_POOLS"} <= names
+    assert {"_REG", "_REGISTRY", "_active"} <= names
     assert all(
         entry.annotation is not None for entry in report.inventory
     )

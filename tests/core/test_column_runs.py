@@ -13,7 +13,6 @@ from array import array
 import pytest
 
 import repro.core.cubetree as cubetree
-import repro.core.forest as forest
 from repro.core.engine import CubetreeEngine
 from repro.errors import MappingError
 from repro.experiments.common import PAPER_REPLICA_ORDERS, PAPER_VIEW_SPECS
@@ -119,10 +118,9 @@ def test_column_runs_match_the_entry_reference(
     generator = TPCDGenerator(scale_factor=0.001, seed=5, include_price=True)
     warehouse = generator.generate()
     increment = generator.generate_increment(0.1)
-    with override(leaf_format=leaf_format, workers=1):
+    with override(leaf_format=leaf_format):
         loaded, updated = _load_and_update(warehouse, increment, shards)
         monkeypatch.setattr(cubetree, "prepare_packed_runs", reference_prepare)
-        monkeypatch.setattr(forest, "prepare_packed_runs", reference_prepare)
         ref_loaded, ref_updated = _load_and_update(
             warehouse, increment, shards
         )

@@ -189,45 +189,57 @@ class TestBounds:
             AdmissionQueue(max_depth=0)
 
     def test_close_fails_waiters(self, server, pinned, workload):
+        """A query still queued when ``close()`` runs fails with a
+        shutdown error; the one in flight finishes.
+
+        The executor is parked inside a first query, the waiter is seen
+        queued before ``close()`` starts, and the executor is released
+        only once the waiter has its error, so close() always finds it
+        queued whatever the scheduler does."""
+        import time
+
         queue = AdmissionQueue(max_depth=8)
         queue.start()
-        release = threading.Event()
+        entered, release = threading.Event(), threading.Event()
         outcome = {}
 
-        class SlowHandle:
+        class BlockingHandle:
             number = pinned.number
 
             class engine:  # noqa: N801 - stub namespace
                 @staticmethod
-                def query(_q):
+                def query(query):
+                    entered.set()
                     release.wait(30.0)
-                    return pinned.engine.query(workload[0])
+                    return pinned.engine.query(query)
 
         def waiter():
             try:
-                queue.submit(SlowHandle(), workload[1], timeout=30.0)
+                queue.submit(pinned, workload[1], timeout=30.0)
             except AdmissionError as exc:
                 outcome["error"] = exc
 
-        # First submission occupies the executor; the second sits in the
-        # queue and must be failed by close().
-        blocker = threading.Thread(
-            target=lambda: queue.submit(SlowHandle(), workload[0], 30.0),
-            daemon=True,
-        )
-        blocker.start()
-        import time
-
-        time.sleep(0.05)
         pending = threading.Thread(target=waiter, daemon=True)
-        pending.start()
-        time.sleep(0.05)
-        # Unblock the in-flight query shortly after close() starts so
-        # its executor join returns promptly.
-        threading.Timer(0.1, release.set).start()
-        queue.close()
-        pending.join(timeout=30.0)
-        blocker.join(timeout=30.0)
+        closer = threading.Thread(target=queue.close, daemon=True)
+        try:
+            blocker = queue.submit_nowait(BlockingHandle(), workload[0])
+            assert entered.wait(30.0)
+            pending.start()
+            deadline = time.monotonic() + 30.0
+            while queue.depth < 1:
+                assert time.monotonic() < deadline, "waiter never queued"
+                time.sleep(0.001)
+            # close() fails the queued waiter before it joins the
+            # executor, which is still parked in the first query.
+            closer.start()
+            pending.join(timeout=30.0)
+        finally:
+            release.set()
+        closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        assert queue.wait(blocker, timeout=30.0).rows == (
+            pinned.engine.query(workload[0]).rows
+        )
         assert "error" in outcome
         assert "shutting down" in str(outcome["error"])
 

@@ -25,8 +25,6 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
 
 from repro.core.engine import CubetreeEngine
 from repro.core.onthefly import OnTheFlyEngine
-from repro.cube.computation import CubeComputation
-from repro.cube.parallel import ParallelCubeComputation
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
 from repro.warehouse.star import Dimension, StarSchema
@@ -154,30 +152,6 @@ def test_cubetree_answers_match_onthefly_recomputation(case):
         expected = oracle.query(query).rows
         got = cubetree.query(query).rows
         assert got == expected, query.describe()
-
-
-@given(differential_cases())
-@settings(max_examples=max(10, EXAMPLES // 4), deadline=None)
-def test_parallel_computation_matches_serial(case):
-    """The process-parallel cube pipeline is bit-identical to serial.
-
-    ``min_parallel_rows=1`` forces the pool path (bucket partitioning,
-    worker round-trips, k-way merge) even for tiny inputs, so this
-    sweeps the parallel machinery itself, not just its serial fallback.
-    Equality is exact (`==` on float states): partitions are keyed on
-    the first group coordinate, so every worker folds complete groups
-    over the same rows in the same order as the serial pipeline.
-    """
-    domain_sizes, facts, views, _queries = case
-    schema = _make_schema(domain_sizes)
-    serial = CubeComputation(schema)
-    parallel = ParallelCubeComputation(
-        schema, workers=2, min_parallel_rows=1
-    )
-    expected = serial.execute(facts, views)
-    got = parallel.execute(facts, views)
-    assert list(got) == list(expected)  # same plan-step ordering
-    assert got == expected
 
 
 @given(differential_cases())

@@ -5,8 +5,9 @@ reaches it only through local imports inside debug branches, so starting
 a server must leave every ``repro.analysis*`` module unloaded.  Likewise
 ``repro.experiments`` sits above the server: bootstrapping a database
 builds the paper's configuration from ``repro.warehouse`` alone.  The
-checks run in a fresh interpreter because this test process has long
-since imported everything.
+server computes, builds and merge-packs in one process, so it loads no
+process-pool machinery either.  The checks run in a fresh interpreter
+because this test process has long since imported everything.
 """
 
 import os
@@ -36,6 +37,14 @@ def test_import_repro_server_loads_no_analysis_module():
         "import sys, repro.server\n"
         "print(sorted(m for m in sys.modules"
         " if m.startswith('repro.analysis')))"
+    ) == "[]"
+
+
+def test_import_repro_server_loads_no_process_pool():
+    assert _probe(
+        "import sys, repro.server\n"
+        "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+        " or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))"
     ) == "[]"
 
 

@@ -24,7 +24,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Today's defaults, spelled out so a changed default is a visible diff.
 DEFAULTS = {
     "leaf_format": "columnar",
-    "workers": 1,
     "debug_checks": False,
     "trace": False,
 }
@@ -35,17 +34,10 @@ BOOLEAN_FIELDS = [
 
 #: One malformed value per field.
 MALFORMED = {
-    "workers": "abc",
     "leaf_format": "rows",
     "debug_checks": "enabled",
     "trace": "offf",
 }
-
-#: Values that parse but fall outside a field's domain.
-OUT_OF_RANGE = {
-    "workers": "0",
-}
-
 
 def child_env(**extra):
     """This process's environment without REPRO_* knobs, plus ``extra``."""
@@ -68,7 +60,7 @@ def run_python(code, **env):
 # ----------------------------------------------------------------------
 # parse rules
 # ----------------------------------------------------------------------
-def test_settings_has_exactly_the_four_knobs():
+def test_settings_has_exactly_the_three_knobs():
     assert [spec.name for spec in fields(Settings)] == list(DEFAULTS)
     assert set(MALFORMED) == set(DEFAULTS)
 
@@ -103,21 +95,15 @@ def test_malformed_value_raises_config_error_naming_the_variable(name):
     assert repr(raw) in str(excinfo.value)
 
 
-@pytest.mark.parametrize("name", list(OUT_OF_RANGE))
-def test_out_of_range_value_raises_config_error(name):
-    with pytest.raises(ConfigError, match=env_name(name)):
-        Settings.from_env({env_name(name): OUT_OF_RANGE[name]})
-
-
 def test_typed_values_parse():
     parsed = Settings.from_env(
         {
             "REPRO_LEAF_FORMAT": " ROW ",
-            "REPRO_WORKERS": "4",
+            "REPRO_TRACE": " On ",
         }
     )
     assert parsed.leaf_format == "row"
-    assert parsed.workers == 4
+    assert parsed.trace is True
 
 
 def test_config_error_is_a_repro_error():
@@ -131,10 +117,10 @@ def test_config_error_is_a_repro_error():
 # ----------------------------------------------------------------------
 def test_override_replaces_and_restores():
     before = current()
-    with override(workers=3, trace=True) as active:
+    with override(leaf_format="row", trace=True) as active:
         assert current() is active
-        assert (active.workers, active.trace) == (3, True)
-        assert active.leaf_format == before.leaf_format
+        assert (active.leaf_format, active.trace) == ("row", True)
+        assert active.debug_checks == before.debug_checks
     assert current() is before
 
 
@@ -148,8 +134,8 @@ def test_override_restores_after_an_exception():
 
 def test_override_validates_and_rejects_unknown_fields():
     before = current()
-    with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        with override(workers=0):
+    with pytest.raises(ConfigError, match="REPRO_LEAF_FORMAT"):
+        with override(leaf_format="rows"):
             pass
     with pytest.raises(TypeError):
         with override(no_such_knob=1):
@@ -192,7 +178,7 @@ def test_repro_debug_checks_off_runs_no_fsck(raw, runs):
 
 @pytest.mark.parametrize(
     "variable,raw",
-    [("REPRO_WORKERS", "abc"), ("REPRO_LEAF_FORMAT", "rows")],
+    [("REPRO_DEBUG_CHECKS", "abc"), ("REPRO_LEAF_FORMAT", "rows")],
 )
 def test_cli_bad_value_exits_with_the_message_not_a_traceback(variable, raw):
     proc = subprocess.run(
