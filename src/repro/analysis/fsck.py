@@ -18,7 +18,9 @@ packer (:mod:`repro.rtree.packing`) and merge-packer
 * interior MBRs contain their children (recorded and recomputed);
 * the ``next_leaf`` chain, the tree's ``leaf_page_ids`` index, and the
   set of leaves reachable from the root all agree; and
-* the stored entry total matches the tree's counter.
+* the stored entry total matches the tree's counter, and each view's
+  entries match the tree's per-view count (the sizes the router and
+  the catalog use).
 
 Checks deserialize nodes from the raw page bytes (via
 :class:`~repro.storage.page.Page` buffers served by the
@@ -78,6 +80,7 @@ STRUCTURE_CYCLE = "structure-cycle"
 CHECKPOINT_CORRUPT = "checkpoint-corrupt"
 RUN_EXTENT_MISMATCH = "run-extent-mismatch"
 SHARD_RESIDUE = "shard-residue"
+VIEW_SIZE_MISMATCH = "view-size-mismatch"
 
 #: view_id -> (expected arity, expected aggregate-value count)
 ExpectedViews = Mapping[int, Tuple[int, int]]
@@ -487,6 +490,7 @@ class _TreeChecker:
         #: (view_id, first page id, last page id) per run, in chain order
         run_extents: List[Tuple[int, int, int]] = []
         total_entries = 0
+        view_entries: Dict[int, int] = {}
 
         while page_id != -1:
             if page_id in seen:
@@ -513,6 +517,9 @@ class _TreeChecker:
 
             self.report.leaves_checked += 1
             total_entries += len(node)
+            view_entries[node.view_id] = (
+                view_entries.get(node.view_id, 0) + len(node)
+            )
 
             # A new run starts whenever the view id changes; the leaf
             # that closed the previous run is allowed to be partial.
@@ -570,8 +577,9 @@ class _TreeChecker:
                 # Extent verification presumes well-formed runs; when
                 # views interleave, every extent is wrong for the same
                 # root cause, so reporting them would only bury the
-                # interleaving violation in noise.
+                # interleaving violation in noise (so would sizes).
                 self._check_extents(run_extents)
+                self._check_view_sizes(view_entries)
         if chain != list(tree.leaf_page_ids):
             self._flag(
                 LEAF_CHAIN_BROKEN,
@@ -585,6 +593,25 @@ class _TreeChecker:
                 f"{tree.count}",
             )
         return chain
+
+    def _check_view_sizes(self, view_entries: Dict[int, int]) -> None:
+        """Each view's leaf entries against the tree's recorded count
+        (the size the router plans with and the catalog saves).  A tree
+        that records no counts at all (built outside the leaf writer)
+        has nothing to compare, like one without extents."""
+        counts = self.tree.view_counts
+        if not counts:
+            return
+        for view_id in sorted(set(counts) | set(view_entries)):
+            recorded = counts.get(view_id, 0)
+            held = view_entries.get(view_id, 0)
+            if recorded != held:
+                self._flag(
+                    VIEW_SIZE_MISMATCH,
+                    f"view {view_id}'s leaves hold {held} entries, its "
+                    f"recorded size is {recorded}",
+                    view_id=view_id,
+                )
 
     def _check_full(
         self, prev_leaf: Tuple[int, RLeafNode], successor: RLeafNode

@@ -394,10 +394,6 @@ class Cubetree:
         return self.tree.leaf_utilization()
 
     def view_sizes(self) -> Dict[str, int]:
-        """Tuple count per view (one leaf-chain pass over page headers)."""
-        counts = {view.name: 0 for view in self.views}
-        for view_id, count in self.tree.leaf_headers():
-            view = self._by_arity.get(view_id)
-            if view is not None:
-                counts[view.name] += count
-        return counts
+        """Tuple count per view (the packer's per-view entry counts)."""
+        counts = self.tree.view_counts
+        return {view.name: counts.get(view.arity, 0) for view in self.views}

@@ -31,7 +31,6 @@ class CubetreeForest:
         for i, assignment in enumerate(allocation.trees):
             for view in assignment.views:
                 self._view_tree[view.name] = i
-        self._sizes: Dict[str, int] | None = None
         self._paths: List[AccessPath] | None = None
 
     # ------------------------------------------------------------------
@@ -62,7 +61,6 @@ class CubetreeForest:
             raise QueryError(f"no data for views {sorted(missing)}")
         for tree in self.cubetrees:
             tree.build(data)
-        self._sizes = {name: len(rows) for name, rows in data.items()}
         self._paths = None
 
     def update(self, deltas: Mapping[str, Sequence[Row]]) -> None:
@@ -70,7 +68,6 @@ class CubetreeForest:
         for tree in self.cubetrees:
             if any(view.name in deltas for view in tree.views):
                 tree.update(self._relevant(tree, deltas))
-        self._sizes = None  # recounted lazily on the next routing request
         self._paths = None
 
     @staticmethod
@@ -118,7 +115,8 @@ class CubetreeForest:
         self._paths = None
 
     def set_view_sizes(self, sizes: Mapping[str, int]) -> None:
-        """Adopt saved tuple counts; keys must match the allocation exactly."""
+        """Adopt saved tuple counts (each tree's per-view entry counts);
+        keys must match the allocation exactly."""
         known = set(self._view_tree)
         unknown = sorted(set(sizes) - known)
         missing = sorted(known - set(sizes))
@@ -127,7 +125,10 @@ class CubetreeForest:
                 f"view sizes disagree with the allocation: "
                 f"unknown {unknown}, missing {missing}"
             )
-        self._sizes = {str(name): int(size) for name, size in sizes.items()}
+        for tree in self.cubetrees:
+            tree.tree.view_counts = {
+                view.arity: int(sizes[view.name]) for view in tree.views
+            }
         self._paths = None
 
     def query_view(
@@ -207,13 +208,11 @@ class CubetreeForest:
     # statistics
     # ------------------------------------------------------------------
     def view_sizes(self) -> Dict[str, int]:
-        """Tuple count per view (cached; a leaf-chain pass when stale)."""
-        if self._sizes is None:
-            sizes: Dict[str, int] = {}
-            for tree in self.cubetrees:
-                sizes.update(tree.view_sizes())
-            self._sizes = sizes
-        return dict(self._sizes)
+        """Tuple count per view."""
+        sizes: Dict[str, int] = {}
+        for tree in self.cubetrees:
+            sizes.update(tree.view_sizes())
+        return sizes
 
     @property
     def num_trees(self) -> int:

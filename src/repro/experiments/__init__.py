@@ -7,8 +7,8 @@ own numbers), and returns the measurements for assertions.
 
 Run everything from the command line::
 
-    python -m repro.experiments.runner            # all experiments
-    python -m repro.experiments.table6_loading    # just one
+    python -m repro experiment all                # all experiments
+    python -m repro experiment table6             # just one
 """
 
 from repro.experiments.common import ExperimentConfig

@@ -1,16 +1,17 @@
-"""The ``repro bench`` harness: named suites with machine-readable output.
+"""The ``repro bench`` harness: the simulated-I/O gate.
 
 Each suite runs a small, deterministic slice of the paper's workload
-(loading, querying, merge-pack refresh, scalability) and emits one
-schema-versioned JSON document: an environment fingerprint, per-phase
-simulated-I/O and buffer-pool deltas, wall-clock timings, and a full
-snapshot of the process-wide metrics registry.  Two documents from the
-same suite can be diffed with :func:`compare`, which flags phases whose
-*simulated* milliseconds regressed past a threshold — wall-clock noise
-never fails a comparison; only the deterministic cost model does.
+(loading, querying, merge-pack refresh, serving, sharding, leaf format)
+and emits one schema-versioned JSON document: an environment
+fingerprint, per-phase simulated-I/O and buffer-pool deltas, and the
+process-wide metric counters.  Everything outside ``env`` reproduces
+run to run, so a fresh document equals the committed baseline there.
+:func:`compare` flags phases whose I/O counters moved or whose
+simulated milliseconds regressed past a threshold.  Wall-clock is not
+measured here: ``bench_e2e`` times the system end to end.
 
-Used by CI (smoke suite per push, artifact uploaded) and by hand when
-touching storage-layer code::
+Used by CI (every suite against ``bench/BENCH_<suite>.json``) and by
+hand when touching storage-layer code::
 
     python -m repro bench --suite smoke --out BENCH_smoke.json
     ... hack hack hack ...
@@ -22,9 +23,8 @@ from __future__ import annotations
 import json
 import platform
 import sys
-import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.constants import (
@@ -41,8 +41,8 @@ SCHEMA_VERSION = 1
 
 #: Suites in the order ``--suite`` lists them.
 SUITES = (
-    "smoke", "loading", "queries", "updates", "scalability", "serving",
-    "sharding", "columnar",
+    "smoke", "loading", "queries", "updates", "serving", "sharding",
+    "columnar",
 )
 
 #: Default scale factor per suite (kept tiny: the bench guards against
@@ -52,7 +52,6 @@ _DEFAULT_SCALES = {  # repro: read-only
     "loading": 0.002,
     "queries": 0.002,
     "updates": 0.002,
-    "scalability": 0.0005,
     "serving": 0.001,
     "sharding": 0.002,
     "columnar": 0.002,
@@ -67,18 +66,46 @@ _DEFAULT_QUERIES = {  # repro: read-only
     "loading": 5,
     "queries": 50,
     "updates": 5,
-    "scalability": 5,
     "serving": 5,
     "sharding": 5,
     "columnar": 5,
 }
 
+#: Buffer-pool counters copied into every phase record.
+_BUFFER_FIELDS = (
+    "hits", "misses", "evictions", "new_pages", "unpins",
+    "scan_admissions", "promotions", "readahead_pages",
+)
+
 
 # ----------------------------------------------------------------------
 # recording
 # ----------------------------------------------------------------------
+def _pools(target) -> list:
+    """The buffer pools of an engine (one per shard) or a bare pool."""
+    shards = getattr(target, "shards", None)
+    if shards is not None:
+        return [shard.pool for shard in shards]
+    return [getattr(target, "pool", target)]
+
+
+def _counters(target) -> List[Tuple[object, object]]:
+    """Per-pool ``(IOStats, BufferStats)`` copies of ``target``."""
+    return [
+        (pool.disk.cost_model.snapshot(), pool.stats.copy())
+        for pool in _pools(target)
+    ]
+
+
 class BenchRun:
-    """Accumulates the phases of one suite run."""
+    """Accumulates the phases of one suite run.
+
+    A phase is the simulated I/O and buffer traffic of some work on an
+    engine or a pool: :meth:`phase` around work the suite runs,
+    :meth:`load` for a build that happened inside a constructor.  An
+    engine's shards are priced on the critical path (summed counters,
+    the slowest shard's milliseconds) and their buffer counters summed.
+    """
 
     def __init__(self, suite: str, config: Dict[str, object]) -> None:
         self.suite = suite
@@ -86,34 +113,57 @@ class BenchRun:
         self.phases: List[Dict[str, object]] = []
 
     @contextmanager
-    def phase(self, name: str, pool) -> Iterator[None]:
-        """Record one phase: I/O, buffer, and wall-clock deltas around
-        the body, taken from the pool's disk cost model and stats."""
-        io_before = pool.disk.cost_model.snapshot()
-        buf_before = pool.stats.copy()
-        wall_start = time.perf_counter()
+    def phase(self, name: str, target) -> Iterator[None]:
+        """Record the body's traffic on ``target``."""
+        before = _counters(target)
         yield
-        wall_ms = (time.perf_counter() - wall_start) * 1000.0
-        io = pool.disk.cost_model.stats - io_before
-        buf = pool.stats - buf_before
+        self._record(name, target, before)
+
+    def load(self, name: str, target) -> None:
+        """Record all of ``target``'s traffic since it was made."""
+        self._record(name, target, None)
+
+    def _record(
+        self,
+        name: str,
+        target,
+        before: Optional[Sequence[Tuple[object, object]]],
+    ) -> None:
+        from repro.core.sharded import combine_io
+
+        after = _counters(target)
+        if before is not None:
+            after = [
+                (io - io0, buf - buf0)
+                for (io, buf), (io0, buf0) in zip(after, before)
+            ]
+        io = combine_io([io for io, _buf in after])
+        buffer = {
+            field: sum(getattr(buf, field) for _io, buf in after)
+            for field in _BUFFER_FIELDS
+        }
+        accesses = buffer["hits"] + buffer["misses"]
+        buffer["accesses"] = accesses
+        # null (not 0.0) when the phase made no lookups.
+        buffer["hit_ratio"] = buffer["hits"] / accesses if accesses else None
         self.phases.append(
             {
                 "name": name,
                 "simulated_ms": io.simulated_ms,
                 "overhead_ms": io.overhead_ms,
-                "wall_ms": wall_ms,
                 "io": {
                     "sequential_reads": io.sequential_reads,
                     "random_reads": io.random_reads,
                     "sequential_writes": io.sequential_writes,
                     "random_writes": io.random_writes,
                 },
-                "buffer": _buffer_record(buf),
+                "buffer": buffer,
             }
         )
 
-    def result(self) -> Dict[str, object]:
-        """The finished JSON document (metrics snapshot taken here)."""
+    def result(self, **summary: object) -> Dict[str, object]:
+        """The finished JSON document (metric counters taken here);
+        ``summary`` adds suite-specific top-level blocks."""
         return {
             "schema_version": SCHEMA_VERSION,
             "suite": self.suite,
@@ -124,11 +174,9 @@ class BenchRun:
                 "simulated_ms": sum(
                     p["simulated_ms"] for p in self.phases  # type: ignore[misc]
                 ),
-                "wall_ms": sum(
-                    p["wall_ms"] for p in self.phases  # type: ignore[misc]
-                ),
             },
-            "metrics": get_registry().snapshot(),
+            "metrics": {"counters": get_registry().snapshot()["counters"]},
+            **summary,
         }
 
 
@@ -157,9 +205,8 @@ def run_suite(
 ) -> Dict[str, object]:
     """Run one named suite and return its JSON-ready result dict.
 
-    The metrics registry is reset at the start so the embedded snapshot
-    covers exactly this run; tracing is forced on for the duration (the
-    spans land in the snapshot) and restored afterwards.
+    The metrics registry is reset at the start so the embedded counters
+    cover exactly this run.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
@@ -168,17 +215,13 @@ def run_suite(
     if queries_per_node is None:
         queries_per_node = _DEFAULT_QUERIES[suite]
 
-    registry = get_registry()
-    registry.reset()
-    runner = globals()[f"_suite_{suite}"]
-    # The committed baselines price row pages, whatever the shipped
-    # default is (``columnar`` sets both formats itself, inside).
-    with override(trace=True, leaf_format="row"):
-        return runner(scale, seed, queries_per_node)
+    get_registry().reset()
+    return globals()[f"_suite_{suite}"](scale, seed, queries_per_node)
 
 
-def _make_config(suite: str, scale: float, seed: int, queries: int):
-    from repro.experiments.common import ExperimentConfig
+def _start(suite: str, scale: float, seed: int, queries: int):
+    """A suite's experiment config, recorder, and generated warehouse."""
+    from repro.experiments.common import ExperimentConfig, build_warehouse
 
     config = ExperimentConfig(
         scale_factor=scale, seed=seed, queries_per_node=queries
@@ -192,15 +235,26 @@ def _make_config(suite: str, scale: float, seed: int, queries: int):
             "buffer_pages": config.buffer_pages,
         },
     )
-    return config, run
+    generator, data = build_warehouse(config)
+    return config, run, generator, data
+
+
+def _workload(data, config, nodes: int) -> list:
+    """``config.queries_per_node`` queries on each of the first
+    ``nodes`` Fig. 12 lattice nodes."""
+    from repro.experiments.common import FIG12_NODES
+    from repro.query.generator import RandomQueryGenerator
+
+    qgen = RandomQueryGenerator(data.schema, seed=config.query_seed)
+    return [
+        query
+        for node in FIG12_NODES[:nodes]
+        for query in qgen.generate_for_node(node, config.queries_per_node)
+    ]
 
 
 def _compute_phase(run: BenchRun, name: str, config, data, rows) -> None:
-    """Record a pure-CPU cube-computation phase (simulated I/O ~ 0).
-
-    Exercises the batched-codec / fused-aggregation pipeline in
-    isolation so its wall-ms win is visible outside the load totals.
-    """
+    """Record a pure-CPU cube-computation phase (simulated I/O ~ 0)."""
     from repro.core.sorting import make_substrate_sorter
     from repro.cube.computation import CubeComputation
     from repro.experiments.common import paper_views
@@ -217,80 +271,20 @@ def _compute_phase(run: BenchRun, name: str, config, data, rows) -> None:
 
 def _suite_smoke(scale: float, seed: int, queries: int) -> Dict[str, object]:
     """Load → query → refresh, one engine: the CI tripwire."""
-    from repro.experiments.common import (
-        FIG12_NODES,
-        build_cubetree_engine,
-        build_warehouse,
-    )
-    from repro.query.generator import RandomQueryGenerator
+    from repro.experiments.common import build_cubetree_engine
 
-    config, run = _make_config("smoke", scale, seed, queries)
-    generator, data = build_warehouse(config)
-
-    wall_start = time.perf_counter()
+    config, run, generator, data = _start("smoke", scale, seed, queries)
     engine, _ = build_cubetree_engine(config, data)
-    # The engine's pool did the loading I/O before we could wrap it, so
-    # record the load phase from absolute counters instead.
-    run.phases.append(
-        _absolute_phase(
-            "load", engine.pool,
-            (time.perf_counter() - wall_start) * 1000.0,
-        )
-    )
+    run.load("load", engine)
 
-    qgen = RandomQueryGenerator(data.schema, seed=config.query_seed)
-    with run.phase("queries", engine.pool):
-        for node in FIG12_NODES[:3]:
-            for query in qgen.generate_for_node(node, queries):
-                engine.query(query)
+    with run.phase("queries", engine):
+        for query in _workload(data, config, 3):
+            engine.query(query)
 
     delta = generator.generate_increment(config.increment_fraction)
-    with run.phase("update", engine.pool):
+    with run.phase("update", engine):
         engine.update(delta)
-
     return run.result()
-
-
-def _absolute_phase(name: str, pool, wall_ms: float = 0.0) -> Dict[str, object]:
-    """A phase record built from a pool's lifetime counters (used when
-    the work happened inside a constructor we could not wrap)."""
-    return _stats_phase(name, pool.disk.cost_model.stats, pool.stats, wall_ms)
-
-
-def _stats_phase(name: str, io, buf, wall_ms: float = 0.0) -> Dict[str, object]:
-    """A phase record from explicit IOStats/BufferStats (absolute or
-    delta) — an engine with several shards reports critical-path
-    combined stats rather than a single pool's counters."""
-    return {
-        "name": name,
-        "simulated_ms": io.simulated_ms,
-        "overhead_ms": io.overhead_ms,
-        "wall_ms": wall_ms,
-        "io": {
-            "sequential_reads": io.sequential_reads,
-            "random_reads": io.random_reads,
-            "sequential_writes": io.sequential_writes,
-            "random_writes": io.random_writes,
-        },
-        "buffer": _buffer_record(buf),
-    }
-
-
-def _buffer_record(buf) -> Dict[str, object]:
-    """The per-phase buffer-stats dict (shared by both phase builders)."""
-    return {
-        "hits": buf.hits,
-        "misses": buf.misses,
-        "evictions": buf.evictions,
-        "new_pages": buf.new_pages,
-        "unpins": buf.unpins,
-        "scan_admissions": buf.scan_admissions,
-        "promotions": buf.promotions,
-        "readahead_pages": buf.readahead_pages,
-        "accesses": buf.accesses,
-        # null (not 0.0) when the phase made no lookups.
-        "hit_ratio": buf.hit_ratio if buf.accesses > 0 else None,
-    }
 
 
 def _suite_loading(scale: float, seed: int, queries: int) -> Dict[str, object]:
@@ -298,31 +292,14 @@ def _suite_loading(scale: float, seed: int, queries: int) -> Dict[str, object]:
     from repro.experiments.common import (
         build_conventional_engine,
         build_cubetree_engine,
-        build_warehouse,
     )
 
-    config, run = _make_config("loading", scale, seed, queries)
-    _generator, data = build_warehouse(config)
-
+    config, run, _generator, data = _start("loading", scale, seed, queries)
     _compute_phase(run, "cube_compute", config, data, data.facts)
-
-    wall_start = time.perf_counter()
     cube, _ = build_cubetree_engine(config, data)
-    run.phases.append(
-        _absolute_phase(
-            "cubetree_load", cube.pool,
-            (time.perf_counter() - wall_start) * 1000.0,
-        )
-    )
-
-    wall_start = time.perf_counter()
+    run.load("cubetree_load", cube)
     conv, _ = build_conventional_engine(config, data)
-    run.phases.append(
-        _absolute_phase(
-            "conventional_load", conv.pool,
-            (time.perf_counter() - wall_start) * 1000.0,
-        )
-    )
+    run.load("conventional_load", conv)
     return run.result()
 
 
@@ -337,15 +314,10 @@ def _suite_queries(scale: float, seed: int, queries: int) -> Dict[str, object]:
     identical queries with identical rows, so their simulated-ms ratio
     *is* the run-plan/batching win.
     """
-    from repro.experiments.common import (
-        FIG12_NODES,
-        build_cubetree_engine,
-        build_warehouse,
-    )
+    from repro.experiments.common import FIG12_NODES, build_cubetree_engine
     from repro.query.generator import RandomQueryGenerator
 
-    config, run = _make_config("queries", scale, seed, queries)
-    _generator, data = build_warehouse(config)
+    config, run, _generator, data = _start("queries", scale, seed, queries)
     engine, _ = build_cubetree_engine(config, data)
     qgen = RandomQueryGenerator(data.schema, seed=config.query_seed)
 
@@ -358,17 +330,17 @@ def _suite_queries(scale: float, seed: int, queries: int) -> Dict[str, object]:
         for page_id in engine.pool.protected_page_ids:
             engine.pool.unprotect_page(page_id)
         engine.pool.clear()
-        with run.phase(f"serial:{label}", engine.pool):
+        with run.phase(f"serial:{label}", engine):
             for query in node_queries:
                 engine.query(query)
 
         engine.pool.clear()
-        with run.phase(f"fast:{label}", engine.pool):
+        with run.phase(f"fast:{label}", engine):
             for query in node_queries:
                 engine.query_batch([query])
 
         engine.pool.clear()
-        with run.phase(f"batch:{label}", engine.pool):
+        with run.phase(f"batch:{label}", engine):
             engine.query_batch(node_queries)
     return run.result()
 
@@ -378,222 +350,58 @@ def _suite_updates(scale: float, seed: int, queries: int) -> Dict[str, object]:
     from repro.experiments.common import (
         build_conventional_engine,
         build_cubetree_engine,
-        build_warehouse,
     )
 
-    config, run = _make_config("updates", scale, seed, queries)
-    generator, data = build_warehouse(config)
+    config, run, generator, data = _start("updates", scale, seed, queries)
     delta = generator.generate_increment(config.increment_fraction)
 
     _compute_phase(run, "delta_compute", config, data, delta)
 
     cube, _ = build_cubetree_engine(config, data)
-    with run.phase("cubetree_merge_pack", cube.pool):
+    with run.phase("cubetree_merge_pack", cube):
         cube.update(delta)
 
     conv, _ = build_conventional_engine(config, data)
-    with run.phase("conventional_incremental", conv.pool):
+    with run.phase("conventional_incremental", conv):
         conv.update_incremental(delta)
     return run.result()
 
 
-def _suite_scalability(
-    scale: float, seed: int, queries: int
-) -> Dict[str, object]:
-    """Load cost as the warehouse doubles (Fig. 14's shape)."""
-    from repro.experiments.common import (
-        ExperimentConfig,
-        build_cubetree_engine,
-        build_warehouse,
-    )
-
-    _config, run = _make_config("scalability", scale, seed, queries)
-    for multiple in (1, 2, 4):
-        step = ExperimentConfig(
-            scale_factor=scale * multiple, seed=seed,
-            queries_per_node=queries,
-        )
-        wall_start = time.perf_counter()
-        _generator, data = build_warehouse(step)
-        engine, _ = build_cubetree_engine(step, data)
-        run.phases.append(
-            _absolute_phase(
-                f"load_x{multiple}", engine.pool,
-                (time.perf_counter() - wall_start) * 1000.0,
-            )
-        )
-    return run.result()
-
-
-def _empty_io() -> Dict[str, int]:
-    return {
-        "sequential_reads": 0,
-        "random_reads": 0,
-        "sequential_writes": 0,
-        "random_writes": 0,
-    }
-
-
-def _wall_only_phase(
-    name: str, wall_ms: float, serving: Dict[str, Any]
-) -> Dict[str, object]:
-    """A concurrency phase: wall-clock + serving stats, no cost model.
-
-    Concurrent schedules are timing-dependent, so these phases carry
-    ``wall_only: True`` and :func:`compare` never gates on them — the
-    deterministic phases of the same suite still guard the cost model.
-    """
-    return {
-        "name": name,
-        "wall_only": True,
-        "simulated_ms": 0.0,
-        "overhead_ms": 0.0,
-        "wall_ms": wall_ms,
-        "io": _empty_io(),
-        "buffer": {
-            "hits": 0, "misses": 0, "evictions": 0, "new_pages": 0,
-            "unpins": 0, "scan_admissions": 0, "promotions": 0,
-            "readahead_pages": 0, "accesses": 0, "hit_ratio": None,
-        },
-        "serving": serving,
-    }
-
-
-def _percentile(ordered: List[float], fraction: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[rank]
-
-
-def _concurrent_load(
-    server, workload, threads: int, rounds: int, refresher=None
-) -> Dict[str, Any]:
-    """Hammer the server from ``threads`` client threads; summarize.
-
-    Each thread replays the workload ``rounds`` times, staggered by
-    thread index so concurrent arrivals hit different queries (that is
-    what exercises per-round coalescing across clients).  ``refresher``,
-    when given, runs on its own thread between a start barrier and the
-    clients draining — the "qps under refresh" configuration.
-    """
-    import threading as _threading
-
-    latencies: List[float] = []
-    generations: List[int] = []
-    errors: List[str] = []
-    lock = _threading.Lock()
-    barrier = _threading.Barrier(threads + 1 + (1 if refresher else 0))
-
-    def client(offset: int) -> None:
-        local_lat: List[float] = []
-        local_gen: List[int] = []
-        local_err: List[str] = []
-        barrier.wait()
-        for round_index in range(rounds):
-            for index in range(len(workload)):
-                query = workload[(offset + index) % len(workload)]
-                start = time.perf_counter()
-                try:
-                    served = server.query(query)
-                except Exception as exc:  # noqa: BLE001 - tallied, not raised
-                    local_err.append(str(exc))
-                    continue
-                local_lat.append((time.perf_counter() - start) * 1000.0)
-                local_gen.append(served.generation)
-        with lock:
-            latencies.extend(local_lat)
-            generations.extend(local_gen)
-            errors.extend(local_err)
-
-    workers = [
-        _threading.Thread(target=client, args=(i,), daemon=True)
-        for i in range(threads)
-    ]
-    refresh_outcomes: List[Dict[str, object]] = []
-    stop_refresh = _threading.Event()
-    if refresher is not None:
-        def run_refresher() -> None:
-            barrier.wait()
-            refresh_outcomes.extend(refresher(stop_refresh))
-
-        refresh_thread = _threading.Thread(target=run_refresher, daemon=True)
-        refresh_thread.start()
-    for worker in workers:
-        worker.start()
-    barrier.wait()
-    wall_start = time.perf_counter()
-    for worker in workers:
-        worker.join()
-    wall_s = time.perf_counter() - wall_start
-    if refresher is not None:
-        stop_refresh.set()
-        refresh_thread.join()
-    ordered = sorted(latencies)
-    total = len(latencies)
-    return {
-        "threads": threads,
-        "rounds": rounds,
-        "queries": total,
-        "errors": len(errors),
-        "error_samples": errors[:3],
-        "qps": total / wall_s if wall_s > 0 else 0.0,
-        "p50_ms": _percentile(ordered, 0.50),
-        "p95_ms": _percentile(ordered, 0.95),
-        "generations_observed": sorted(set(generations)),
-        "refreshes": refresh_outcomes,
-        "wall_s": wall_s,
-    }
-
-
 def _suite_serving(scale: float, seed: int, queries: int) -> Dict[str, object]:
-    """Concurrent serving under refresh (the PR 7 server, Sec. 5's claim).
+    """The serving path (the PR 7 server, Sec. 5's claim), serially.
 
-    Two deterministic phases guard the cost model — ``serve_queries``
-    (the admission path answers the workload serially) and ``refresh``
-    (builder load + merge-pack + publish, measured on the builder's own
-    pool) — then two ``wall_only`` phases measure concurrency itself:
-    ``concurrent_baseline`` (client threads, no refresh) and
-    ``concurrent_refresh`` (same load with refresh cycles publishing new
-    generations mid-flight).  The headline number is the qps ratio
-    between those two: zero-downtime refresh means it stays near 1.
+    ``serve_queries`` answers the workload through the admission path on
+    the bootstrapped generation; ``refresh`` is the builder's load +
+    merge-pack + checkpoint of one increment, measured on the builder's
+    own pool (the published engine is the builder).  Throughput under
+    concurrent refresh is a wall-clock question: ``bench_e2e``'s
+    ``refresh_mixed`` workload measures it over HTTP.
     """
     import shutil
     import tempfile
 
-    from repro.experiments.common import FIG12_NODES, build_warehouse
-    from repro.query.generator import RandomQueryGenerator
     from repro.server import CubetreeServer, ServerConfig, bootstrap_database
 
-    config, run = _make_config("serving", scale, seed, queries)
     tmpdir = tempfile.mkdtemp(prefix="repro-bench-serving-")
     try:
         bootstrap_database(tmpdir, scale=scale, seed=seed)
-        generator, _data = build_warehouse(config)
+        config, run, generator, data = _start("serving", scale, seed, queries)
         server = CubetreeServer(tmpdir, ServerConfig(retain=2)).start()
         try:
-            qgen = RandomQueryGenerator(
-                server.schema, seed=config.query_seed
-            )
-            workload = [
-                query
-                for node in FIG12_NODES[:4]
-                for query in qgen.generate_for_node(node, queries)
-            ]
-
+            workload = _workload(data, config, 4)
             handle = server.manager.acquire()
             try:
-                with run.phase("serve_queries", handle.engine.pool):
+                with run.phase("serve_queries", handle.engine):
                     for query in workload:
                         server.query(query)
             finally:
                 server.manager.release(handle)
 
-            delta = generator.generate_increment(
-                config.increment_fraction, stream="bench-refresh-0"
+            server.submit_delta(
+                generator.generate_increment(
+                    config.increment_fraction, stream="bench-refresh-0"
+                )
             )
-            wall_start = time.perf_counter()
-            server.submit_delta(delta)
             outcome = server.refresh_now()
             if outcome.status != "published":
                 raise RuntimeError(
@@ -601,76 +409,10 @@ def _suite_serving(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 )
             handle = server.manager.acquire()
             try:
-                # The published engine IS the refresh builder, so its
-                # pool's lifetime counters are exactly the refresh cost:
-                # reload + merge-pack + checkpoint.
-                run.phases.append(
-                    _absolute_phase(
-                        "refresh", handle.engine.pool,
-                        (time.perf_counter() - wall_start) * 1000.0,
-                    )
-                )
+                run.load("refresh", handle.engine)
             finally:
                 server.manager.release(handle)
-
-            threads, rounds = 4, 4
-            wall_start = time.perf_counter()
-            baseline = _concurrent_load(server, workload, threads, rounds)
-            run.phases.append(
-                _wall_only_phase(
-                    "concurrent_baseline",
-                    (time.perf_counter() - wall_start) * 1000.0,
-                    baseline,
-                )
-            )
-
-            def refresher(stop) -> List[Dict[str, object]]:
-                # Two refresh cycles spaced across the client run: long
-                # enough to overlap real query traffic, short enough
-                # that merge-pack (pure Python, GIL-bound) does not
-                # dominate the measured window.
-                outcomes: List[Dict[str, object]] = []
-                stream = 1
-                while not stop.is_set() and stream <= 2:
-                    if stop.wait(0.05):
-                        break
-                    rows = generator.generate_increment(
-                        config.increment_fraction / 5,
-                        stream=f"bench-refresh-{stream}",
-                    )
-                    server.submit_delta(rows)
-                    outcomes.append(server.refresh_now().as_dict())
-                    stream += 1
-                return outcomes
-
-            wall_start = time.perf_counter()
-            under_refresh = _concurrent_load(
-                server, workload, threads, rounds, refresher=refresher
-            )
-            run.phases.append(
-                _wall_only_phase(
-                    "concurrent_refresh",
-                    (time.perf_counter() - wall_start) * 1000.0,
-                    under_refresh,
-                )
-            )
-
-            baseline_qps = float(baseline["qps"])
-            refresh_qps = float(under_refresh["qps"])
-            result = run.result()
-            result["serving_summary"] = {
-                "baseline_qps": baseline_qps,
-                "refresh_qps": refresh_qps,
-                "qps_ratio": (
-                    refresh_qps / baseline_qps if baseline_qps else 0.0
-                ),
-                "errors": int(baseline["errors"])
-                + int(under_refresh["errors"]),
-                "generations_observed": under_refresh[
-                    "generations_observed"
-                ],
-            }
-            return result
+            return run.result()
         finally:
             server.close()
     finally:
@@ -687,17 +429,11 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
     queries restrict the leading group coordinate of the view they route
     to (``V_c``, ``V_s``, ``V_ps``), so the scatter-gather router must
     touch exactly one shard each; the summary records the worst case.
-    All phases are deterministic simulated I/O and gate comparisons;
-    wall-clock rides along report-only as everywhere else.
     """
-    from repro.experiments.common import (
-        build_cubetree_engine,
-        build_warehouse,
-    )
+    from repro.experiments.common import build_cubetree_engine
     from repro.query.slice import SliceQuery
 
-    config, run = _make_config("sharding", scale, seed, queries)
-    generator, data = build_warehouse(config)
+    config, run, generator, data = _start("sharding", scale, seed, queries)
     delta = generator.generate_increment(config.increment_fraction)
 
     #: (view routed to, bound attribute) — each binds the leading group
@@ -707,79 +443,47 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
         ((), "suppkey"),           # -> V_s
         (("suppkey",), "partkey"),  # -> V_ps
     )
-    sim_ms: Dict[str, float] = {}
+    point_queries = [
+        SliceQuery(
+            group_by=tuple(group_by),
+            bindings=((attr, 1 + (repeat * len(point_shapes) + i) % 7),),
+        )
+        for repeat in range(max(1, queries))
+        for i, (group_by, attr) in enumerate(point_shapes)
+    ]
     max_touched = 0
-
     for num_shards in (1, 4):
         tag = f"n{num_shards}"
-        wall_start = time.perf_counter()
         engine, _ = build_cubetree_engine(config, data, shards=num_shards)
-        load_io = engine.io_totals()
-        run.phases.append(
-            _stats_phase(
-                f"load_{tag}", load_io, engine.buffer_totals(),
-                (time.perf_counter() - wall_start) * 1000.0,
-            )
-        )
-        sim_ms[f"load_{tag}"] = load_io.simulated_ms
+        run.load(f"load_{tag}", engine)
 
-        point_queries = [
-            SliceQuery(
-                group_by=tuple(group_by),
-                bindings=((attr, 1 + (repeat * len(point_shapes) + i) % 7),),
-            )
-            for repeat in range(max(1, queries))
-            for i, (group_by, attr) in enumerate(point_shapes)
-        ]
-        snapshots = engine.io_snapshot()
-        buf_before = engine.buffer_totals()
-        wall_start = time.perf_counter()
-        for query in point_queries:
-            routed_before = [s.routed_queries for s in engine.shards]
-            engine.query_batch([query])
-            touched = sum(
-                1
-                for before, shard in zip(routed_before, engine.shards)
-                if shard.routed_queries > before
-            )
-            max_touched = max(max_touched, touched)
-        query_io = engine.io_delta(snapshots)
-        run.phases.append(
-            _stats_phase(
-                f"point_queries_{tag}", query_io,
-                engine.buffer_totals() - buf_before,
-                (time.perf_counter() - wall_start) * 1000.0,
-            )
-        )
-        sim_ms[f"point_queries_{tag}"] = query_io.simulated_ms
+        with run.phase(f"point_queries_{tag}", engine):
+            for query in point_queries:
+                routed_before = [s.routed_queries for s in engine.shards]
+                engine.query_batch([query])
+                touched = sum(
+                    1
+                    for before, shard in zip(routed_before, engine.shards)
+                    if shard.routed_queries > before
+                )
+                max_touched = max(max_touched, touched)
 
-        snapshots = engine.io_snapshot()
-        buf_before = engine.buffer_totals()
-        wall_start = time.perf_counter()
-        engine.update(delta)
-        merge_io = engine.io_delta(snapshots)
-        run.phases.append(
-            _stats_phase(
-                f"merge_pack_{tag}", merge_io,
-                engine.buffer_totals() - buf_before,
-                (time.perf_counter() - wall_start) * 1000.0,
-            )
-        )
-        sim_ms[f"merge_pack_{tag}"] = merge_io.simulated_ms
+        with run.phase(f"merge_pack_{tag}", engine):
+            engine.update(delta)
 
-    result = run.result()
-    result["sharding_summary"] = {
-        "load_ratio_n4_vs_n1": (
-            sim_ms["load_n4"] / sim_ms["load_n1"]
-            if sim_ms["load_n1"] else 0.0
-        ),
-        "merge_pack_ratio_n4_vs_n1": (
-            sim_ms["merge_pack_n4"] / sim_ms["merge_pack_n1"]
-            if sim_ms["merge_pack_n1"] else 0.0
-        ),
-        "point_query_max_shards_touched": max_touched,
-    }
-    return result
+    sim_ms = {p["name"]: p["simulated_ms"] for p in run.phases}
+
+    def ratio(phase: str) -> float:
+        base = sim_ms[f"{phase}_n1"]
+        return sim_ms[f"{phase}_n4"] / base if base else 0.0  # type: ignore[operator]
+
+    return run.result(
+        sharding_summary={
+            "load_ratio_n4_vs_n1": ratio("load"),
+            "merge_pack_ratio_n4_vs_n1": ratio("merge_pack"),
+            "point_query_max_shards_touched": max_touched,
+        }
+    )
 
 
 def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
@@ -802,12 +506,7 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     """
     from dataclasses import replace
 
-    from repro.experiments.common import (
-        FIG12_NODES,
-        build_cubetree_engine,
-        build_warehouse,
-    )
-    from repro.query.generator import RandomQueryGenerator
+    from repro.experiments.common import build_cubetree_engine
 
     #: Small-pool pages — far below the columnar leaf-run size, so every
     #: pass re-fetches evicted pages.
@@ -817,14 +516,8 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
     #: Workload passes in the repeated columnar phase.
     kernel_passes = 5
 
-    config, run = _make_config("columnar", scale, seed, queries)
-    _generator, data = build_warehouse(config)
-    qgen = RandomQueryGenerator(data.schema, seed=config.query_seed)
-    workload = [
-        query
-        for node in FIG12_NODES[:4]
-        for query in qgen.generate_for_node(node, queries)
-    ]
+    config, run, _generator, data = _start("columnar", scale, seed, queries)
+    workload = _workload(data, config, 4)
 
     def answer(engine) -> List[Tuple[object, ...]]:
         """The workload's sorted rows, each query run on its own with
@@ -834,80 +527,51 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
             for query in workload
         ]
 
-    # Builds pack columnar unless a phase pins its own format.
+    def check(answers, what: str) -> None:
+        if answers != results["columnar"]:
+            raise RuntimeError(f"columnar bench: {what} answered differently")
+
+    results: Dict[str, object] = {}
+    pages: Dict[str, int] = {}
+    engine = None
+    for mode in ("row", "columnar"):
+        with override(leaf_format=mode):
+            engine, _ = build_cubetree_engine(config, data)
+        run.load(f"load_{mode}", engine)
+        pages[mode] = engine.forest.num_pages
+        engine.pool.clear()
+        with run.phase(f"queries_{mode}", engine):
+            results[mode] = answer(engine)
+    check(results["row"], "the row format")
+
+    # -- repeated passes, single-query path ----------------------------
+    engine.pool.clear()
+    with run.phase("queries_columnar_vector", engine):
+        for _ in range(kernel_passes):
+            repeated = answer(engine)
+    check(repeated, "repeated passes")
+
+    # -- batch executor ------------------------------------------------
+    engine.pool.clear()
+    with run.phase("batch_columnar_vector", engine):
+        batch = engine.query_batch(workload)
+    check([tuple(sorted(r.rows)) for r in batch.results], "the batch")
+
+    # -- small pool under scan churn -----------------------------------
     with override(leaf_format="columnar"):
-        results: Dict[str, object] = {}
-        pages: Dict[str, int] = {}
-        engine = None
-        for mode in ("row", "columnar"):
-            wall_start = time.perf_counter()
-            with override(leaf_format=mode):
-                engine, _ = build_cubetree_engine(config, data)
-            run.phases.append(
-                _absolute_phase(
-                    f"load_{mode}", engine.pool,
-                    (time.perf_counter() - wall_start) * 1000.0,
-                )
-            )
-            pages[mode] = engine.forest.num_pages
-            engine.pool.clear()
-            with run.phase(f"queries_{mode}", engine.pool):
-                results[mode] = answer(engine)
-        columnar_engine = engine
-
-        if results["row"] != results["columnar"]:
-            raise RuntimeError(
-                "columnar bench: row and columnar formats answered the "
-                "same workload differently"
-            )
-
-        # -- repeated passes, single-query path ------------------------
-        columnar_engine.pool.clear()
-        with run.phase("queries_columnar_vector", columnar_engine.pool):
-            for _ in range(kernel_passes):
-                repeated = answer(columnar_engine)
-        if repeated != results["columnar"]:
-            raise RuntimeError(
-                "columnar bench: repeated passes answered the workload "
-                "differently"
-            )
-
-        # -- batch executor --------------------------------------------
-        columnar_engine.pool.clear()
-        with run.phase("batch_columnar_vector", columnar_engine.pool):
-            batch = columnar_engine.query_batch(workload)
-        if [
-            tuple(sorted(result.rows)) for result in batch.results
-        ] != results["columnar"]:
-            raise RuntimeError(
-                "columnar bench: batched execution disagreed with the "
-                "serial answers"
-            )
-
-        # -- small pool under scan churn -------------------------------
-        small_config = replace(config, buffer_pages=small_pool_pages)
-        wall_start = time.perf_counter()
-        small_engine, _ = build_cubetree_engine(small_config, data)
-        run.phases.append(
-            _absolute_phase(
-                "load_columnar_small", small_engine.pool,
-                (time.perf_counter() - wall_start) * 1000.0,
-            )
+        small_engine, _ = build_cubetree_engine(
+            replace(config, buffer_pages=small_pool_pages), data
         )
-        small_engine.pool.clear()
-        with run.phase("queries_small_vector", small_engine.pool):
-            for _ in range(small_pool_passes):
-                small_answers = answer(small_engine)
-        if small_answers != results["columnar"]:
-            raise RuntimeError(
-                "columnar bench: small-pool runs disagreed with the "
-                "full-pool answers"
-            )
+    run.load("load_columnar_small", small_engine)
+    small_engine.pool.clear()
+    with run.phase("queries_small_vector", small_engine):
+        for _ in range(small_pool_passes):
+            small_answers = answer(small_engine)
+    check(small_answers, "the small pool")
 
-        metrics = get_registry().snapshot()
-        counters = metrics.get("counters", {})
-        result = run.result()
-        result["columnar_summary"] = {
+    counters = get_registry().snapshot()["counters"]
+    return run.result(
+        columnar_summary={
             "row_pages": pages["row"],
             "columnar_pages": pages["columnar"],
             "storage_ratio_row_vs_columnar": (
@@ -921,7 +585,7 @@ def _suite_columnar(scale: float, seed: int, queries: int) -> Dict[str, object]:
                 "query.cubetree.pushdowns", 0
             ),
         }
-        return result
+    )
 
 
 # ----------------------------------------------------------------------
@@ -935,13 +599,13 @@ def compare(
     """Flag phases whose simulated I/O changed or regressed.
 
     Phases are matched by name; phases present on only one side are
-    ignored (renames should not fail CI), and so are ``wall_only``
-    phases.  A matched phase is flagged when its integer I/O counters
-    differ in either direction (the simulated figures are deterministic,
-    so any moved page is reported), or when its simulated time rose
-    past ``threshold`` over a baseline of at least 1 ms (a 0.1 ms phase
-    tripling is noise, not a regression).  Returns one record per
-    flagged phase; empty list means "no change, no worse".
+    ignored (renames should not fail CI).  A matched phase is flagged
+    when its integer I/O counters differ in either direction (the
+    simulated figures are deterministic, so any moved page is
+    reported), or when its simulated time rose past ``threshold`` over
+    a baseline of at least 1 ms (a 0.1 ms phase tripling is noise, not
+    a regression).  Returns one record per flagged phase; empty list
+    means "no change, no worse".
     """
     if old.get("suite") != new.get("suite"):
         raise ValueError(
@@ -954,10 +618,6 @@ def compare(
         name = phase["name"]  # type: ignore[index]
         base = old_phases.get(name)
         if base is None:
-            continue
-        # Concurrency phases measure wall-clock schedules, not the
-        # deterministic cost model; they never gate a comparison.
-        if phase.get("wall_only") or base.get("wall_only"):  # type: ignore[union-attr]
             continue
         old_ms = float(base["simulated_ms"])  # type: ignore[index, arg-type]
         new_ms = float(phase["simulated_ms"])  # type: ignore[index, arg-type]
@@ -980,30 +640,23 @@ def compare(
 
 def format_report(result: Dict[str, object]) -> str:
     """Aligned text table of a result's phases (the ``--report`` view)."""
-    headers = (
-        "phase", "sim ms", "wall ms", "reads", "writes", "hit ratio",
-    )
+    headers = ("phase", "sim ms", "reads", "writes", "hit ratio")
     rows: List[List[str]] = []
     for phase in result.get("phases", []):  # type: ignore[union-attr]
         io = phase["io"]  # type: ignore[index]
-        buf = phase["buffer"]  # type: ignore[index]
-        reads = io["sequential_reads"] + io["random_reads"]  # type: ignore[index]
-        writes = io["sequential_writes"] + io["random_writes"]  # type: ignore[index]
-        ratio = buf["hit_ratio"]  # type: ignore[index]
+        ratio = phase["buffer"]["hit_ratio"]  # type: ignore[index]
         rows.append(
             [
                 str(phase["name"]),  # type: ignore[index]
                 f"{phase['simulated_ms']:.1f}",  # type: ignore[index]
-                f"{phase['wall_ms']:.1f}",  # type: ignore[index]
-                str(reads),
-                str(writes),
+                str(io["sequential_reads"] + io["random_reads"]),  # type: ignore[index]
+                str(io["sequential_writes"] + io["random_writes"]),  # type: ignore[index]
                 "-" if ratio is None else f"{ratio:.3f}",
             ]
         )
     totals = result.get("totals", {})
     widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows
-        else len(headers[i])
+        max([len(headers[i])] + [len(r[i]) for r in rows])
         for i in range(len(headers))
     ]
     lines = [
@@ -1015,8 +668,7 @@ def format_report(result: Dict[str, object]) -> str:
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     lines.append(
-        f"total: {totals.get('simulated_ms', 0.0):.1f} ms simulated, "
-        f"{totals.get('wall_ms', 0.0):.1f} ms wall"
+        f"total: {totals.get('simulated_ms', 0.0):.1f} ms simulated"  # type: ignore[union-attr]
     )
     return "\n".join(lines)
 

@@ -265,6 +265,8 @@ class LeafWriter:
         view_id, arity, n_aggs, coords, measures, count = chunk
         # (a view that never gets a leaf keeps the empty-run sentinel)
         self.tree.view_extents.setdefault(view_id, EMPTY_EXTENT)
+        counts = self.tree.view_counts
+        counts[view_id] = counts.get(view_id, 0) + count
         self._total += count
         _OBS_PACK_ENTRIES.value += count
         continues = self._page is not None and self._view[0] == view_id
@@ -416,6 +418,7 @@ def free_tree(pool: BufferPool, tree: RTree) -> int:
     tree.leaf_page_ids = []
     tree.owned_page_ids = []
     tree.view_extents = {}
+    tree.view_counts = {}
     tree._run_index.clear()
     tree.count = 0
     tree.height = 0

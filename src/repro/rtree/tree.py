@@ -43,7 +43,6 @@ from repro.rtree.node import (
     columnar_leaf_size,
     interior_capacity,
     leaf_capacity,
-    leaf_header,
     node_type_of,
 )
 from repro.storage.buffer import BufferPool
@@ -116,6 +115,10 @@ class RTree:
         #: Lazily resolved ``view_id -> (lo, hi)`` positions of each
         #: extent inside :attr:`leaf_page_ids`.
         self._run_index: Dict[int, Tuple[int, int]] = {}
+        #: Entries per view id, counted by the packer as it writes them
+        #: and restored from the catalog on reopen.  Empty for
+        #: dynamically built trees.
+        self.view_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # queries
@@ -155,22 +158,6 @@ class RTree:
             finally:
                 self._release(page)
             page_id = next_id
-
-    def leaf_headers(self) -> Iterator[Tuple[int, int]]:
-        """``(view_id, entry count)`` of every leaf in chain order: the
-        pool traffic of :meth:`scan_leaf_chain`, reading only headers."""
-        page_id = self.leaf_page_ids[0] if self.leaf_page_ids else -1
-        while page_id != -1:
-            page = self.pool.fetch_page(page_id)
-            try:
-                kind, count, view_id, _arity, _n_aggs, page_id = (
-                    leaf_header(page.data)
-                )
-            finally:
-                self._release(page)
-            if kind not in LEAF_TYPES:
-                raise StorageError("leaf chain points at a non-leaf page")
-            yield view_id, count
 
     def scan_points(self) -> Iterator[Entry]:
         """Yield every stored point in leaf-chain order, as
@@ -365,9 +352,11 @@ class RTree:
             raise ValueError(f"expected {self.n_aggs} aggregate values")
         _OBS_INSERTS.value += 1
         # Dynamic inserts split and reorder leaves, so any packed-run
-        # extents recorded for this tree no longer describe the chain.
-        if self.view_extents:
+        # extents and per-view counts recorded for this tree no longer
+        # describe the chain.
+        if self.view_extents or self.view_counts:
             self.view_extents = {}
+            self.view_counts = {}
         self._run_index.clear()
 
         if self.root_page_id == -1:
@@ -402,9 +391,7 @@ class RTree:
     @property
     def num_pages(self) -> int:
         """Pages owned by this tree."""
-        if self.root_page_id == -1:
-            return 0
-        return self._count_pages(self.root_page_id)
+        return len(self.owned_page_ids)
 
     def leaf_utilization(self) -> float:
         """Average leaf fill fraction (1.0 = every leaf at capacity)."""
@@ -587,19 +574,6 @@ class RTree:
         return left_mbr, right_page.page_id, right_mbr
 
     # ------------------------------------------------------------------
-    def _count_pages(self, page_id: int) -> int:
-        # A leaf is recognised by its type byte, not deserialized.
-        page = self.pool.fetch_page(page_id)
-        try:
-            if node_type_of(page.data) in LEAF_TYPES:
-                return 1
-            if page.cached_obj is None:
-                page.cached_obj = RInteriorNode.from_bytes(bytes(page.data))
-            children = list(page.cached_obj.children)
-        finally:
-            self._release(page)
-        return 1 + sum(self._count_pages(c) for c in children)
-
     def _check_node(self, page_id: int, bound: Optional[Rect] = None) -> int:
         node, page = self._fetch_node(page_id)
         try:

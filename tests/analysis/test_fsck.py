@@ -133,7 +133,9 @@ def test_underfilled_leaf_is_reported():
         del node.values[-10:]
 
     rewrite_leaf(pool, first_leaf, chop)
-    tree.count -= 10  # keep the counter honest: isolate the fill check
+    # Keep the counters honest: isolate the fill check.
+    tree.count -= 10
+    tree.view_counts[1] -= 10
     report = check_tree(tree)
     assert report.codes() == [fsck.LEAF_UNDERFILLED]
     violation = report.violations[0]

@@ -206,6 +206,40 @@ def test_sharded_checkpoint_detects_per_shard_corruption(
     assert "checkpoint-corrupt" in fsck.codes()
 
 
+def test_checkpoint_fsck_flags_a_drifted_view_size(tmp_path, warehouse):
+    # A catalog whose checksums are consistent but whose size for one
+    # view disagrees with the entries its leaves hold: reopen trusts the
+    # catalog, so fsck is what must notice.
+    import json
+    import zlib
+
+    data, _delta = warehouse
+    engine = _build(data, shards=2)
+    directory = str(tmp_path / "db")
+    generation = save_database(engine, directory)
+    path = os.path.join(generation, "shard-00", "shard.json")
+    with open(path) as handle:
+        catalog = json.load(handle)
+    view = sorted(catalog["sizes"])[0]
+    catalog["sizes"][view] += 1
+    payload = json.dumps(catalog, sort_keys=True).encode()
+    with open(path, "wb") as handle:
+        handle.write(payload)
+    manifest_path = os.path.join(generation, "MANIFEST.json")
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["files"]["shard-00/shard.json"] = {
+        "bytes": len(payload), "crc32": zlib.crc32(payload),
+    }
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle, sort_keys=True)
+
+    assert verify_checkpoint(directory).ok
+    report = check_checkpoint(directory)
+    assert "view-size-mismatch" in report.codes(), report.format()
+    assert all(v.tree_label.startswith("shard0/") for v in report.violations)
+
+
 # ----------------------------------------------------------------------
 # fsck: residue disjointness
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ asserts the claim shapes; these tests only verify that each module is
 runnable, returns the documented structure, and respects configuration.
 """
 
-from functools import partial
 
 import pytest
 
@@ -129,16 +128,13 @@ def test_ablation_replication(tiny_config):
     assert result["with replicas"]["pages"] > result["no replicas"]["pages"]
 
 
-def test_runner_smoke(tiny_config, capsys, monkeypatch):
-    """The command-line runner executes end to end at a tiny scale."""
-    from repro.experiments import runner
+def test_experiment_all_smoke(capsys):
+    """``repro experiment all`` runs every experiment end to end at a
+    tiny scale."""
+    from repro.cli import main
 
-    # Three queries per view instead of the paper's 100 keep it quick.
-    monkeypatch.setattr(
-        runner, "ExperimentConfig", partial(ExperimentConfig, queries_per_node=3)
-    )
-    runner.main(["0.0003"])
+    assert main(["experiment", "all", "--scale", "0.0003", "--queries", "3"]) == 0
     out = capsys.readouterr().out
     for marker in ("Table 5", "Table 6", "Figure 12", "Figure 13",
                    "Figure 14", "Table 7", "Ablation"):
-        assert marker in out, f"runner output missing {marker}"
+        assert marker in out, f"experiment all output missing {marker}"

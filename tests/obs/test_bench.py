@@ -46,7 +46,6 @@ class TestRunSuite:
             assert buf["accesses"] == buf["hits"] + buf["misses"]
             assert buf["hit_ratio"] is None or 0.0 <= buf["hit_ratio"] <= 1.0
             assert phase["simulated_ms"] >= 0.0
-            assert phase["wall_ms"] >= 0.0
         # The load phase did real work.
         load = smoke_result["phases"][0]
         assert load["simulated_ms"] > 0.0
@@ -57,9 +56,13 @@ class TestRunSuite:
         counters = metrics["counters"]
         assert counters["io.writes.sequential"] > 0
         assert counters["rtree.pack.leaves"] > 0
-        # Tracing was forced on, so spans are present.
-        assert counters["span.engine.materialize.count"] >= 1
-        assert metrics["histograms"]["span.engine.materialize.ms"]["count"] >= 1
+        # Only the counters, which reproduce run to run.
+        assert set(metrics) == {"counters"}
+
+    def test_no_wall_clock_in_the_document(self, smoke_result):
+        assert "wall_ms" not in smoke_result["totals"]
+        for phase in smoke_result["phases"]:
+            assert "wall_ms" not in phase and "wall_only" not in phase
 
     def test_document_is_json_serializable(self, smoke_result):
         text = json.dumps(smoke_result)
@@ -72,14 +75,21 @@ class TestRunSuite:
             assert a["io"] == b["io"]
             assert a["buffer"] == b["buffer"]
 
+    def test_two_runs_equal_outside_env(self, smoke_result):
+        # Everything but the environment fingerprint reproduces, so a
+        # fresh document can be checked against a committed baseline.
+        again = run_suite("smoke", scale=SCALE, seed=42, queries_per_node=2)
+        first = dict(smoke_result, env=None)
+        assert dict(again, env=None) == first
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
 
     def test_suite_names(self):
         assert SUITES == (
-            "smoke", "loading", "queries", "updates", "scalability",
-            "serving", "sharding", "columnar",
+            "smoke", "loading", "queries", "updates", "serving",
+            "sharding", "columnar",
         )
 
 
@@ -109,21 +119,6 @@ class TestCompare:
         old = self._doc([("load", 100.0)])
         new = self._doc([("load", 119.0)])
         assert compare(old, new, threshold=0.2) == []
-
-    def test_wall_only_phases_never_gate(self):
-        # Concurrency phases (serving suite) are timing-dependent; even
-        # a huge simulated_ms delta on them must not fail a comparison.
-        old = self._doc([("serve_queries", 100.0)])
-        new = self._doc([("serve_queries", 100.0)])
-        old["phases"].append(
-            {"name": "concurrent_refresh", "simulated_ms": 10.0,
-             "wall_only": True}
-        )
-        new["phases"].append(
-            {"name": "concurrent_refresh", "simulated_ms": 500.0,
-             "wall_only": True}
-        )
-        assert compare(old, new) == []
 
     def test_improvement_passes(self):
         old = self._doc([("load", 100.0)])
